@@ -21,8 +21,8 @@ from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import DeltaKernel, delta_spectrum, exact_delta_prime_eigs, weyl_prediction
 from .discretization import (build_a_matrix, build_hankel_matrix, eigen_sym,
-                             form_identity_check, spectral_rules,
-                             test_function_factory)
+                             essential_spectrum, form_identity_check,
+                             spectral_rules, test_function_factory)
 from .errors import ConvergenceError, HankelscopeError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
 from .transforms import LogGrid
@@ -83,17 +83,15 @@ def _dumps(obj, indent: int = 0) -> str:
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
-    text = _dumps(payload) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(_dumps(payload) + "\n", config)
 
 
 def _emit_csv(rows: list[tuple[float, float]], header: str, config: RunConfig) -> None:
     lines = [header] + [f"{_format_real(lam)},{_format_real(res)}" for lam, res in rows]
-    text = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", config)
+
+
+def _write(text: str, config: RunConfig) -> None:
     if config.output:
         with open(config.output, "w") as fh:
             fh.write(text)
@@ -127,6 +125,13 @@ def _spectrum_payload(report, extra_meta=None) -> dict:
     return payload
 
 
+def _certificate(cert) -> dict:
+    return {"method": cert.method, "witness": cert.witness,
+            "witness_value": cert.witness_value,
+            "distinct_real_roots": cert.distinct_real_roots,
+            "all_roots_even_multiplicity": cert.all_roots_even_multiplicity}
+
+
 def _cmd_pq(config: RunConfig) -> dict:
     p = RealPolynomial(np.array(config.coefficients))
     q = p_to_q(p)
@@ -153,27 +158,15 @@ def _cmd_positivity(config: RunConfig) -> dict:
     p = RealPolynomial(np.array(config.coefficients))
     q = p_to_q(p)
     cert = is_nonnegative_on_reals(q)
-    k = p.degree
-    if k >= 1 and (k % 2 == 1 or p.leading > 0.0):
-        ess = "R" if k % 2 == 1 else "[0,inf)"
-    else:
-        ess = "unknown"
     return {
         "schema": SCHEMA, "command": "positivity",
         "input": {"p_coeffs": list(p.coeffs)},
         "q_coeffs": list(q.coeffs),
         "positivity": {
             "verdict": cert.nonnegative,
-            "certificate": {
-                "method": cert.method,
-                "witness": cert.witness,
-                "witness_value": cert.witness_value,
-                "distinct_real_roots": cert.distinct_real_roots,
-                "all_roots_even_multiplicity": cert.all_roots_even_multiplicity,
-                "detail": cert.detail,
-            },
+            "certificate": {**_certificate(cert), "detail": cert.detail},
         },
-        "essential_spectrum": ess,
+        "essential_spectrum": essential_spectrum(p),
         "paper_refs": ["positivity-iff-symbol-nonnegative",
                        "essential-spectrum-by-degree-parity"],
     }
@@ -193,12 +186,7 @@ def _cmd_spectrum_hankel(config: RunConfig) -> dict:
     payload["positivity"] = {"verdict": report.verdicts["positivity"]}
     cert = report.extras.get("positivity_certificate")
     if cert is not None:
-        payload["positivity"]["certificate"] = {
-            "method": cert.method, "witness": cert.witness,
-            "witness_value": cert.witness_value,
-            "distinct_real_roots": cert.distinct_real_roots,
-            "all_roots_even_multiplicity": cert.all_roots_even_multiplicity,
-        }
+        payload["positivity"]["certificate"] = _certificate(cert)
     payload["essential_spectrum"] = report.verdicts["essential_spectrum"]
     payload["min_eigenvalue"] = report.extras["min_eigenvalue"]
     payload["max_eigenvalue"] = report.extras["max_eigenvalue"]
@@ -262,7 +250,10 @@ def _cmd_delta_eigs(config: RunConfig):
                        "weyl-eigenvalue-asymptotics"],
     }
     if kernel.order == 1 and kernel.h_coeffs[0] == 0.0:
-        payload["exact_first_pair"] = list(exact_delta_prime_eigs(kernel.t0, 1))
+        # h1 delta' scales the unit pair; h1 < 0 swaps the signs of the branches
+        h1 = kernel.h_coeffs[1]
+        pair = [h1 * lam for lam in exact_delta_prime_eigs(kernel.t0, 1)]
+        payload["exact_first_pair"] = pair if h1 > 0.0 else pair[::-1]
     if kernel.order >= 1:
         payload["weyl_first_pair"] = list(weyl_prediction(kernel, 1))
     return payload, None
@@ -385,14 +376,9 @@ def parse_args(argv=None) -> RunConfig:
     if args.command in coeff_flag:
         raw = getattr(args, coeff_flag[args.command].lstrip("-"))
         config.coefficients = _parse_reals(raw, coeff_flag[args.command])
-    if hasattr(args, "L"):
-        config.L = args.L
-    if hasattr(args, "N"):
-        config.N = args.N
-    if hasattr(args, "t0"):
-        config.t0 = args.t0
-    if hasattr(args, "n_max"):
-        config.n_max = args.n_max
+    for name in ("L", "N", "t0", "n_max"):
+        if hasattr(args, name):
+            setattr(config, name, getattr(args, name))
     if hasattr(args, "seeds"):
         s = [int(tok) for tok in args.seeds.split(",")]
         if len(s) != 2:

@@ -1,7 +1,9 @@
-"""Finite symmetric-matrix models of both operator representations: the
-integral operator in logarithmic variables (Nystrom on the uniform x-grid)
-and the weighted differential operator v Q(D) v (Fourier spectral on the dual
-xi-grid), plus the quadratic-form evaluator that compares the two directly.
+"""Finite real symmetric matrix models of both operator representations:
+the integral operator in logarithmic variables (Nystrom on the uniform
+x-grid) and the weighted differential operator v Q(D) v (Fourier spectral on
+the dual xi-grid, in the real Hartley form U* V C V U with U = (I + iJ)/sqrt(2)
+and J the reflection xi -> -xi, exact for real Q and even v; see
+build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
 The x-grid and xi-grid form one FFT pairing, so the two discretizations share
 a single resolution budget (L, N).
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
@@ -67,40 +70,40 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
                                   "N": grid.N, "degree": kernel.degree})
 
 
-def _fourier_multiplier_matrix(symbol_values: np.ndarray) -> np.ndarray:
-    """Dense circulant applying a Fourier multiplier on a uniform grid.
-
-    symbol_values are indexed in fft order of the grid's dual frequencies.
-    """
-    n = symbol_values.size
-    return np.fft.ifft(symbol_values[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-
-
 def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> DiscreteOperator:
-    """Spectral model V Q(D_N) V on the xi-nodes, D = i d/d xi.
+    """Spectral model V Q(D_N) V on the xi-nodes, D = i d/d xi, as a real
+    symmetric matrix.
 
-    Q(D) acts on the mode e^{i x xi} as multiplication by Q(-x); the dual
-    values x run over the x-nodes of the same grid. The result is Hermitian
-    (complex for odd-degree terms); it is Hermitized with the defect logged,
-    and a defect above 1e-6 * max|M| is an assembly error.
+    Q(D) acts on the mode e^{i x xi} as multiplication by Q(-x), x over the
+    x-nodes, so Q(D_N) is the circulant C_ab = c_{(a-b) mod N}, c = ifft(Q(-x)).
+    For real Q and even v, conj(V C V) = J (V C V) J with J: p -> (N - p) mod N
+    (xi -> -xi), so the unitary U = (I + iJ)/sqrt(2) gives the real form
+
+        (U* V C V U)_ab = v_a v_b [Re c_{(a-b) mod N} - Im c_{(a+b) mod N}]
+
+    with the spectrum, trace and Frobenius norm of V C V. The weight must be
+    even on the grid (v[J] == v, as v_eval is bitwise); a v_override that is
+    not raises DomainError. Taking the even part of Re c makes the result
+    exactly symmetric.
     """
     if q.is_zero:
         raise DomainError("build_a_matrix requires a nonzero symbol polynomial")
-    xi = grid.xi_nodes
     n = grid.N
+    reflect = -np.arange(n) % n
+    v = v_eval(grid.xi_nodes) if v_override is None \
+        else np.asarray(v_override(grid.xi_nodes), dtype=float)
+    if not np.array_equal(v[reflect], v):
+        raise DomainError("the real a-side model needs a weight even on the xi-grid")
     x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)
-    qd = _fourier_multiplier_matrix(q(-x_dual))
-    v = v_eval(xi) if v_override is None else np.asarray(v_override(xi), dtype=float)
-    m = v[:, None] * qd * v[None, :]
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    scale = float(np.max(np.abs(m)))
-    if defect > 1e-6 * scale:
-        raise DiscretizationError(
-            f"a-side asymmetry {defect:.3e} exceeds 1e-6 * max|M| = {1e-6 * scale:.3e}")
-    m = 0.5 * (m + m.conj().T)
+    c = np.fft.ifft(q(-x_dual))
+    even = 0.5 * (c.real + c.real[reflect])
+    # row a of even[(a - b) mod N] is window N - a of [even, even] (even[J] ==
+    # even); row a of Im c[(a + b) mod N] is window a of [Im c, Im c]
+    circulant = sliding_window_view(np.tile(even, 2), n)[n:0:-1]
+    anticirculant = sliding_window_view(np.tile(c.imag, 2), n)[:n]
+    m = np.multiply.outer(v, v) * (circulant - anticirculant)
     return DiscreteOperator(matrix=m, grid=grid, kind="a-side",
-                            meta={"hermitize_defect": defect, "L": grid.L, "N": grid.N,
-                                  "degree": q.degree})
+                            meta={"L": grid.L, "N": grid.N, "degree": q.degree})
 
 
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
@@ -230,27 +233,35 @@ def observed_orders(ladder: list[tuple[int, float]], floor: float = 1e-11):
     return orders, converged
 
 
+def essential_spectrum(p: RealPolynomial) -> str:
+    """Essential spectrum by degree parity: the whole line for odd degree, the
+    right half-line for even degree with positive leading coefficient (theorem
+    predictions; finite sections only corroborate). Preconditions not met
+    (constant P, or even degree with nonpositive leading coefficient) give
+    ESS_UNKNOWN."""
+    k = p.degree
+    if k >= 1 and k % 2 == 1:
+        return ESS_REALLINE
+    if k >= 1 and p.leading > 0.0:
+        return ESS_HALFLINE
+    return ESS_UNKNOWN
+
+
 def spectral_rules(p: RealPolynomial, report: SpectrumReport) -> SpectrumReport:
     """Fill theorem-backed verdicts and empirical corroboration fields.
 
-    Essential spectrum: the whole line for odd degree, the right half-line for
-    even degree with positive leading coefficient (the verdicts are theorem
-    predictions; finite sections only corroborate). Positivity: the symbol
-    polynomial Q = p_to_q(P) is nonnegative on the reals. Preconditions not
-    met (constant P, or even degree with nonpositive leading coefficient)
-    leave the verdicts unknown.
+    Essential spectrum: see essential_spectrum. Positivity: the symbol
+    polynomial Q = p_to_q(P) is nonnegative on the reals; it is left unknown
+    whenever the essential-spectrum preconditions are not met.
     """
-    k = p.degree
     verdicts = dict(report.verdicts)
     extras = dict(report.extras)
-    if k >= 1 and (k % 2 == 1 or p.leading > 0.0):
-        verdicts["essential_spectrum"] = ESS_REALLINE if k % 2 == 1 else ESS_HALFLINE
+    verdicts["essential_spectrum"] = essential_spectrum(p)
+    verdicts["positivity"] = None
+    if verdicts["essential_spectrum"] != ESS_UNKNOWN:
         cert = is_nonnegative_on_reals(p_to_q(p))
         verdicts["positivity"] = cert.nonnegative
         extras["positivity_certificate"] = cert
-    else:
-        verdicts["essential_spectrum"] = ESS_UNKNOWN
-        verdicts["positivity"] = None
     w = report.eigenvalues
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     extras["min_eigenvalue"] = float(w[0]) if w.size else None

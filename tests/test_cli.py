@@ -90,6 +90,19 @@ class TestSpectrumCommands:
         doc = json.loads(out)
         assert "lambda_plus" in doc and "exact_first_pair" in doc
 
+    def test_delta_eigs_json_scaled_first_pair(self, capsys):
+        # -2.5 delta'(. - 2): the unit pair (1.5 pi/2, -0.5 pi/2) scaled by
+        # h1 < 0 swaps branches, so the field stays [positive, negative]
+        code, out, _ = run_cli(capsys, "delta-eigs", "--h", "0,-2.5", "--t0", "2",
+                               "--format", "json", "--N", "64")
+        assert code == 0
+        doc = json.loads(out)
+        expect = [2.5 * 0.25 * math.pi, -2.5 * 0.75 * math.pi]
+        np.testing.assert_allclose(doc["exact_first_pair"], expect, rtol=1e-15)
+        np.testing.assert_allclose(doc["exact_first_pair"],
+                                   [doc["lambda_plus"][0], doc["lambda_minus"][0]],
+                                   rtol=1e-9)
+
     def test_equiv_check(self, capsys):
         code, out, _ = run_cli(capsys, "equiv-check", "--p", "1", "--L", "12",
                                "--N", "128")

@@ -105,12 +105,54 @@ class TestAMatrix:
     def test_hermitian_for_odd_symbol(self):
         grid = LogGrid(L=8.0, N=64)
         m = build_a_matrix(poly(0.0, 1.0), grid).matrix
-        assert np.iscomplexobj(m)
         np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
+        # the real form is exactly symmetric and keeps the complex spectrum
+        assert np.array_equal(m, m.T)
+        ref = np.linalg.eigvalsh(complex_a_model(poly(0.0, 1.0), grid))
+        w = np.linalg.eigvalsh(m)
+        assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_zero_symbol_rejected(self):
         with pytest.raises(DomainError):
             build_a_matrix(poly(0.0), LogGrid(L=4.0, N=16))
+
+
+def complex_a_model(q, grid, v=None):
+    """V C V with C = ifft(Q(-x) fft(I)), the circulant of the Fourier
+    multiplier assembled column by column from first principles."""
+    n = grid.N
+    x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)
+    c = np.fft.ifft(q(-x_dual)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    v = v_eval(grid.xi_nodes) if v is None else v
+    return v[:, None] * c * v[None, :]
+
+
+class TestRealForm:
+    SYMBOLS = [(0.0, 1.0), (0.3, -1.0, 0.2, 0.5),          # odd degree
+               (1.0,), (0.1, 1.0, 0.7), (2.0, 0.0, -1.0, 0.0, 0.25)]  # even
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("qc", SYMBOLS)
+    def test_spectrum_matches_complex_model(self, qc, n):
+        grid = LogGrid(L=8.0, N=n)
+        m = build_a_matrix(poly(*qc), grid).matrix
+        assert not np.iscomplexobj(m)
+        assert np.array_equal(m, m.T)
+        ref = np.linalg.eigvalsh(complex_a_model(poly(*qc), grid))
+        assert np.abs(np.linalg.eigvalsh(m) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("qc", [(0.0, 1.0), (0.5, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)])
+    def test_unit_weight_override(self, qc):
+        grid = LogGrid(L=4.0, N=64)
+        m = build_a_matrix(poly(*qc), grid, v_override=np.ones_like).matrix
+        assert np.array_equal(m, m.T)
+        ref = np.linalg.eigvalsh(complex_a_model(poly(*qc), grid, np.ones(64)))
+        assert np.abs(np.linalg.eigvalsh(m) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_even_weight_rejected(self):
+        grid = LogGrid(L=4.0, N=16)
+        with pytest.raises(DomainError):
+            build_a_matrix(poly(0.0, 1.0), grid, v_override=lambda xi: np.exp(-0.1 * xi))
 
 
 class TestEigenSym:
