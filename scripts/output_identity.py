@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Bit-identity listing: one SHA-256 per fixed computation.
+
+Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
+each run's exit code, stdout and stderr; it also hashes the bytes of
+``h_squared_spectrum`` and of the reduced collocation matrix returned by
+``build_reflection_operator``. Imports the package from the ``src/`` next to
+this script, so running it in two checkouts and diffing the listings shows
+whether a change moved any output by a single bit:
+
+    python3 scripts/output_identity.py > before.txt    # in the old checkout
+    python3 scripts/output_identity.py > after.txt     # in the new checkout
+    diff before.txt after.txt
+
+BLAS/LAPACK are pinned to one thread so the listing does not depend on the
+thread count. Standard library only (plus the package under test).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hankelscope.cli import main  # noqa: E402
+from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,  # noqa: E402
+                                       h_squared_spectrum)
+
+DELTA_WEIGHTS = {0: "1.5", 1: "0.5,-1", 2: "0.3,0,1", 3: "0.1,0.2,-0.5,1"}
+DELTA_N = (64, 256, 512)
+
+
+def _coeffs(degree: int) -> str:
+    return ",".join(repr((-1) ** j * (j + 1) / (j + 3)) for j in range(degree + 1))
+
+
+def cli_cases() -> list[list[str]]:
+    cases = []
+    for degree in range(13):
+        cases.append(["pq", "--p", _coeffs(degree)])
+        cases.append(["qp", "--q", _coeffs(degree)])
+    for p in ("1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2"):
+        cases.append(["positivity", "--p", p])
+    for k, h in DELTA_WEIGHTS.items():
+        for n in DELTA_N:
+            for fmt in ("csv", "json"):
+                cases.append(["delta-eigs", "--h", h, "--t0", "1.5", "--N", str(n),
+                              "--n-max", str(n // 8), "--format", fmt])
+    return cases
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return _digest(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+
+
+def main_listing() -> None:
+    for argv in cli_cases():
+        print(run_cli(argv), " ".join(argv))
+    for k in (1, 2, 3):
+        kernel = DeltaKernel([float(t) for t in DELTA_WEIGHTS[k].split(",")], 1.5)
+        print(_digest(h_squared_spectrum(kernel, 64).tobytes()),
+              f"h_squared_spectrum K={k} N=64")
+    for k, h in DELTA_WEIGHTS.items():
+        kernel = DeltaKernel([float(t) for t in h.split(",")], 1.5)
+        for n in DELTA_N:
+            _, reduced = build_reflection_operator(kernel, n)
+            print(_digest(reduced.tobytes()), f"build_reflection_operator K={k} N={n}")
+
+
+if __name__ == "__main__":
+    main_listing()

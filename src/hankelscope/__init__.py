@@ -4,10 +4,9 @@ reflection-differential operators generated by point-supported kernels."""
 
 from .coeff_map import (CoeffMapMatrix, QuasiCarlemanKernel, build_map_matrix,
                         p_to_q, q_to_p)
-from .delta_spectra import (CollocationModel, DeltaKernel,
-                            build_reflection_operator, delta_spectrum,
-                            exact_delta_prime_eigs, h_squared_spectrum,
-                            weyl_prediction)
+from .delta_spectra import (DeltaKernel, build_reflection_operator,
+                            delta_spectrum, exact_delta_prime_eigs,
+                            h_squared_spectrum, weyl_prediction)
 from .discretization import (DiscreteOperator, IdentityCheck, SpectrumReport,
                              build_a_matrix, build_hankel_matrix, eigen_sym,
                              form_identity_check, identity_gap_ladder,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffMapMatrix", "QuasiCarlemanKernel", "build_map_matrix", "p_to_q", "q_to_p",
-    "CollocationModel", "DeltaKernel", "build_reflection_operator", "delta_spectrum",
+    "DeltaKernel", "build_reflection_operator", "delta_spectrum",
     "exact_delta_prime_eigs", "h_squared_spectrum", "weyl_prediction",
     "DiscreteOperator", "IdentityCheck", "SpectrumReport", "build_a_matrix",
     "build_hankel_matrix", "eigen_sym", "form_identity_check", "identity_gap_ladder",

@@ -2,10 +2,10 @@
 both operator classes, and the unitary-equivalence check.
 
 JSON is the machine interface (schema "hankelscope/1", reals serialized with
-17 significant digits); CSV is emitted only for eigenvalue lists. Identical
-configurations produce bit-identical output (fixed seeds, fixed solver
-order). Exit codes: 0 success, 2 validation error, 3 numerical-convergence
-failure.
+17 significant digits); CSV is emitted only by delta-eigs (--format csv, its
+default) as an eigenvalue,residual list. Identical configurations produce
+bit-identical output (fixed seeds, fixed solver order). Exit codes: 0
+success, 2 validation error, 3 numerical-convergence failure.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ SCHEMA = "hankelscope/1"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
-
-COMMANDS = ("pq", "qp", "positivity", "spectrum-hankel", "spectrum-a",
-            "equiv-check", "delta-eigs", "carleman")
 
 
 @dataclass
@@ -82,13 +79,13 @@ def _dumps(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    _write(_dumps(payload) + "\n", config)
-
-
-def _emit_csv(rows: list[tuple[float, float]], header: str, config: RunConfig) -> None:
-    lines = [header] + [f"{_format_real(lam)},{_format_real(res)}" for lam, res in rows]
-    _write("\n".join(lines) + "\n", config)
+def _serialize(result) -> str:
+    """JSON for a payload dict; an eigenvalue,residual CSV for a row list."""
+    if isinstance(result, dict):
+        return _dumps(result) + "\n"
+    lines = ["eigenvalue,residual"] + [f"{_format_real(lam)},{_format_real(res)}"
+                                       for lam, res in result]
+    return "\n".join(lines) + "\n"
 
 
 def _write(text: str, config: RunConfig) -> None:
@@ -232,12 +229,11 @@ def _cmd_equiv_check(config: RunConfig) -> dict:
     }
 
 
-def _cmd_delta_eigs(config: RunConfig):
+def _cmd_delta_eigs(config: RunConfig) -> dict | list:
     kernel = DeltaKernel(np.array(config.coefficients), config.t0)
     report = delta_spectrum(kernel, config.N, config.n_max)
     if config.fmt == "csv":
-        rows = list(zip(report.eigenvalues, report.residuals))
-        return None, rows
+        return list(zip(report.eigenvalues, report.residuals))
     payload = {
         "schema": SCHEMA, "command": "delta-eigs",
         "input": {"h_coeffs": list(kernel.h_coeffs), "t0": kernel.t0},
@@ -256,7 +252,7 @@ def _cmd_delta_eigs(config: RunConfig):
         payload["exact_first_pair"] = pair if h1 > 0.0 else pair[::-1]
     if kernel.order >= 1:
         payload["weyl_first_pair"] = list(weyl_prediction(kernel, 1))
-    return payload, None
+    return payload
 
 
 def _cmd_carleman(config: RunConfig) -> dict:
@@ -276,22 +272,18 @@ def _cmd_carleman(config: RunConfig) -> dict:
     }
 
 
+_HANDLERS = {
+    "pq": _cmd_pq, "qp": _cmd_qp, "positivity": _cmd_positivity,
+    "spectrum-hankel": _cmd_spectrum_hankel, "spectrum-a": _cmd_spectrum_a,
+    "equiv-check": _cmd_equiv_check, "delta-eigs": _cmd_delta_eigs,
+    "carleman": _cmd_carleman,
+}
+
+
 def run(config: RunConfig) -> int:
     """Dispatch one validated configuration; returns the process exit code."""
     try:
-        if config.command == "delta-eigs":
-            payload, rows = _cmd_delta_eigs(config)
-            if rows is not None:
-                _emit_csv(rows, "eigenvalue,residual", config)
-            else:
-                _emit(payload, config)
-            return EXIT_OK
-        handler = {
-            "pq": _cmd_pq, "qp": _cmd_qp, "positivity": _cmd_positivity,
-            "spectrum-hankel": _cmd_spectrum_hankel, "spectrum-a": _cmd_spectrum_a,
-            "equiv-check": _cmd_equiv_check, "carleman": _cmd_carleman,
-        }[config.command]
-        _emit(handler(config), config)
+        _write(_serialize(_HANDLERS[config.command](config)), config)
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
@@ -334,14 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t0", type=float, default=1.0)
     sp.add_argument("--N", type=int, default=64)
     sp.add_argument("--n-max", type=int, default=10)
+    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
     sp = sub.add_parser("carleman", help="reference run for the reciprocal kernel")
     sp.add_argument("--L", type=float, default=14.0)
     sp.add_argument("--N", type=int, default=2048)
 
-    for name, action in sub.choices.items():
+    for action in sub.choices.values():
         action.add_argument("--output", default=None, help="write to file instead of stdout")
-        action.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                            default="csv" if name == "delta-eigs" else "json")
     return parser
 
 
@@ -372,11 +363,11 @@ def parse_args(argv=None) -> RunConfig:
     coeff_flag = {"pq": "--p", "qp": "--q", "positivity": "--p",
                   "spectrum-hankel": "--p", "spectrum-a": "--q",
                   "equiv-check": "--p", "delta-eigs": "--h"}
-    config = RunConfig(command=args.command, output=args.output, fmt=args.fmt)
+    config = RunConfig(command=args.command, output=args.output)
     if args.command in coeff_flag:
         raw = getattr(args, coeff_flag[args.command].lstrip("-"))
         config.coefficients = _parse_reals(raw, coeff_flag[args.command])
-    for name in ("L", "N", "t0", "n_max"):
+    for name in ("L", "N", "t0", "n_max", "fmt"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
     if hasattr(args, "seeds"):

@@ -3,15 +3,17 @@ supported at a single interior point: (Hf)(t) = sum_k (-1)^k h_k f^(k)(t0 - t)
 on (0, t0), with vanishing derivatives of order < K at the left endpoint.
 
 Collocation uses Chebyshev-Gauss-Lobatto nodes, which are symmetric about
-t0/2, so the argument reflection is an exact node permutation. Boundary
-conditions are imposed by projecting onto the constraint null space (basis
-recombination), keeping the reduced eigenproblem square.
+t0/2, so the argument reflection is a reversal of the node order: R D^k is
+D^k with its rows flipped. Both the reflection route and the squared-operator
+route impose their boundary conditions through one helper that projects onto
+the null space of the row-normalized constraint rows (basis recombination),
+keeping the reduced eigenproblem square.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig as dense_eig
@@ -67,72 +69,62 @@ def chebyshev_lobatto(n: int, t0: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, d * (-2.0 / t0)
 
 
-@dataclass(frozen=True)
-class CollocationModel:
-    """Collocation data: nodes, derivative powers, exact reflection, and the
-    boundary-condition rows with their orthonormal null-space basis."""
+def _collocation_powers(kernel: DeltaKernel, n: int, order: int) -> list:
+    """[I, D, D^2, ..., D^order] on N Chebyshev-Lobatto nodes of [0, t0],
+    after the resolution check N >= 4K+8.
 
-    nodes: np.ndarray
-    diff_matrices: list                      # [I, D, D^2, ..., D^K]
-    reflection: np.ndarray                   # node-reversal permutation matrix
-    bc_rows: np.ndarray                      # (K, N) rows f^(k)(0) = 0
-    basis: np.ndarray                        # (N, N-K) null-space basis
-    meta: dict = field(default_factory=dict)
-
-
-def _derivative_powers(d: np.ndarray, order: int) -> list:
-    """[I, D, D^2, ...] with the negative-sum trick reapplied to every power
-    (each derivative annihilates constants exactly), which suppresses the
-    rounding growth of repeated matrix products."""
-    powers = [np.eye(d.shape[0])]
-    for _ in range(order):
-        nxt = d @ powers[-1]
+    The negative-sum trick is reapplied to every power (each derivative
+    annihilates constants exactly), which suppresses the rounding growth of
+    repeated matrix products.
+    """
+    k_ord = kernel.order
+    if n < 4 * k_ord + 8:
+        raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * k_ord + 8}")
+    _, d = chebyshev_lobatto(n, kernel.t0)
+    powers = [np.eye(n)]
+    for k in range(order):
+        nxt = d @ powers[-1] if k else d.copy()
         np.fill_diagonal(nxt, 0.0)
         np.fill_diagonal(nxt, -nxt.sum(axis=1))
         powers.append(nxt)
     return powers
 
 
-def _row_normalized(rows: np.ndarray) -> np.ndarray:
-    """Scale each constraint row to unit norm (row scaling preserves the row
-    space but makes rank detection and null-space extraction well posed when
-    derivative orders mix)."""
+def _null_space_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of the boundary-condition rows.
+
+    Each row is scaled to unit norm first: row scaling preserves the row space
+    but makes rank detection and null-space extraction well posed when
+    derivative orders mix.
+    """
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms > 0.0, norms, 1.0)
+    scaled = rows / np.where(norms > 0.0, norms, 1.0)
+    if np.linalg.matrix_rank(scaled) < rows.shape[0]:
+        raise DiscretizationError("boundary-condition rows are rank deficient")
+    return null_space(scaled)
 
 
 def build_reflection_operator(kernel: DeltaKernel, n: int
-                              ) -> tuple[CollocationModel, np.ndarray]:
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """Collocation matrix of sum_k (-1)^k h_k R D^k with the K left-endpoint
-    conditions imposed by null-space projection; returns the reduced matrix.
+    conditions f^(k)(0) = 0, k < K, imposed by null-space projection.
 
-    R D^k evaluates the k-th derivative at the reflected nodes; the node set
-    is symmetric about t0/2, so R is the exact flip permutation.
+    Returns (basis, reduced): the (N, N-K) orthonormal null-space basis (the
+    identity for K = 0, where nothing is projected) and the reduced matrix
+    basis^T M basis. R D^k evaluates the k-th derivative at the reflected
+    nodes; the node set is symmetric about t0/2, so R D^k is D^k with its
+    rows reversed.
     """
     k_ord = kernel.order
-    if n < 4 * k_ord + 8:
-        raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * k_ord + 8}")
-    nodes, d = chebyshev_lobatto(n, kernel.t0)
-    powers = _derivative_powers(d, k_ord)
-    refl = np.eye(n)[::-1]
+    powers = _collocation_powers(kernel, n, k_ord)
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         if hk != 0.0:
-            m += (-1.0) ** k * hk * (refl @ powers[k])
-    bc_rows = np.array([powers[k][0, :] for k in range(k_ord)]) \
-        if k_ord > 0 else np.empty((0, n))
-    if k_ord > 0:
-        scaled = _row_normalized(bc_rows)
-        if np.linalg.matrix_rank(scaled) < k_ord:
-            raise DiscretizationError("boundary-condition rows are rank deficient")
-        basis = null_space(scaled)
-    else:
-        basis = np.eye(n)
-    model = CollocationModel(nodes=nodes, diff_matrices=powers, reflection=refl,
-                             bc_rows=bc_rows, basis=basis,
-                             meta={"t0": kernel.t0, "N": n, "K": k_ord})
-    reduced = basis.T @ m @ basis
-    return model, reduced
+            m += (-1.0) ** k * hk * powers[k][::-1]
+    if k_ord == 0:
+        return powers[0], m
+    basis = _null_space_basis(np.array([powers[k][0, :] for k in range(k_ord)]))
+    return basis, basis.T @ m @ basis
 
 
 def exact_delta_prime_eigs(t0: float, n: int) -> tuple[float, float]:
@@ -181,7 +173,7 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
         raise DomainError("n_max must be >= 1")
     if n_max > n // 4:
         raise DomainError(f"n_max={n_max} outside the trust region N/4 = {n // 4}")
-    model, reduced = build_reflection_operator(kernel, n)
+    _, reduced = build_reflection_operator(kernel, n)
     w, vecs = dense_eig(reduced)
 
     order_pos = np.argsort(np.where(w.real > 0.0, w.real, np.inf))[:n_max]
@@ -231,10 +223,7 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
     k_ord = kernel.order
     if k_ord < 1:
         raise NotApplicableError("squared-operator route needs K >= 1")
-    if n < 4 * k_ord + 8:
-        raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * k_ord + 8}")
-    nodes, d = chebyshev_lobatto(n, kernel.t0)
-    powers = _derivative_powers(d, 2 * k_ord)
+    powers = _collocation_powers(kernel, n, 2 * k_ord)
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         for l, hl in enumerate(kernel.h_coeffs):
@@ -247,10 +236,7 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
             if hl != 0.0:
                 row += (-1.0) ** l * hl * powers[k + l][-1, :]
         rows.append(row)
-    bc = _row_normalized(np.array(rows))
-    if np.linalg.matrix_rank(bc) < 2 * k_ord:
-        raise DiscretizationError("squared-operator boundary rows rank deficient")
-    basis = null_space(bc)
+    basis = _null_space_basis(np.array(rows))
     w = dense_eig(basis.T @ m @ basis, right=False)
-    keep = np.abs(w.imag) <= 1e-6 * np.maximum(np.abs(w), 1e-300)
+    keep = np.abs(w.imag) <= RELATIVE_IMAG_TOL * np.maximum(np.abs(w), 1e-300)
     return np.sort(w.real[keep & (w.real > 0.0)])

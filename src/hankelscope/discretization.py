@@ -82,9 +82,9 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
         (U* V C V U)_ab = v_a v_b [Re c_{(a-b) mod N} - Im c_{(a+b) mod N}]
 
     with the spectrum, trace and Frobenius norm of V C V. The weight must be
-    even on the grid (v[J] == v, as v_eval is bitwise); a v_override that is
-    not raises DomainError. Taking the even part of Re c makes the result
-    exactly symmetric.
+    even on the grid (v[J] == v, as v_eval is bitwise); a v_override whose
+    result is not even or not shaped like the grid raises DomainError. Taking
+    the even part of Re c makes the result exactly symmetric.
     """
     if q.is_zero:
         raise DomainError("build_a_matrix requires a nonzero symbol polynomial")
@@ -92,6 +92,9 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
     reflect = -np.arange(n) % n
     v = v_eval(grid.xi_nodes) if v_override is None \
         else np.asarray(v_override(grid.xi_nodes), dtype=float)
+    if v.shape != grid.xi_nodes.shape:
+        raise DomainError(f"weight must be shaped like the xi-grid {grid.xi_nodes.shape}, "
+                          f"got {v.shape}")
     if not np.array_equal(v[reflect], v):
         raise DomainError("the real a-side model needs a weight even on the xi-grid")
     x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)

@@ -88,7 +88,8 @@ def _euler_gamma_decimal(digits: int = _JET_DIGITS) -> Decimal:
         return +total
 
 
-EULER_GAMMA = float(_euler_gamma_decimal())
+_EULER_GAMMA_DECIMAL = _euler_gamma_decimal()
+EULER_GAMMA = float(_EULER_GAMMA_DECIMAL)
 
 
 def reciprocal_gamma_taylor(order: int) -> np.ndarray:
@@ -105,7 +106,7 @@ def reciprocal_gamma_taylor(order: int) -> np.ndarray:
             f"jet order {order} > {MAX_JET_ORDER}: recurrence conditioning degrades")
     with localcontext() as ctx:
         ctx.prec = _JET_DIGITS
-        gam = _euler_gamma_decimal()
+        gam = _EULER_GAMMA_DECIMAL
         zet = {}
         for j in range(2, order + 1):
             zf = zeta_fraction(j)
@@ -126,8 +127,6 @@ class GammaJet:
 
     order: int
     omega_derivs: np.ndarray  # w^(m)(0), m = 0..order
-    euler_gamma: float
-    zeta_values: np.ndarray   # zeta(2)..zeta(order)
 
 
 def build_gamma_jet(order: int) -> GammaJet:
@@ -135,9 +134,7 @@ def build_gamma_jet(order: int) -> GammaJet:
     gamma Taylor coefficients."""
     c = reciprocal_gamma_taylor(order)
     derivs = np.array([(-1.0) ** m * math.factorial(m) * c[m] for m in range(order + 1)])
-    zetas = np.array([zeta_em(k) for k in range(2, order + 1)])
-    return GammaJet(order=order, omega_derivs=derivs,
-                    euler_gamma=EULER_GAMMA, zeta_values=zetas)
+    return GammaJet(order=order, omega_derivs=derivs)
 
 
 def log_gamma(z):

@@ -150,3 +150,10 @@ class TestValidation:
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")
         assert code == 2
+
+    def test_format_only_for_delta_eigs(self, capsys):
+        # only delta-eigs has a CSV form; elsewhere --format is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["pq", "--p", "1", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err

@@ -7,13 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,
+from hankelscope.delta_spectra import (DeltaKernel, _null_space_basis,
+                                       build_reflection_operator,
                                        chebyshev_lobatto, delta_spectrum,
                                        exact_delta_prime_eigs,
                                        h_squared_spectrum, weyl_prediction)
-from hankelscope.errors import DomainError, NotApplicableError
+from hankelscope.errors import DiscretizationError, DomainError, NotApplicableError
 
 BEAM_BETA_SQ = [3.5160152685001512, 22.034491564666770, 61.697214413549102,
                 120.90191605230572, 199.85953011680345, 298.55553096773009]
@@ -38,21 +40,71 @@ class TestNodesAndModel:
         nodes, d = chebyshev_lobatto(16, 1.5)
         np.testing.assert_allclose(d @ nodes**3, 3.0 * nodes**2, atol=1e-10)
 
-    def test_reflection_squares_to_identity(self):
-        kernel = DeltaKernel([0.0, 1.0], 1.0)
-        model, _ = build_reflection_operator(kernel, 32)
-        np.testing.assert_array_equal(model.reflection @ model.reflection,
-                                      np.eye(32))
-
-    def test_bc_rows_full_rank(self):
-        kernel = DeltaKernel([0.0, 0.0, 1.0], 1.0)
-        model, _ = build_reflection_operator(kernel, 32)
-        assert model.bc_rows.shape == (2, 32)
-        assert np.linalg.matrix_rank(model.bc_rows) == 2
-
     def test_minimum_resolution_enforced(self):
         with pytest.raises(DomainError):
             build_reflection_operator(DeltaKernel([0.0, 0.0, 1.0], 1.0), 10)
+
+    def test_squared_route_minimum_resolution_enforced(self):
+        with pytest.raises(DomainError):
+            h_squared_spectrum(DeltaKernel([0.0, 0.0, 1.0], 1.0), 15)
+
+
+MIXED_WEIGHTS = [[-1.5], [0.5, -1.0], [0.3, -0.2, 1.0], [0.1, 0.0, -0.5, 2.0]]
+
+
+def reflection_oracle(kernel, n):
+    """First-principles assembly: derivative powers by repeated products with
+    the negative-sum diagonal, the reflection as an explicit permutation
+    matrix, and projection onto the null space of the row-normalized
+    boundary rows (identity basis for K = 0)."""
+    _, d = chebyshev_lobatto(n, kernel.t0)
+    powers = [np.eye(n)]
+    for _ in range(kernel.order):
+        nxt = d @ powers[-1]
+        np.fill_diagonal(nxt, 0.0)
+        np.fill_diagonal(nxt, -nxt.sum(axis=1))
+        powers.append(nxt)
+    refl = np.eye(n)[::-1]
+    m = np.zeros((n, n))
+    for k, hk in enumerate(kernel.h_coeffs):
+        if hk != 0.0:
+            m += (-1.0) ** k * hk * (refl @ powers[k])
+    basis = np.eye(n)
+    if kernel.order > 0:
+        rows = np.array([powers[k][0, :] for k in range(kernel.order)])
+        basis = null_space(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    return basis, basis.T @ m @ basis
+
+
+class TestReflectionAssembly:
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("h", MIXED_WEIGHTS)
+    def test_matches_first_principles_oracle(self, h, n):
+        kernel = DeltaKernel(h, 1.5)
+        basis, reduced = build_reflection_operator(kernel, n)
+        ref_basis, ref_reduced = reflection_oracle(kernel, n)
+        assert np.array_equal(basis, ref_basis)
+        assert np.array_equal(reduced, ref_reduced)
+
+    @pytest.mark.parametrize("h", MIXED_WEIGHTS)
+    def test_basis_is_orthonormal_null_space(self, h):
+        n = 64
+        kernel = DeltaKernel(h, 1.5)
+        basis, reduced = build_reflection_operator(kernel, n)
+        k_ord = kernel.order
+        assert basis.shape == (n, n - k_ord) and reduced.shape == (n - k_ord, n - k_ord)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n - k_ord), rtol=0, atol=1e-12)
+        _, d = chebyshev_lobatto(n, kernel.t0)
+        for k in range(k_ord):
+            row = np.linalg.matrix_power(d, k)[0, :]
+            assert np.abs(row @ basis).max() <= 1e-12 * np.linalg.norm(row)
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]],
+                                      [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]],
+                             ids=["parallel", "zero"])
+    def test_rank_deficient_rows_rejected(self, rows):
+        with pytest.raises(DiscretizationError):
+            _null_space_basis(np.array(rows))
 
 
 class TestKernelType:

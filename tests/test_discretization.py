@@ -154,6 +154,13 @@ class TestRealForm:
         with pytest.raises(DomainError):
             build_a_matrix(poly(0.0, 1.0), grid, v_override=lambda xi: np.exp(-0.1 * xi))
 
+    @pytest.mark.parametrize("override", [lambda xi: 1.0, lambda xi: np.ones((xi.size, 1))],
+                             ids=["scalar", "column"])
+    def test_misshapen_weight_rejected(self, override):
+        grid = LogGrid(L=4.0, N=16)
+        with pytest.raises(DomainError):
+            build_a_matrix(poly(0.0, 1.0), grid, v_override=override)
+
 
 class TestEigenSym:
     def test_identity_matrix(self):

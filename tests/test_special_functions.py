@@ -76,11 +76,6 @@ class TestGammaJet:
                             / mp.factorial(k))
                 assert abs(c[k] - ref) < 1e-9, k
 
-    def test_zeta_table_contents(self):
-        jet = build_gamma_jet(5)
-        np.testing.assert_allclose(jet.zeta_values,
-                                   [zeta_em(k) for k in (2, 3, 4, 5)], rtol=0)
-
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
             build_gamma_jet(31)
