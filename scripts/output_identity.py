@@ -2,9 +2,10 @@
 """Bit-identity listing: one SHA-256 per fixed computation.
 
 Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
-each run's exit code, stdout and stderr; it also hashes the bytes of
-``h_squared_spectrum`` and of the reduced collocation matrix returned by
-``build_reflection_operator``. Imports the package from the ``src/`` next to
+each run's exit code, stdout and stderr (every command except ``carleman``,
+whose residual and bottom eigenvalue depend on its solver); it also hashes
+the bytes of ``h_squared_spectrum`` and of the reduced collocation matrix
+returned by ``build_reflection_operator``. Imports the package from the ``src/`` next to
 this script, so running it in two checkouts and diffing the listings shows
 whether a change moved any output by a single bit:
 
@@ -35,6 +36,7 @@ from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,  
 
 DELTA_WEIGHTS = {0: "1.5", 1: "0.5,-1", 2: "0.3,0,1", 3: "0.1,0.2,-0.5,1"}
 DELTA_N = (64, 256, 512)
+LOG_N = (64, 256)
 
 
 def _coeffs(degree: int) -> str:
@@ -48,6 +50,14 @@ def cli_cases() -> list[list[str]]:
         cases.append(["qp", "--q", _coeffs(degree)])
     for p in ("1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2"):
         cases.append(["positivity", "--p", p])
+    for n in LOG_N:
+        for p in ("1", "0,1", "1.7,0,1", "0.5,-1,0.3,0.2"):
+            cases.append(["spectrum-hankel", "--p", p, "--L", "8", "--N", str(n)])
+        for q in ("1", "0.5,1", "1,0,1", "0.1,1,0.7"):
+            cases.append(["spectrum-a", "--q", q, "--L", "8", "--N", str(n)])
+        for p in ("1,0.5", "1,-0.5,0.25", "0.3,0,-1,0.5"):
+            cases.append(["equiv-check", "--p", p, "--L", "12", "--N", str(n),
+                          "--seeds", "11,12"])
     for k, h in DELTA_WEIGHTS.items():
         for n in DELTA_N:
             for fmt in ("csv", "json"):

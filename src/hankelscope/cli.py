@@ -5,7 +5,14 @@ JSON is the machine interface (schema "hankelscope/1", reals serialized with
 17 significant digits); CSV is emitted only by delta-eigs (--format csv, its
 default) as an eigenvalue,residual list. Identical configurations produce
 bit-identical output (fixed seeds, fixed solver order). Exit codes: 0
-success, 2 validation error, 3 numerical-convergence failure.
+success, 2 validation error (including a log grid with dx = 2L/N > 1, too
+coarse for the Nystrom kernel), 3 numerical-convergence failure (including
+a non-finite eigenvalue or residual).
+
+carleman computes only the two ends of its spectrum, by one Lanczos run on
+the Toeplitz matrix of the reciprocal kernel: its residual_max covers those
+two eigenpairs, and min_eigenvalue is the converged bottom Ritz value, at
+rounding level. spectrum-hankel keeps the dense full-spectrum solve.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ import numpy as np
 from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import DeltaKernel, delta_spectrum, exact_delta_prime_eigs, weyl_prediction
-from .discretization import (build_a_matrix, build_hankel_matrix, eigen_sym,
-                             essential_spectrum, form_identity_check,
+from .discretization import (build_a_matrix, build_hankel_matrix, carleman_extremes,
+                             eigen_sym, essential_spectrum, form_identity_check,
                              spectral_rules, test_function_factory)
 from .errors import ConvergenceError, HankelscopeError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
@@ -257,9 +264,7 @@ def _cmd_delta_eigs(config: RunConfig) -> dict | list:
 
 def _cmd_carleman(config: RunConfig) -> dict:
     _require_pow2(config.N)
-    p = RealPolynomial(np.array([1.0]))
-    grid = LogGrid(L=config.L, N=config.N)
-    report = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid))
+    report = carleman_extremes(LogGrid(L=config.L, N=config.N))
     lam_max = float(report.eigenvalues[-1])
     return {
         "schema": SCHEMA, "command": "carleman",

@@ -80,8 +80,10 @@ def _collocation_powers(kernel: DeltaKernel, n: int, order: int) -> list:
     k_ord = kernel.order
     if n < 4 * k_ord + 8:
         raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * k_ord + 8}")
-    _, d = chebyshev_lobatto(n, kernel.t0)
     powers = [np.eye(n)]
+    if order == 0:
+        return powers
+    _, d = chebyshev_lobatto(n, kernel.t0)
     for k in range(order):
         nxt = d @ powers[-1] if k else d.copy()
         np.fill_diagonal(nxt, 0.0)

@@ -5,6 +5,10 @@ the dual xi-grid, in the real Hartley form U* V C V U with U = (I + iJ)/sqrt(2)
 and J the reflection xi -> -xi, exact for real Q and even v; see
 build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
+For the reciprocal kernel (P = 1) the Nystrom matrix is symmetric Toeplitz,
+so carleman_extremes finds its two spectral ends matrix-free: circulant-
+embedding FFT matvecs inside one Lanczos run.
+
 The x-grid and xi-grid form one FFT pairing, so the two discretizations share
 a single resolution budget (L, N).
 """
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigh_tridiagonal
 
 from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
@@ -50,12 +55,26 @@ class SpectrumReport:
     extras: dict = field(default_factory=dict)
 
 
+def _require_resolved(grid: LogGrid) -> None:
+    """Nystrom precondition: the trapezoid rule must resolve the kernel width.
+
+    The kernel factor 1/cosh((x - y)/2) has unit width; its trapezoid
+    aliasing error is about exp(-2 pi^2 / dx), 2.7e-9 at dx = 1 and O(1)
+    beyond, where the finite section can exceed the operator norm.
+    """
+    if grid.dx > 1.0:
+        raise DomainError(f"log-grid spacing dx = 2L/N = {grid.dx:.6g} exceeds 1 and "
+                          f"does not resolve the kernel; raise N or lower L")
+
+
 def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteOperator:
     """Nystrom matrix M_ij = dx * e^{(x_i+x_j)/2} h(e^{x_i} + e^{x_j}).
 
     Evaluated through logaddexp / cosh so no exponential ever overflows:
     e^{(x+y)/2} h(e^x + e^y) = P(logaddexp(x, y)) / (2 cosh((x-y)/2)).
+    Grids with dx > 1 raise DomainError (see _require_resolved).
     """
+    _require_resolved(grid)
     x = grid.x_nodes
     xs, ys = np.meshgrid(x, x, indexing="ij")
     entries = grid.dx * kernel.profile(np.logaddexp(xs, ys)) \
@@ -109,8 +128,15 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
                             meta={"L": grid.L, "N": grid.N, "degree": q.degree})
 
 
+def _require_finite(eigenvalues: np.ndarray, residuals: np.ndarray) -> None:
+    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(residuals))):
+        raise ConvergenceError("non-finite eigenvalue or residual: the matrix entries "
+                               "are too large for double precision")
+
+
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectral decomposition of a symmetric/Hermitian discrete operator."""
+    """Full spectral decomposition of a symmetric/Hermitian discrete operator;
+    a non-finite eigenvalue or residual raises ConvergenceError."""
     m = op.matrix
     sym_defect = float(np.max(np.abs(m - m.conj().T)))
     if sym_defect > 1e-12 * max(float(np.max(np.abs(m))), 1e-300):
@@ -119,10 +145,79 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
         w, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    residuals = np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
+        residuals = np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
+    _require_finite(w, residuals)
     return SpectrumReport(eigenvalues=w, residuals=residuals,
                           grid_meta={"L": op.grid.L, "N": op.grid.N, "kind": op.kind,
                                      **op.meta})
+
+
+def _carleman_matvec(grid: LogGrid):
+    """x -> M x for the P = 1 Nystrom matrix, the symmetric Toeplitz
+    M_ij = c_{|i-j|}, c_k = dx / (2 cosh(k dx / 2)), as one 2N circulant
+    embedding [c_0 .. c_{N-1}, 0, c_{N-1} .. c_1] (Chan & Ng 1996)."""
+    _require_resolved(grid)
+    n = grid.N
+    decay = np.exp(-0.5 * grid.dx * np.arange(n))
+    column = grid.dx * decay / (1.0 + decay * decay)   # no overflow at large L
+    symbol = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
+    return lambda v: np.fft.irfft(symbol * np.fft.rfft(v, 2 * n), 2 * n)[:n]
+
+
+def _lanczos_extremes(matvec, v0: np.ndarray):
+    """Smallest and largest eigenpairs of a symmetric operator from one
+    deterministic Lanczos run (Paige; Parlett, The Symmetric Eigenvalue
+    Problem) with full reorthogonalisation, done twice.
+
+    Stops when both extreme Ritz residual bounds beta_m |s_m,i| are at most
+    1e-13 max|theta|, at breakdown (beta_m = 0 meets the same test), or at
+    m = N. Returns (theta, residuals, steps) with theta = [lambda_min,
+    lambda_max] and the explicit residuals ||M y - theta y|| of the Ritz
+    vectors, one matvec each.
+    """
+    n = v0.size
+    basis = np.empty((min(n, 64), n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    alpha, beta = np.empty(n), np.empty(n)
+    for m in range(1, n + 1):
+        w = matvec(basis[m - 1])
+        alpha[m - 1] = basis[m - 1] @ w
+        for _ in range(2):
+            w -= basis[:m].T @ (basis[:m] @ w)
+        beta[m - 1] = np.linalg.norm(w)
+        if not (math.isfinite(alpha[m - 1]) and math.isfinite(beta[m - 1])):
+            raise ConvergenceError("Lanczos recurrence produced a non-finite coefficient")
+        ends = [eigh_tridiagonal(alpha[:m], beta[:m - 1], select="i",
+                                 select_range=(i, i)) for i in (0, m - 1)]
+        scale = max(abs(float(theta[0])) for theta, _ in ends)
+        if m == n or all(beta[m - 1] * abs(s[-1, 0]) <= 1e-13 * scale for _, s in ends):
+            break
+        if m == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
+        basis[m] = w / beta[m - 1]
+    theta = np.array([float(t[0]) for t, _ in ends])
+    ritz = [basis[:m].T @ s[:, 0] for _, s in ends]
+    residuals = np.array([np.linalg.norm(matvec(y) - t * y) for t, y in zip(theta, ritz)])
+    _require_finite(theta, residuals)
+    return theta, residuals, m
+
+
+def carleman_extremes(grid: LogGrid) -> SpectrumReport:
+    """The two spectral ends of the reciprocal-kernel (P = 1) Nystrom matrix,
+    matrix-free: Toeplitz FFT matvecs inside one Lanczos run.
+
+    Returns eigenvalues [lambda_min, lambda_max] and their explicit residuals.
+    The start vector 1 + (-1)^j has components in both reflection classes
+    (j -> N-1-j); a reflection-even start such as ones sees only the even
+    eigenvectors and can miss an end. lambda_min is the converged bottom of
+    a cluster of rounding-level eigenvalues.
+    """
+    v0 = 1.0 + (-1.0) ** np.arange(grid.N)
+    theta, residuals, steps = _lanczos_extremes(_carleman_matvec(grid), v0)
+    return SpectrumReport(eigenvalues=theta, residuals=residuals,
+                          grid_meta={"L": grid.L, "N": grid.N, "kind": "hankel-side",
+                                     "lanczos_steps": steps})
 
 
 class FactoryTestFunction:

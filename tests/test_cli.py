@@ -59,6 +59,16 @@ class TestSpectrumCommands:
         assert abs(doc["gap"] - (math.pi - doc["max_eigenvalue"])) < 1e-15
         assert doc["grid"] == {"L": 8, "N": 128}
 
+    def test_carleman_reports_two_lanczos_extremes(self, capsys):
+        code, out, _ = run_cli(capsys, "carleman", "--L", "14", "--N", "1024")
+        assert code == 0
+        doc = json.loads(out)
+        # the dense solve's top eigenvalue at this grid (CARLEMAN_MAX_L14 in
+        # test_discretization)
+        assert abs(doc["max_eigenvalue"] - 2.998851044375) < 1e-8
+        assert abs(doc["min_eigenvalue"]) < 1e-14
+        assert doc["residual_max"] < 1e-12
+
     def test_spectrum_hankel_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum-hankel", "--p", "0,1",
                                "--L", "8", "--N", "64")
@@ -145,6 +155,21 @@ class TestValidation:
     def test_empty_coefficients(self, capsys):
         code, _, _ = run_cli(capsys, "positivity", "--p", ",")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("carleman", "--L", "1e6", "--N", "64"),
+        ("spectrum-hankel", "--p", "1", "--L", "1e6", "--N", "64")])
+    def test_under_resolved_log_grid(self, capsys, argv):
+        # dx = 2L/N = 31250 used to give lambda_max = 15625, above ||H|| = pi
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "dx" in err
+
+    def test_non_finite_spectrum_is_a_convergence_failure(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum-a", "--q", "1e300,0,1",
+                                 "--L", "8", "--N", "64")
+        assert code == 3 and out == ""
+        assert "non-finite" in err
 
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
-from hankelscope.discretization import (build_a_matrix, build_hankel_matrix,
-                                        eigen_sym, form_identity_check,
+from hankelscope.discretization import (_carleman_matvec, _lanczos_extremes,
+                                        build_a_matrix, build_hankel_matrix,
+                                        carleman_extremes, eigen_sym,
+                                        form_identity_check,
                                         identity_gap_ladder, observed_orders,
                                         spectral_rules,
                                         zero_eigenvalue_diagnostic)
 from hankelscope.discretization import test_function_factory as make_test_function
-from hankelscope.errors import DomainError
+from hankelscope.errors import ConvergenceError, DomainError
 from hankelscope.polynomials import RealPolynomial
 from hankelscope.special_functions import EULER_GAMMA
 from hankelscope.transforms import LogGrid, v_eval
@@ -64,6 +66,16 @@ class TestHankelMatrix:
                                                 LogGrid(L=L, N=512)))
             tops.append(rep.eigenvalues[-1])
         assert tops[0] < tops[1] < tops[2] < math.pi
+
+    @pytest.mark.parametrize("L, n", [(1e6, 64), (40.0, 64), (1.5, 2)])
+    def test_under_resolved_grid_rejected(self, L, n):
+        # dx = 2L/N > 1: the trapezoid rule aliases the unit-width kernel
+        with pytest.raises(DomainError, match="dx"):
+            build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), LogGrid(L=L, N=n))
+
+    def test_unit_spacing_accepted(self):
+        op = build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), LogGrid(L=32.0, N=64))
+        assert op.matrix.shape == (64, 64)
 
     def test_odd_profile_spectrum_fills_both_signs(self):
         kern = QuasiCarlemanKernel(poly(0.0, 1.0))
@@ -179,6 +191,11 @@ class TestEigenSym:
         grid = LogGrid(L=12.0, N=256)
         rep = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0, 0.5)), grid))
         assert rep.residuals.max() <= 1e-8 * np.abs(rep.eigenvalues).max()
+
+    def test_non_finite_residual_raises(self):
+        # entries near 1e300 overflow the residual product
+        with pytest.raises(ConvergenceError):
+            eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=64)))
 
 
 class TestFactory:
@@ -338,3 +355,55 @@ class TestCarlemanEigenform:
             ray = (np.vdot(phi, m @ phi) / np.vdot(phi, phi)).real
             target = math.pi / math.cosh(math.pi * xi0)
             assert abs(ray - target) < 0.03 * target
+
+
+class TestCarlemanExtremes:
+    """The matrix-free reciprocal-kernel route against the dense Nystrom path."""
+
+    @pytest.mark.parametrize("L, n", [(8.0, 64), (14.0, 512), (1.0, 16), (30.0, 1024)])
+    def test_fft_matvec_matches_dense(self, L, n):
+        grid = LogGrid(L=L, N=n)
+        m = build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid).matrix
+        v = np.random.default_rng(7).standard_normal(n)
+        dense = m @ v
+        fast = _carleman_matvec(grid)(v)
+        assert np.linalg.norm(fast - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("L", [4.0, 8.0, 14.0])
+    @pytest.mark.parametrize("n", [2 ** j for j in range(1, 10)])
+    def test_extremes_match_dense(self, L, n):
+        grid = LogGrid(L=L, N=n)
+        if grid.dx > 1.0:
+            with pytest.raises(DomainError):
+                carleman_extremes(grid)
+            return
+        rep = carleman_extremes(grid)
+        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
+        top = float(dense.eigenvalues[-1])
+        assert rep.eigenvalues.shape == (2,) and rep.residuals.shape == (2,)
+        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
+                                   rtol=0.0, atol=1e-12 * top)
+        assert rep.residuals.max() <= 1e-12 * top
+        assert rep.eigenvalues[0] >= -1e-14 * top
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_small_grids_find_the_reflection_odd_end(self, n):
+        # a reflection-even start (ones) is an exact eigenvector at N = 2 and
+        # would report the top eigenvalue twice
+        grid = LogGrid(L=n / 8.0, N=n)   # dx = 1/4
+        rep = carleman_extremes(grid)
+        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
+        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
+                                   rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
+        assert rep.eigenvalues[0] < 0.5 * rep.eigenvalues[1]
+
+    def test_deterministic(self):
+        grid = LogGrid(L=20.0, N=1024)
+        first, second = carleman_extremes(grid), carleman_extremes(grid)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.residuals, second.residuals)
+        assert first.grid_meta == second.grid_meta
+
+    def test_non_finite_matvec_raises(self):
+        with pytest.raises(ConvergenceError):
+            _lanczos_extremes(lambda v: np.full_like(v, np.nan), np.ones(8))
