@@ -2,12 +2,11 @@
 """Bit-identity listing: one SHA-256 per fixed computation.
 
 Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
-each run's exit code, stdout and stderr (every command except ``carleman``,
-whose residual and bottom eigenvalue depend on its solver); it also hashes
-the bytes of ``h_squared_spectrum`` and of the reduced collocation matrix
-returned by ``build_reflection_operator``. Imports the package from the ``src/`` next to
-this script, so running it in two checkouts and diffing the listings shows
-whether a change moved any output by a single bit:
+each run's exit code, stdout and stderr, covering all eight commands; it also
+hashes the bytes of ``h_squared_spectrum`` and of the reduced collocation
+matrix returned by ``build_reflection_operator``. Imports the package from
+the ``src/`` next to this script, so running it in two checkouts and diffing
+the listings shows whether a change moved any output by a single bit:
 
     python3 scripts/output_identity.py > before.txt    # in the old checkout
     python3 scripts/output_identity.py > after.txt     # in the new checkout
@@ -58,6 +57,7 @@ def cli_cases() -> list[list[str]]:
         for p in ("1,0.5", "1,-0.5,0.25", "0.3,0,-1,0.5"):
             cases.append(["equiv-check", "--p", p, "--L", "12", "--N", str(n),
                           "--seeds", "11,12"])
+        cases.append(["carleman", "--L", "8", "--N", str(n)])
     for k, h in DELTA_WEIGHTS.items():
         for n in DELTA_N:
             for fmt in ("csv", "json"):

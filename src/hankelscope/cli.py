@@ -6,8 +6,9 @@ JSON is the machine interface (schema "hankelscope/1", reals serialized with
 default) as an eigenvalue,residual list. Identical configurations produce
 bit-identical output (fixed seeds, fixed solver order). Exit codes: 0
 success, 2 validation error (including a log grid with dx = 2L/N > 1, too
-coarse for the Nystrom kernel), 3 numerical-convergence failure (including
-a non-finite eigenvalue or residual).
+coarse for the Nystrom kernel, an L or t0 that is not finite and positive,
+and --seeds that are not two integers), 3 numerical-convergence failure
+(including a non-finite eigenvalue or residual).
 
 carleman computes only the two ends of its spectrum, by one Lanczos run on
 the Toeplitz matrix of the reciprocal kernel: its residual_max covers those
@@ -20,16 +21,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import DeltaKernel, delta_spectrum, exact_delta_prime_eigs, weyl_prediction
-from .discretization import (build_a_matrix, build_hankel_matrix, carleman_extremes,
-                             eigen_sym, essential_spectrum, form_identity_check,
-                             spectral_rules, test_function_factory)
+from .discretization import (FactoryTestFunction, build_a_matrix, build_hankel_matrix,
+                             carleman_extremes, eigen_sym, essential_spectrum,
+                             form_identity_check, spectral_rules)
 from .errors import ConvergenceError, HankelscopeError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
 from .transforms import LogGrid
@@ -39,21 +39,6 @@ SCHEMA = "hankelscope/1"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one CLI command."""
-
-    command: str
-    coefficients: list[float] = field(default_factory=list)
-    t0: float = 1.0
-    L: float = 12.0
-    N: int = 1024
-    n_max: int = 10
-    seeds: tuple[int, int] = (11, 12)
-    output: str | None = None
-    fmt: str = "json"
 
 
 def _format_real(x: float) -> str:
@@ -95,9 +80,9 @@ def _serialize(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, config: RunConfig) -> None:
-    if config.output:
-        with open(config.output, "w") as fh:
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -118,15 +103,12 @@ def _require_pow2(n: int) -> None:
         raise HankelscopeError(f"--N must be a power of two for FFT-based commands, got {n}")
 
 
-def _spectrum_payload(report, extra_meta=None) -> dict:
-    payload = {
+def _spectrum_payload(report) -> dict:
+    return {
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "residual_max": float(np.max(report.residuals)) if report.residuals.size else 0.0,
         "grid": {k: report.grid_meta[k] for k in ("L", "N") if k in report.grid_meta},
     }
-    if extra_meta:
-        payload.update(extra_meta)
-    return payload
 
 
 def _certificate(cert) -> dict:
@@ -136,8 +118,8 @@ def _certificate(cert) -> dict:
             "all_roots_even_multiplicity": cert.all_roots_even_multiplicity}
 
 
-def _cmd_pq(config: RunConfig) -> dict:
-    p = RealPolynomial(np.array(config.coefficients))
+def _cmd_pq(args: argparse.Namespace) -> dict:
+    p = RealPolynomial(np.array(args.coefficients))
     q = p_to_q(p)
     return {
         "schema": SCHEMA, "command": "pq",
@@ -147,8 +129,8 @@ def _cmd_pq(config: RunConfig) -> dict:
     }
 
 
-def _cmd_qp(config: RunConfig) -> dict:
-    q = RealPolynomial(np.array(config.coefficients))
+def _cmd_qp(args: argparse.Namespace) -> dict:
+    q = RealPolynomial(np.array(args.coefficients))
     p = q_to_p(q)
     return {
         "schema": SCHEMA, "command": "qp",
@@ -158,8 +140,8 @@ def _cmd_qp(config: RunConfig) -> dict:
     }
 
 
-def _cmd_positivity(config: RunConfig) -> dict:
-    p = RealPolynomial(np.array(config.coefficients))
+def _cmd_positivity(args: argparse.Namespace) -> dict:
+    p = RealPolynomial(np.array(args.coefficients))
     q = p_to_q(p)
     cert = is_nonnegative_on_reals(q)
     return {
@@ -176,10 +158,10 @@ def _cmd_positivity(config: RunConfig) -> dict:
     }
 
 
-def _cmd_spectrum_hankel(config: RunConfig) -> dict:
-    _require_pow2(config.N)
-    p = RealPolynomial(np.array(config.coefficients))
-    grid = LogGrid(L=config.L, N=config.N)
+def _cmd_spectrum_hankel(args: argparse.Namespace) -> dict:
+    _require_pow2(args.N)
+    p = RealPolynomial(np.array(args.coefficients))
+    grid = LogGrid(L=args.L, N=args.N)
     report = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
     payload = {
         "schema": SCHEMA, "command": "spectrum-hankel",
@@ -201,10 +183,10 @@ def _cmd_spectrum_hankel(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_spectrum_a(config: RunConfig) -> dict:
-    _require_pow2(config.N)
-    q = RealPolynomial(np.array(config.coefficients))
-    grid = LogGrid(L=config.L, N=config.N)
+def _cmd_spectrum_a(args: argparse.Namespace) -> dict:
+    _require_pow2(args.N)
+    q = RealPolynomial(np.array(args.coefficients))
+    grid = LogGrid(L=args.L, N=args.N)
     report = eigen_sym(build_a_matrix(q, grid))
     payload = {
         "schema": SCHEMA, "command": "spectrum-a",
@@ -215,31 +197,31 @@ def _cmd_spectrum_a(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_equiv_check(config: RunConfig) -> dict:
-    _require_pow2(config.N)
-    p = RealPolynomial(np.array(config.coefficients))
-    grid = LogGrid(L=config.L, N=config.N)
-    f1 = test_function_factory(config.seeds[0], grid)
-    f2 = test_function_factory(config.seeds[1], grid)
+def _cmd_equiv_check(args: argparse.Namespace) -> dict:
+    _require_pow2(args.N)
+    p = RealPolynomial(np.array(args.coefficients))
+    grid = LogGrid(L=args.L, N=args.N)
+    f1 = FactoryTestFunction(args.seeds[0], grid)
+    f2 = FactoryTestFunction(args.seeds[1], grid)
     chk = form_identity_check(p, f1, f2, grid)
     if chk.violation:
         raise ConvergenceError(
             f"identity gap {chk.relative_gap:.3e} above the adequacy threshold 1e-3")
     return {
         "schema": SCHEMA, "command": "equiv-check",
-        "input": {"p_coeffs": list(p.coeffs), "seeds": list(config.seeds)},
+        "input": {"p_coeffs": list(p.coeffs), "seeds": list(args.seeds)},
         "lhs": {"re": chk.lhs.real, "im": chk.lhs.imag},
         "rhs": {"re": chk.rhs.real, "im": chk.rhs.imag},
         "relative_gap": chk.relative_gap,
-        "grid": {"L": config.L, "N": config.N},
+        "grid": {"L": args.L, "N": args.N},
         "paper_refs": ["quadratic-form-unitary-equivalence"],
     }
 
 
-def _cmd_delta_eigs(config: RunConfig) -> dict | list:
-    kernel = DeltaKernel(np.array(config.coefficients), config.t0)
-    report = delta_spectrum(kernel, config.N, config.n_max)
-    if config.fmt == "csv":
+def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
+    kernel = DeltaKernel(np.array(args.coefficients), args.t0)
+    report = delta_spectrum(kernel, args.N, args.n_max)
+    if args.fmt == "csv":
         return list(zip(report.eigenvalues, report.residuals))
     payload = {
         "schema": SCHEMA, "command": "delta-eigs",
@@ -248,7 +230,7 @@ def _cmd_delta_eigs(config: RunConfig) -> dict | list:
         "residual_max": float(np.max(report.residuals)),
         "lambda_plus": [float(v) for v in report.extras["lambda_plus"]],
         "lambda_minus": [float(v) for v in report.extras["lambda_minus"]],
-        "grid": {"t0": kernel.t0, "N": config.N},
+        "grid": {"t0": kernel.t0, "N": args.N},
         "paper_refs": ["reflection-operator-spectrum",
                        "weyl-eigenvalue-asymptotics"],
     }
@@ -262,9 +244,9 @@ def _cmd_delta_eigs(config: RunConfig) -> dict | list:
     return payload
 
 
-def _cmd_carleman(config: RunConfig) -> dict:
-    _require_pow2(config.N)
-    report = carleman_extremes(LogGrid(L=config.L, N=config.N))
+def _cmd_carleman(args: argparse.Namespace) -> dict:
+    _require_pow2(args.N)
+    report = carleman_extremes(LogGrid(L=args.L, N=args.N))
     lam_max = float(report.eigenvalues[-1])
     return {
         "schema": SCHEMA, "command": "carleman",
@@ -272,7 +254,7 @@ def _cmd_carleman(config: RunConfig) -> dict:
         "min_eigenvalue": float(report.eigenvalues[0]),
         "gap": abs(lam_max - math.pi),
         "residual_max": float(np.max(report.residuals)),
-        "grid": {"L": config.L, "N": config.N},
+        "grid": {"L": args.L, "N": args.N},
         "paper_refs": ["carleman-multiplier-bound"],
     }
 
@@ -285,10 +267,10 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one validated configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one validated invocation; returns the process exit code."""
     try:
-        _write(_serialize(_HANDLERS[config.command](config)), config)
+        _write(_serialize(_HANDLERS[args.command](args)), args)
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
@@ -361,35 +343,34 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parsed arguments, with the coefficient list validated into
+    `coefficients` and `--seeds` into a pair of ints in `seeds`."""
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_negative_values(list(argv)))
     coeff_flag = {"pq": "--p", "qp": "--q", "positivity": "--p",
                   "spectrum-hankel": "--p", "spectrum-a": "--q",
                   "equiv-check": "--p", "delta-eigs": "--h"}
-    config = RunConfig(command=args.command, output=args.output)
     if args.command in coeff_flag:
-        raw = getattr(args, coeff_flag[args.command].lstrip("-"))
-        config.coefficients = _parse_reals(raw, coeff_flag[args.command])
-    for name in ("L", "N", "t0", "n_max", "fmt"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
+        flag = coeff_flag[args.command]
+        args.coefficients = _parse_reals(getattr(args, flag.lstrip("-")), flag)
     if hasattr(args, "seeds"):
-        s = [int(tok) for tok in args.seeds.split(",")]
-        if len(s) != 2:
-            raise HankelscopeError("--seeds needs exactly two integers")
-        config.seeds = (s[0], s[1])
-    return config
+        try:
+            first, second = (int(tok) for tok in args.seeds.split(","))
+        except ValueError:
+            raise HankelscopeError("--seeds needs exactly two integers") from None
+        args.seeds = (first, second)
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except HankelscopeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -40,14 +40,6 @@ class QuasiCarlemanKernel:
         return self.profile(np.log(t)) / t
 
 
-@dataclass(frozen=True)
-class CoeffMapMatrix:
-    """Unit-upper-triangular matrix of the P -> Q coefficient map."""
-
-    K: int
-    entries: np.ndarray  # (K+1) x (K+1), entries[k, l] = binom(l, k) w^(l-k)(0)
-
-
 def _binomials(n: int) -> np.ndarray:
     """Pascal-recurrence binomial table C[l, k] = binom(l, k); exact in float
     for the supported orders."""
@@ -58,8 +50,9 @@ def _binomials(n: int) -> np.ndarray:
     return c
 
 
-def build_map_matrix(K: int) -> CoeffMapMatrix:
-    """Matrix form of the coefficient map for degree K (0 <= K <= 12)."""
+def build_map_matrix(K: int) -> np.ndarray:
+    """Unit-upper-triangular (K+1) x (K+1) matrix of the P -> Q coefficient
+    map for degree K (0 <= K <= 12): M[k, l] = binom(l, k) w^(l-k)(0)."""
     if K < 0:
         raise DomainError("K must be >= 0")
     if K > MAX_MAP_ORDER:
@@ -70,8 +63,8 @@ def build_map_matrix(K: int) -> CoeffMapMatrix:
     m = np.zeros((K + 1, K + 1))
     for k in range(K + 1):
         for l in range(k, K + 1):
-            m[k, l] = binom[l, k] * jet.omega_derivs[l - k]
-    return CoeffMapMatrix(K=K, entries=m)
+            m[k, l] = binom[l, k] * jet[l - k]
+    return m
 
 
 def p_to_q(p: RealPolynomial) -> RealPolynomial:
@@ -81,8 +74,7 @@ def p_to_q(p: RealPolynomial) -> RealPolynomial:
     """
     if p.is_zero:
         raise DomainError("p_to_q requires a nonzero polynomial")
-    mat = build_map_matrix(p.degree)
-    q = mat.entries @ p.coeffs
+    q = build_map_matrix(p.degree) @ p.coeffs
     q[-1] = p.coeffs[-1]  # unit diagonal: exact leading-coefficient transfer
     return RealPolynomial(q)
 
@@ -91,8 +83,7 @@ def q_to_p(q: RealPolynomial) -> RealPolynomial:
     """Inverse map by back-substitution on the unit-triangular matrix."""
     if q.is_zero:
         raise DomainError("q_to_p requires a nonzero polynomial")
-    mat = build_map_matrix(q.degree)
-    m = mat.entries
+    m = build_map_matrix(q.degree)
     p = q.coeffs.copy()
     for k in range(q.degree, -1, -1):
         p[k] = p[k] - m[k, k + 1:] @ p[k + 1:]

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eig as dense_eig
 from scipy.linalg import null_space
 
-from .discretization import SpectrumReport
+from .discretization import SpectrumReport, _require_finite
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      NotApplicableError)
 
@@ -29,7 +29,7 @@ RELATIVE_IMAG_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DeltaKernel:
-    """Kernel sum_k h_k delta^(k)(. - t0): real weights, h_K != 0, t0 > 0."""
+    """Kernel sum_k h_k delta^(k)(. - t0): real weights, h_K != 0, finite t0 > 0."""
 
     h_coeffs: np.ndarray
     t0: float
@@ -42,8 +42,8 @@ class DeltaKernel:
         if nz.size == 0:
             raise DomainError("kernel must have a nonzero top coefficient")
         object.__setattr__(self, "h_coeffs", h[: nz[-1] + 1].copy())
-        if not self.t0 > 0.0:
-            raise DomainError("singularity location t0 must be positive")
+        if not (self.t0 > 0.0 and math.isfinite(self.t0)):
+            raise DomainError("singularity location t0 must be finite and positive")
 
     @property
     def order(self) -> int:
@@ -167,9 +167,10 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     trusted modes (the first n_max of each sign, n_max <= N/4).
 
     The reduced matrix is non-normal even though the operator is self-adjoint;
-    trusted eigenvalues must be real to relative 1e-6 or the solve is reported
-    as a convergence failure. Near-coincident trusted eigenvalues are grouped
-    into multiplicity clusters and checked against the order bound.
+    trusted eigenvalues must be real to relative 1e-6, and finite with finite
+    residuals, or the solve is reported as a convergence failure.
+    Near-coincident trusted eigenvalues are grouped into multiplicity clusters
+    and checked against the order bound.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -190,7 +191,9 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
 
     cols = vecs[:, trusted]
     cols = cols / np.linalg.norm(cols, axis=0)
-    residuals = np.linalg.norm(reduced @ cols - cols * lam[None, :], axis=0).real
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
+        residuals = np.linalg.norm(reduced @ cols - cols * lam[None, :], axis=0).real
+    _require_finite(lam, residuals)
 
     lam_real = lam.real
     sort = np.argsort(lam_real)

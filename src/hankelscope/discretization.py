@@ -25,7 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
-from .transforms import GridFunction, LogGrid, f_transform, u_map, v_eval
+from .transforms import LogGrid, f_transform, u_map, v_eval
 
 # essential-spectrum verdict labels
 ESS_REALLINE = "R"
@@ -39,8 +39,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     grid: LogGrid
-    kind: str           # "hankel-side" | "a-side"
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -84,9 +82,7 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
         i, j = np.unravel_index(int(np.argmax(bad)), entries.shape)
         raise DiscretizationError(
             f"non-finite kernel entry at nodes (x={x[i]:.6g}, y={x[j]:.6g})")
-    return DiscreteOperator(matrix=entries, grid=grid, kind="hankel-side",
-                            meta={"quadrature": "uniform-trapezoid", "L": grid.L,
-                                  "N": grid.N, "degree": kernel.degree})
+    return DiscreteOperator(matrix=entries, grid=grid)
 
 
 def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> DiscreteOperator:
@@ -124,8 +120,7 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
     circulant = sliding_window_view(np.tile(even, 2), n)[n:0:-1]
     anticirculant = sliding_window_view(np.tile(c.imag, 2), n)[:n]
     m = np.multiply.outer(v, v) * (circulant - anticirculant)
-    return DiscreteOperator(matrix=m, grid=grid, kind="a-side",
-                            meta={"L": grid.L, "N": grid.N, "degree": q.degree})
+    return DiscreteOperator(matrix=m, grid=grid)
 
 
 def _require_finite(eigenvalues: np.ndarray, residuals: np.ndarray) -> None:
@@ -149,8 +144,7 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
         residuals = np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
     _require_finite(w, residuals)
     return SpectrumReport(eigenvalues=w, residuals=residuals,
-                          grid_meta={"L": op.grid.L, "N": op.grid.N, "kind": op.kind,
-                                     **op.meta})
+                          grid_meta={"L": op.grid.L, "N": op.grid.N})
 
 
 def _carleman_matvec(grid: LogGrid):
@@ -216,12 +210,12 @@ def carleman_extremes(grid: LogGrid) -> SpectrumReport:
     v0 = 1.0 + (-1.0) ** np.arange(grid.N)
     theta, residuals, steps = _lanczos_extremes(_carleman_matvec(grid), v0)
     return SpectrumReport(eigenvalues=theta, residuals=residuals,
-                          grid_meta={"L": grid.L, "N": grid.N, "kind": "hankel-side",
-                                     "lanczos_steps": steps})
+                          grid_meta={"L": grid.L, "N": grid.N, "lanczos_steps": steps})
 
 
 class FactoryTestFunction:
-    """Test function f(t) = t^{-1/2} phi(ln t) with a seeded smooth profile.
+    """Seeded smooth, rapidly decaying test function on (0, infinity):
+    f(t) = t^{-1/2} phi(ln t).
 
     phi is a Gaussian-windowed, modulated sinc: effectively band-limited, and
     decaying faster than any power of (1 + |ln t|) over the sampled range (the
@@ -249,11 +243,6 @@ class FactoryTestFunction:
     def __call__(self, t):
         lt = np.log(np.asarray(t, dtype=float))
         return np.exp(-0.5 * lt) * self.log_profile(lt)
-
-
-def test_function_factory(seed: int, grid: LogGrid) -> FactoryTestFunction:
-    """Seeded smooth, rapidly decaying test function on (0, infinity)."""
-    return FactoryTestFunction(seed, grid)
 
 
 @dataclass(frozen=True)
@@ -308,8 +297,8 @@ def identity_gap_ladder(p: RealPolynomial, seed1: int, seed2: int, L: float,
     out = []
     for n in n_ladder:
         grid = LogGrid(L=L, N=n)
-        f1 = test_function_factory(seed1, grid)
-        f2 = test_function_factory(seed2, grid)
+        f1 = FactoryTestFunction(seed1, grid)
+        f2 = FactoryTestFunction(seed2, grid)
         out.append((n, form_identity_check(p, f1, f2, grid).relative_gap))
     return out
 
@@ -365,43 +354,4 @@ def spectral_rules(p: RealPolynomial, report: SpectrumReport) -> SpectrumReport:
     extras["min_eigenvalue"] = float(w[0]) if w.size else None
     extras["max_eigenvalue"] = float(w[-1]) if w.size else None
     extras["negative_count"] = int(np.sum(w < -1e-10 * max(scale, 1e-300)))
-    if verdicts["positivity"] is not None and w.size:
-        # empirical check: a positive operator's finite section stays above a
-        # small discretization-error margin
-        extras["min_eigenvalue_consistent_with_positivity"] = bool(
-            (w[0] >= -1e-6 * max(scale, 1.0)) == verdicts["positivity"]
-            or not verdicts["positivity"])
     return replace(report, verdicts=verdicts, extras=extras)
-
-
-def zero_eigenvalue_diagnostic(op: DiscreteOperator, delta: float,
-                               residual_tol: float = 1e-8,
-                               interior_mass_tol: float = 0.5) -> list[dict]:
-    """Heuristic surrogate for "zero is not an eigenvalue".
-
-    A genuine kernel vector would concentrate where the weight is still
-    active; finite-section eigenvalues near zero instead come from the
-    exponential degeneracy of the weight and live where v^2 has already
-    collapsed below delta relative to its peak. Flags eigenpairs with
-    |lambda| < delta * max|lambda| whose residual is small AND whose mass in
-    the active zone {v(xi)^2 >= delta * max v^2} exceeds interior_mass_tol.
-    An empty return corroborates the triviality of the kernel; this is a
-    diagnostic, not a proof. Symbols with a sign change are outside its
-    scope: their negative spectrum genuinely accumulates at zero, so interior
-    near-zero modes are real eigenvalues, not kernel candidates.
-    """
-    m = op.matrix
-    w, vecs = np.linalg.eigh(m)
-    xi = op.grid.xi_nodes
-    v2 = v_eval(xi) ** 2
-    active = v2 >= delta * float(np.max(v2))
-    flagged = []
-    scale = float(np.max(np.abs(w)))
-    for i in np.nonzero(np.abs(w) < delta)[0]:
-        vec = vecs[:, i]
-        res = float(np.linalg.norm(m @ vec - w[i] * vec))
-        interior_mass = float(np.sum(np.abs(vec[active]) ** 2))
-        if res < residual_tol * max(scale, 1e-300) and interior_mass > interior_mass_tol:
-            flagged.append({"index": int(i), "eigenvalue": float(w[i]),
-                            "residual": res, "interior_mass": interior_mass})
-    return flagged

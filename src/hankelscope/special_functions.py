@@ -10,7 +10,6 @@ exact-rational zeta values; only the final cast rounds to float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -121,20 +120,11 @@ def reciprocal_gamma_taylor(order: int) -> np.ndarray:
     return np.array([float(ck) for ck in c[: order + 1]])
 
 
-@dataclass(frozen=True)
-class GammaJet:
-    """Taylor data of w(z) = 1/Gamma(1-z) at 0 up to a given order."""
-
-    order: int
-    omega_derivs: np.ndarray  # w^(m)(0), m = 0..order
-
-
-def build_gamma_jet(order: int) -> GammaJet:
-    """Jet of 1/Gamma(1-z): w^(m)(0) = (-1)^m m! c_m with c the reciprocal
-    gamma Taylor coefficients."""
+def build_gamma_jet(order: int) -> np.ndarray:
+    """Jet of w(z) = 1/Gamma(1-z) at 0: w^(m)(0) = (-1)^m m! c_m, m = 0..order,
+    with c the reciprocal gamma Taylor coefficients."""
     c = reciprocal_gamma_taylor(order)
-    derivs = np.array([(-1.0) ** m * math.factorial(m) * c[m] for m in range(order + 1)])
-    return GammaJet(order=order, omega_derivs=derivs)
+    return np.array([(-1.0) ** m * math.factorial(m) * c[m] for m in range(order + 1)])
 
 
 def log_gamma(z):

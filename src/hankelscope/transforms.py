@@ -41,8 +41,8 @@ class LogGrid:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise DomainError("grid half-width L must be positive")
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise DomainError("grid half-width L must be finite and positive")
         if self.N < 2 or self.N % 2 != 0:
             raise DomainError("N must be an even integer >= 2")
 

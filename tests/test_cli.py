@@ -171,6 +171,24 @@ class TestValidation:
         assert code == 3 and out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (("spectrum-a", "--q", "1", "--L", "inf", "--N", "64"), 2),
+        (("spectrum-a", "--q", "1", "--L", "nan", "--N", "64"), 2),
+        (("carleman", "--L", "nan", "--N", "64"), 2),
+        (("delta-eigs", "--h", "1", "--t0", "inf", "--N", "64", "--n-max", "2"), 2),
+        (("delta-eigs", "--h", "0,1", "--t0", "1e-300", "--N", "64", "--n-max", "2"), 3)])
+    def test_non_finite_input_is_rejected(self, capsys, argv, code):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == code and out == ""
+        expected = "convergence failure: non-finite" if code == 3 else "finite and positive"
+        assert expected in err
+
+    def test_non_integer_seeds(self, capsys):
+        code, out, err = run_cli(capsys, "equiv-check", "--p", "1", "--seeds", "a,b",
+                                 "--N", "64", "--L", "4")
+        assert code == 2 and out == ""
+        assert "--seeds needs exactly two integers" in err
+
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")

@@ -25,18 +25,18 @@ def poly(*coeffs):
 
 class TestMapMatrix:
     def test_order_zero(self):
-        np.testing.assert_array_equal(build_map_matrix(0).entries, [[1.0]])
+        np.testing.assert_array_equal(build_map_matrix(0), [[1.0]])
 
     def test_order_one(self):
-        m = build_map_matrix(1).entries
+        m = build_map_matrix(1)
         np.testing.assert_allclose(m, [[1.0, -GAMMA], [0.0, 1.0]], atol=1e-15)
 
     def test_order_two_middle_row(self):
-        m = build_map_matrix(2).entries
+        m = build_map_matrix(2)
         np.testing.assert_allclose(m[1], [0.0, 1.0, -2.0 * GAMMA], atol=1e-15)
 
     def test_unit_diagonal_and_triangularity(self):
-        m = build_map_matrix(8).entries
+        m = build_map_matrix(8)
         np.testing.assert_allclose(np.diag(m), np.ones(9), atol=0)
         assert np.all(np.tril(m, k=-1) == 0.0)
 

@@ -14,12 +14,10 @@ from hankelscope.discretization import (_carleman_matvec, _lanczos_extremes,
                                         carleman_extremes, eigen_sym,
                                         form_identity_check,
                                         identity_gap_ladder, observed_orders,
-                                        spectral_rules,
-                                        zero_eigenvalue_diagnostic)
-from hankelscope.discretization import test_function_factory as make_test_function
+                                        spectral_rules)
+from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DomainError
 from hankelscope.polynomials import RealPolynomial
-from hankelscope.special_functions import EULER_GAMMA
 from hankelscope.transforms import LogGrid, v_eval
 
 # converged finite-section values (L-truncation limited, stable in N)
@@ -178,7 +176,7 @@ class TestEigenSym:
     def test_identity_matrix(self):
         from hankelscope.discretization import DiscreteOperator
         grid = LogGrid(L=4.0, N=16)
-        rep = eigen_sym(DiscreteOperator(np.eye(16), grid, "hankel-side"))
+        rep = eigen_sym(DiscreteOperator(np.eye(16), grid))
         np.testing.assert_array_equal(rep.eigenvalues, np.ones(16))
 
     def test_diagonal_weight_sorted(self):
@@ -333,14 +331,6 @@ class TestSpectralRules:
         assert lead[14.0][0] < -0.5  # leading well mode
         ratios = lead[14.0][:2] / lead[14.0][1:3]
         assert np.all(ratios > 10.0)  # geometric decay toward 0-
-
-
-class TestZeroEigenvalueDiagnostic:
-    @pytest.mark.parametrize("qc", [(1.0,), (-EULER_GAMMA, 1.0),
-                                    (EULER_GAMMA**2 + 0.1, -2 * EULER_GAMMA, 1.0)])
-    def test_no_interior_kernel_candidates(self, qc):
-        op = build_a_matrix(poly(*qc), LogGrid(L=8.0, N=256))
-        assert zero_eigenvalue_diagnostic(op, delta=1e-2) == []
 
 
 class TestCarlemanEigenform:
