@@ -32,12 +32,12 @@ def main():
     for L in (float(tok) for tok in args.windows.split(",")):
         n = args.N or 2 * max(1, round(5.0 * L))
         start = time.perf_counter()
-        rep = carleman_extremes(LogGrid(L=L, N=n))
+        rep, steps = carleman_extremes(LogGrid(L=L, N=n))
         elapsed = time.perf_counter() - start
         bottom, top = rep.eigenvalues
         model = (math.pi**3 / 2.0) * (math.pi / (2.0 * L)) ** 2
         print(f"{L:6.1f} {n:6d} {top:14.9f} {math.pi - top:16.3e} "
-              f"{model:16.3e} {bottom:12.2e} {rep.grid_meta['lanczos_steps']:6d} "
+              f"{model:16.3e} {bottom:12.2e} {steps:6d} "
               f"{elapsed:8.2f}")
 
 

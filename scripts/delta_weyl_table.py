@@ -13,7 +13,8 @@ import argparse
 
 import numpy as np
 
-from hankelscope import DeltaKernel, delta_spectrum, exact_delta_prime_eigs, weyl_prediction
+from hankelscope import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
+                         weyl_prediction)
 
 
 def main():
@@ -24,24 +25,24 @@ def main():
     args = parser.parse_args()
 
     kd1 = DeltaKernel(np.array([0.0, 1.0]), args.t0)
-    rep1 = delta_spectrum(kd1, max(64, args.N // 4), min(args.n_max, 10))
+    plus1, minus1 = branches(delta_spectrum(kd1, max(64, args.N // 4),
+                                            min(args.n_max, 10)).eigenvalues)
     print("first-derivative kernel: collocation vs closed form")
     print(f"{'n':>3} {'lambda+':>14} {'exact+':>14} {'lambda-':>14} {'exact-':>14}")
     for n in range(1, min(args.n_max, 10) + 1):
         ep, em = exact_delta_prime_eigs(args.t0, n)
-        lp = rep1.extras["lambda_plus"][n - 1]
-        lm = rep1.extras["lambda_minus"][n - 1]
+        lp, lm = plus1[n - 1], minus1[n - 1]
         print(f"{n:3d} {lp:14.9f} {ep:14.9f} {lm:14.9f} {em:14.9f}")
 
     kd2 = DeltaKernel(np.array([0.0, 0.0, 1.0]), args.t0)
-    rep2 = delta_spectrum(kd2, args.N, args.n_max)
+    plus2, minus2 = branches(delta_spectrum(kd2, args.N, args.n_max).eigenvalues)
     print("\nsecond-derivative kernel: growth ratios")
     print(f"{'n':>3} {'lambda+ / (2 pi n/t0)^2':>24} {'model (1-3/4n)^2':>18} "
           f"{'|lambda-| ratio':>16} {'model (1-1/4n)^2':>18}")
     for n in range(10, args.n_max + 1):
         wp, _ = weyl_prediction(kd2, n)
-        rp = rep2.extras["lambda_plus"][n - 1] / wp
-        rm = -rep2.extras["lambda_minus"][n - 1] / wp
+        rp = plus2[n - 1] / wp
+        rm = -minus2[n - 1] / wp
         print(f"{n:3d} {rp:24.6f} {(1 - 0.75 / n) ** 2:18.6f} "
               f"{rm:16.6f} {(1 - 0.25 / n) ** 2:18.6f}")
 

@@ -50,7 +50,7 @@ def cli_cases() -> list[list[str]]:
     for p in ("1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2"):
         cases.append(["positivity", "--p", p])
     for n in LOG_N:
-        for p in ("1", "0,1", "1.7,0,1", "0.5,-1,0.3,0.2"):
+        for p in ("1", "0,1", "1.7,0,1", "0.5,-1,0.3,0.2", "1,0,-1"):
             cases.append(["spectrum-hankel", "--p", p, "--L", "8", "--N", str(n)])
         for q in ("1", "0.5,1", "1,0,1", "0.1,1,0.7"):
             cases.append(["spectrum-a", "--q", q, "--L", "8", "--N", str(n)])
@@ -58,6 +58,9 @@ def cli_cases() -> list[list[str]]:
             cases.append(["equiv-check", "--p", p, "--L", "12", "--N", str(n),
                           "--seeds", "11,12"])
         cases.append(["carleman", "--L", "8", "--N", str(n)])
+        # pure delta' with h1 < 0: swapped exact_first_pair, branches
+        cases.append(["delta-eigs", "--h", "0,-2", "--t0", "1.5", "--N", str(n),
+                      "--n-max", str(n // 8), "--format", "json"])
     for k, h in DELTA_WEIGHTS.items():
         for n in DELTA_N:
             for fmt in ("csv", "json"):

@@ -1,13 +1,15 @@
 """Command-line surface: coefficient maps, positivity verdicts, spectra of
 both operator classes, and the unitary-equivalence check.
 
-JSON is the machine interface (schema "hankelscope/1", reals serialized with
-17 significant digits); CSV is emitted only by delta-eigs (--format csv, its
-default) as an eigenvalue,residual list. Identical configurations produce
-bit-identical output (fixed seeds, fixed solver order). Exit codes: 0
-success, 2 validation error (including a log grid with dx = 2L/N > 1, too
-coarse for the Nystrom kernel, an L or t0 that is not finite and positive,
-and --seeds that are not two integers), 3 numerical-convergence failure
+JSON is the machine interface (run heads every document with "schema":
+"hankelscope/1" and "command"; reals carry 17 significant digits); CSV is
+emitted only by delta-eigs (--format csv, its default) as an
+eigenvalue,residual list. Identical configurations produce bit-identical
+output (fixed seeds, fixed solver order). Exit codes: 0 success, 2
+validation error (including a log grid with dx = 2L/N > 1, too coarse for
+the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
+small that the collocation derivative powers overflow, --seeds that are not
+two integers, and an unwritable --output), 3 numerical-convergence failure
 (including a non-finite eigenvalue or residual).
 
 carleman computes only the two ends of its spectrum, by one Lanczos run on
@@ -26,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
-from .delta_spectra import DeltaKernel, delta_spectrum, exact_delta_prime_eigs, weyl_prediction
+from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
+                            weyl_prediction)
 from .discretization import (FactoryTestFunction, build_a_matrix, build_hankel_matrix,
                              carleman_extremes, eigen_sym, essential_spectrum,
                              form_identity_check, spectral_rules)
@@ -81,11 +84,15 @@ def _serialize(result) -> str:
 
 
 def _write(text: str, args: argparse.Namespace) -> None:
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise HankelscopeError(f"cannot write --output {args.output!r}: "
+                               f"{exc.strerror or exc}") from None
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
@@ -103,11 +110,11 @@ def _require_pow2(n: int) -> None:
         raise HankelscopeError(f"--N must be a power of two for FFT-based commands, got {n}")
 
 
-def _spectrum_payload(report) -> dict:
+def _spectrum_payload(report, args: argparse.Namespace) -> dict:
     return {
         "eigenvalues": [float(v) for v in report.eigenvalues],
-        "residual_max": float(np.max(report.residuals)) if report.residuals.size else 0.0,
-        "grid": {k: report.grid_meta[k] for k in ("L", "N") if k in report.grid_meta},
+        "residual_max": float(np.max(report.residuals)),
+        "grid": {"L": args.L, "N": args.N},
     }
 
 
@@ -122,7 +129,6 @@ def _cmd_pq(args: argparse.Namespace) -> dict:
     p = RealPolynomial(np.array(args.coefficients))
     q = p_to_q(p)
     return {
-        "schema": SCHEMA, "command": "pq",
         "input": {"p_coeffs": list(p.coeffs)},
         "q_coeffs": list(q.coeffs),
         "paper_refs": ["coefficient-map-triangular"],
@@ -133,7 +139,6 @@ def _cmd_qp(args: argparse.Namespace) -> dict:
     q = RealPolynomial(np.array(args.coefficients))
     p = q_to_p(q)
     return {
-        "schema": SCHEMA, "command": "qp",
         "input": {"q_coeffs": list(q.coeffs)},
         "p_coeffs": list(p.coeffs),
         "paper_refs": ["coefficient-map-inverse-laplace"],
@@ -145,7 +150,6 @@ def _cmd_positivity(args: argparse.Namespace) -> dict:
     q = p_to_q(p)
     cert = is_nonnegative_on_reals(q)
     return {
-        "schema": SCHEMA, "command": "positivity",
         "input": {"p_coeffs": list(p.coeffs)},
         "q_coeffs": list(q.coeffs),
         "positivity": {
@@ -162,25 +166,23 @@ def _cmd_spectrum_hankel(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
     p = RealPolynomial(np.array(args.coefficients))
     grid = LogGrid(L=args.L, N=args.N)
-    report = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-    payload = {
-        "schema": SCHEMA, "command": "spectrum-hankel",
+    report = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid))
+    rules = spectral_rules(p, report.eigenvalues)
+    cert = rules["certificate"]
+    return {
         "input": {"p_coeffs": list(p.coeffs)},
         "q_coeffs": list(p_to_q(p).coeffs),
+        **_spectrum_payload(report, args),
+        "positivity": {"verdict": None} if cert is None else
+                      {"verdict": cert.nonnegative, "certificate": _certificate(cert)},
+        "essential_spectrum": rules["essential_spectrum"],
+        "min_eigenvalue": rules["min_eigenvalue"],
+        "max_eigenvalue": rules["max_eigenvalue"],
+        "negative_count": rules["negative_count"],
+        "paper_refs": ["nystrom-log-variable-model",
+                       "essential-spectrum-by-degree-parity",
+                       "positivity-iff-symbol-nonnegative"],
     }
-    payload.update(_spectrum_payload(report))
-    payload["positivity"] = {"verdict": report.verdicts["positivity"]}
-    cert = report.extras.get("positivity_certificate")
-    if cert is not None:
-        payload["positivity"]["certificate"] = _certificate(cert)
-    payload["essential_spectrum"] = report.verdicts["essential_spectrum"]
-    payload["min_eigenvalue"] = report.extras["min_eigenvalue"]
-    payload["max_eigenvalue"] = report.extras["max_eigenvalue"]
-    payload["negative_count"] = report.extras["negative_count"]
-    payload["paper_refs"] = ["nystrom-log-variable-model",
-                             "essential-spectrum-by-degree-parity",
-                             "positivity-iff-symbol-nonnegative"]
-    return payload
 
 
 def _cmd_spectrum_a(args: argparse.Namespace) -> dict:
@@ -188,13 +190,11 @@ def _cmd_spectrum_a(args: argparse.Namespace) -> dict:
     q = RealPolynomial(np.array(args.coefficients))
     grid = LogGrid(L=args.L, N=args.N)
     report = eigen_sym(build_a_matrix(q, grid))
-    payload = {
-        "schema": SCHEMA, "command": "spectrum-a",
+    return {
         "input": {"q_coeffs": list(q.coeffs)},
+        **_spectrum_payload(report, args),
+        "paper_refs": ["weighted-differential-model"],
     }
-    payload.update(_spectrum_payload(report))
-    payload["paper_refs"] = ["weighted-differential-model"]
-    return payload
 
 
 def _cmd_equiv_check(args: argparse.Namespace) -> dict:
@@ -208,7 +208,6 @@ def _cmd_equiv_check(args: argparse.Namespace) -> dict:
         raise ConvergenceError(
             f"identity gap {chk.relative_gap:.3e} above the adequacy threshold 1e-3")
     return {
-        "schema": SCHEMA, "command": "equiv-check",
         "input": {"p_coeffs": list(p.coeffs), "seeds": list(args.seeds)},
         "lhs": {"re": chk.lhs.real, "im": chk.lhs.imag},
         "rhs": {"re": chk.rhs.real, "im": chk.rhs.imag},
@@ -223,13 +222,13 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
     report = delta_spectrum(kernel, args.N, args.n_max)
     if args.fmt == "csv":
         return list(zip(report.eigenvalues, report.residuals))
+    lam_plus, lam_minus = branches(report.eigenvalues)
     payload = {
-        "schema": SCHEMA, "command": "delta-eigs",
         "input": {"h_coeffs": list(kernel.h_coeffs), "t0": kernel.t0},
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "residual_max": float(np.max(report.residuals)),
-        "lambda_plus": [float(v) for v in report.extras["lambda_plus"]],
-        "lambda_minus": [float(v) for v in report.extras["lambda_minus"]],
+        "lambda_plus": [float(v) for v in lam_plus],
+        "lambda_minus": [float(v) for v in lam_minus],
         "grid": {"t0": kernel.t0, "N": args.N},
         "paper_refs": ["reflection-operator-spectrum",
                        "weyl-eigenvalue-asymptotics"],
@@ -246,10 +245,9 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
 
 def _cmd_carleman(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
-    report = carleman_extremes(LogGrid(L=args.L, N=args.N))
+    report, _ = carleman_extremes(LogGrid(L=args.L, N=args.N))
     lam_max = float(report.eigenvalues[-1])
     return {
-        "schema": SCHEMA, "command": "carleman",
         "max_eigenvalue": lam_max,
         "min_eigenvalue": float(report.eigenvalues[0]),
         "gap": abs(lam_max - math.pi),
@@ -270,7 +268,10 @@ _HANDLERS = {
 def run(args: argparse.Namespace) -> int:
     """Dispatch one validated invocation; returns the process exit code."""
     try:
-        _write(_serialize(_HANDLERS[args.command](args)), args)
+        result = _HANDLERS[args.command](args)
+        if isinstance(result, dict):
+            result = {"schema": SCHEMA, "command": args.command, **result}
+        _write(_serialize(result), args)
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")

@@ -23,7 +23,6 @@ from .discretization import SpectrumReport, _require_finite
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      NotApplicableError)
 
-RELATIVE_CLUSTER_TOL = 1e-6
 RELATIVE_IMAG_TOL = 1e-6
 
 
@@ -75,7 +74,8 @@ def _collocation_powers(kernel: DeltaKernel, n: int, order: int) -> list:
 
     The negative-sum trick is reapplied to every power (each derivative
     annihilates constants exactly), which suppresses the rounding growth of
-    repeated matrix products.
+    repeated matrix products. D scales like N^2 / t0, so a tiny t0 overflows
+    a power; that raises DomainError.
     """
     k_ord = kernel.order
     if n < 4 * k_ord + 8:
@@ -83,12 +83,16 @@ def _collocation_powers(kernel: DeltaKernel, n: int, order: int) -> list:
     powers = [np.eye(n)]
     if order == 0:
         return powers
-    _, d = chebyshev_lobatto(n, kernel.t0)
-    for k in range(order):
-        nxt = d @ powers[-1] if k else d.copy()
-        np.fill_diagonal(nxt, 0.0)
-        np.fill_diagonal(nxt, -nxt.sum(axis=1))
-        powers.append(nxt)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        _, d = chebyshev_lobatto(n, kernel.t0)
+        for k in range(order):
+            nxt = d @ powers[-1] if k else d.copy()
+            np.fill_diagonal(nxt, 0.0)
+            np.fill_diagonal(nxt, -nxt.sum(axis=1))
+            if not np.all(np.isfinite(nxt)):
+                raise DomainError(f"t0 = {kernel.t0:.6g} is too small: derivative "
+                                  f"power {k + 1} overflows double precision at N={n}")
+            powers.append(nxt)
     return powers
 
 
@@ -150,27 +154,14 @@ def weyl_prediction(kernel: DeltaKernel, n: int) -> tuple[float, float]:
     return lam, -lam
 
 
-def _cluster_sizes(values: np.ndarray, rel_tol: float) -> list[int]:
-    sizes: list[int] = []
-    last = None
-    for v in values:
-        if last is not None and abs(v - last) <= rel_tol * max(abs(v), abs(last)):
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-        last = v
-    return sizes
-
-
 def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     """Collocation spectrum of the reflection operator, restricted to the
-    trusted modes (the first n_max of each sign, n_max <= N/4).
+    trusted modes (the first n_max of each sign, n_max <= N/4), ascending with
+    aligned residuals; see branches for the two signed branches.
 
     The reduced matrix is non-normal even though the operator is self-adjoint;
     trusted eigenvalues must be real to relative 1e-6, and finite with finite
     residuals, or the solve is reported as a convergence failure.
-    Near-coincident trusted eigenvalues are grouped into multiplicity clusters
-    and checked against the order bound.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -195,26 +186,14 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
         residuals = np.linalg.norm(reduced @ cols - cols * lam[None, :], axis=0).real
     _require_finite(lam, residuals)
 
-    lam_real = lam.real
-    sort = np.argsort(lam_real)
-    lam_sorted = lam_real[sort]
-    res_sorted = residuals[sort]
+    sort = np.argsort(lam.real)
+    return SpectrumReport(eigenvalues=lam.real[sort], residuals=residuals[sort])
 
-    pos = lam_real[lam_real > 0.0]
-    neg = lam_real[lam_real < 0.0]
-    extras = {
-        "lambda_plus": np.sort(pos),
-        "lambda_minus": -np.sort(-neg),  # descending toward -infinity
-        "n_max": n_max,
-    }
-    if kernel.order >= 1:
-        sizes = _cluster_sizes(np.sort(pos), RELATIVE_CLUSTER_TOL) \
-            + _cluster_sizes(np.sort(np.abs(neg)), RELATIVE_CLUSTER_TOL)
-        extras["cluster_sizes"] = sizes
-        extras["multiplicity_bound_ok"] = bool(all(s <= kernel.order for s in sizes))
-    return SpectrumReport(eigenvalues=lam_sorted, residuals=res_sorted,
-                          grid_meta={"t0": kernel.t0, "N": n, "K": kernel.order},
-                          extras=extras)
+
+def branches(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_plus, lambda_minus) of an ascending spectrum: the positive
+    eigenvalues ascending and the negative ones descending toward -infinity."""
+    return eigenvalues[eigenvalues > 0.0], eigenvalues[eigenvalues < 0.0][::-1]
 
 
 def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:

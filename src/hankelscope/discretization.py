@@ -16,7 +16,7 @@ a single resolution budget (L, N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,16 +41,12 @@ class DiscreteOperator:
     grid: LogGrid
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted eigenvalues with residuals, grid metadata and verdicts."""
+    """Ascending eigenvalues and their aligned residuals ||M x - lambda x||."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    grid_meta: dict
-    verdicts: dict = field(default_factory=lambda: {
-        "positivity": None, "essential_spectrum": ESS_UNKNOWN})
-    extras: dict = field(default_factory=dict)
 
 
 def _require_resolved(grid: LogGrid) -> None:
@@ -143,8 +139,7 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
         residuals = np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
     _require_finite(w, residuals)
-    return SpectrumReport(eigenvalues=w, residuals=residuals,
-                          grid_meta={"L": op.grid.L, "N": op.grid.N})
+    return SpectrumReport(eigenvalues=w, residuals=residuals)
 
 
 def _carleman_matvec(grid: LogGrid):
@@ -197,11 +192,12 @@ def _lanczos_extremes(matvec, v0: np.ndarray):
     return theta, residuals, m
 
 
-def carleman_extremes(grid: LogGrid) -> SpectrumReport:
+def carleman_extremes(grid: LogGrid) -> tuple[SpectrumReport, int]:
     """The two spectral ends of the reciprocal-kernel (P = 1) Nystrom matrix,
     matrix-free: Toeplitz FFT matvecs inside one Lanczos run.
 
-    Returns eigenvalues [lambda_min, lambda_max] and their explicit residuals.
+    Returns (report, steps): eigenvalues [lambda_min, lambda_max] with their
+    explicit residuals, and the number of Lanczos steps taken.
     The start vector 1 + (-1)^j has components in both reflection classes
     (j -> N-1-j); a reflection-even start such as ones sees only the even
     eigenvectors and can miss an end. lambda_min is the converged bottom of
@@ -209,8 +205,7 @@ def carleman_extremes(grid: LogGrid) -> SpectrumReport:
     """
     v0 = 1.0 + (-1.0) ** np.arange(grid.N)
     theta, residuals, steps = _lanczos_extremes(_carleman_matvec(grid), v0)
-    return SpectrumReport(eigenvalues=theta, residuals=residuals,
-                          grid_meta={"L": grid.L, "N": grid.N, "lanczos_steps": steps})
+    return SpectrumReport(eigenvalues=theta, residuals=residuals), steps
 
 
 class FactoryTestFunction:
@@ -334,24 +329,21 @@ def essential_spectrum(p: RealPolynomial) -> str:
     return ESS_UNKNOWN
 
 
-def spectral_rules(p: RealPolynomial, report: SpectrumReport) -> SpectrumReport:
-    """Fill theorem-backed verdicts and empirical corroboration fields.
+def spectral_rules(p: RealPolynomial, eigenvalues: np.ndarray) -> dict:
+    """What the theorems say about the profile P, beside the extremes and the
+    negative count of its finite-section spectrum (ascending).
 
-    Essential spectrum: see essential_spectrum. Positivity: the symbol
-    polynomial Q = p_to_q(P) is nonnegative on the reals; it is left unknown
-    whenever the essential-spectrum preconditions are not met.
+    essential_spectrum: see essential_spectrum. certificate: the nonnegativity
+    certificate of the symbol Q = p_to_q(P), whose `nonnegative` is the
+    positivity verdict; None whenever the essential-spectrum preconditions
+    are not met.
     """
-    verdicts = dict(report.verdicts)
-    extras = dict(report.extras)
-    verdicts["essential_spectrum"] = essential_spectrum(p)
-    verdicts["positivity"] = None
-    if verdicts["essential_spectrum"] != ESS_UNKNOWN:
-        cert = is_nonnegative_on_reals(p_to_q(p))
-        verdicts["positivity"] = cert.nonnegative
-        extras["positivity_certificate"] = cert
-    w = report.eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    extras["min_eigenvalue"] = float(w[0]) if w.size else None
-    extras["max_eigenvalue"] = float(w[-1]) if w.size else None
-    extras["negative_count"] = int(np.sum(w < -1e-10 * max(scale, 1e-300)))
-    return replace(report, verdicts=verdicts, extras=extras)
+    ess = essential_spectrum(p)
+    scale = float(np.max(np.abs(eigenvalues)))
+    return {
+        "essential_spectrum": ess,
+        "certificate": None if ess == ESS_UNKNOWN else is_nonnegative_on_reals(p_to_q(p)),
+        "min_eigenvalue": float(eigenvalues[0]),
+        "max_eigenvalue": float(eigenvalues[-1]),
+        "negative_count": int(np.sum(eigenvalues < -1e-10 * max(scale, 1e-300))),
+    }

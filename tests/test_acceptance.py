@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from hankelscope.coeff_map import QuasiCarlemanKernel, build_map_matrix, p_to_q, q_to_p
-from hankelscope.delta_spectra import (DeltaKernel, delta_spectrum,
+from hankelscope.delta_spectra import (DeltaKernel, branches, delta_spectrum,
                                        exact_delta_prime_eigs)
 from hankelscope.discretization import (build_a_matrix, build_hankel_matrix,
                                         carleman_extremes, eigen_sym,
@@ -110,7 +110,7 @@ def test_criterion_3_carleman_reference_run():
 def test_carleman_wide_window_reaches_the_reference_gap():
     # criterion 3's 1e-3 target at the window the curvature law asks for,
     # L = 200 (model gap 9.6e-4), on the matrix-free Lanczos route at dx ~ 0.2
-    rep = carleman_extremes(LogGrid(L=200.0, N=2048))
+    rep, _ = carleman_extremes(LogGrid(L=200.0, N=2048))
     lam_min, lam_max = (float(v) for v in rep.eigenvalues)
     gap = math.pi - lam_max
     ok = 0.0 < gap < 1e-3 and lam_min >= -1e-12 and rep.residuals.max() <= 1e-12
@@ -179,7 +179,7 @@ def test_criterion_5_positivity_boundary():
 
 def test_criterion_6_delta_prime_exact_spectrum():
     rep = delta_spectrum(DeltaKernel([0.0, 1.0], 1.0), 64, 10)
-    lp, lm = rep.extras["lambda_plus"], rep.extras["lambda_minus"]
+    lp, lm = branches(rep.eigenvalues)
     worst = 0.0
     for n in range(1, 11):
         ep, em = exact_delta_prime_eigs(1.0, n)
@@ -192,8 +192,8 @@ def test_criterion_6_delta_prime_exact_spectrum():
 
 def test_criterion_7_weyl_asymptotics():
     kernel = DeltaKernel([0.0, 0.0, 1.0], 1.0)
-    lp256 = delta_spectrum(kernel, 256, 20).extras["lambda_plus"]
-    lp384 = delta_spectrum(kernel, 384, 20).extras["lambda_plus"]
+    lp256, _ = branches(delta_spectrum(kernel, 256, 20).eigenvalues)
+    lp384, _ = branches(delta_spectrum(kernel, 384, 20).eigenvalues)
     cross = float(np.abs(lp256[:20] - lp384[:20]).max()
                   / np.abs(lp384[:20]).max())
     cross_ok = cross < 1e-6

@@ -6,6 +6,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import hankelscope
 from hankelscope import cli, errors
 
@@ -34,3 +36,9 @@ def test_no_module_defines_a_test_callable():
         found += [f"{info.name}.{name}" for name, obj in vars(module).items()
                   if name.startswith("test_") and callable(obj)]
     assert found == []
+
+
+def test_branches_splits_an_ascending_spectrum():
+    # delta-eigs reads lambda_plus and lambda_minus through this export
+    plus, minus = hankelscope.branches(np.array([-3.0, -1.0, 2.0, 5.0]))
+    assert plus.tolist() == [2.0, 5.0] and minus.tolist() == [-1.0, -3.0]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,12 +71,22 @@ class TestSpectrumCommands:
         assert doc["residual_max"] < 1e-12
 
     def test_spectrum_hankel_verdicts(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum-hankel", "--p", "0,1",
-                               "--L", "8", "--N", "64")
-        doc = json.loads(out)
-        assert doc["essential_spectrum"] == "R"
-        assert len(doc["eigenvalues"]) == 64
-        assert doc["negative_count"] > 0
+        # odd degree: the whole line and a certified verdict; even degree with
+        # a negative leading coefficient: no theorem applies, so no verdict
+        for p, ess, verdict in (("0,1", "R", False), ("1,0,-1", "unknown", None)):
+            code, out, _ = run_cli(capsys, "spectrum-hankel", "--p", p,
+                                   "--L", "8", "--N", "64")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["essential_spectrum"] == ess
+            assert len(doc["eigenvalues"]) == 64
+            assert doc["negative_count"] > 0
+            assert doc["grid"] == {"L": 8.0, "N": 64}
+            if verdict is None:
+                assert doc["positivity"] == {"verdict": None}
+            else:
+                assert doc["positivity"]["verdict"] is verdict
+                assert "certificate" in doc["positivity"]
 
     def test_spectrum_a_diagonal_case(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum-a", "--q", "1",
@@ -188,6 +199,23 @@ class TestValidation:
                                  "--N", "64", "--L", "4")
         assert code == 2 and out == ""
         assert "--seeds needs exactly two integers" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        for target in (tmp_path / "missing" / "out.json", tmp_path):
+            code, out, err = run_cli(capsys, "carleman", "--L", "4", "--N", "64",
+                                     "--output", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith("error: cannot write --output") and str(target) in err
+
+    def test_tiny_t0_overflow_is_a_validation_error(self, capsys):
+        # K = 2 at t0 = 1e-300: D^2 overflows before any solve
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "delta-eigs", "--h", "0,0,1", "--t0", "1e-300",
+                                     "--N", "64", "--n-max", "2")
+        assert code == 2 and out == ""
+        assert "t0" in err and "Warning" not in err
+        assert [str(w.message) for w in caught] == []
 
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",

@@ -263,29 +263,34 @@ class TestFormIdentity:
         assert converged or (orders and max(orders) >= 2.0)
 
 
+def _hankel_eigenvalues(p, grid):
+    return eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)).eigenvalues
+
+
 class TestSpectralRules:
     def test_odd_degree_real_line(self):
         grid = LogGrid(L=8.0, N=128)
-        rep = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(0.0, 1.0)), grid))
-        rep = spectral_rules(poly(0.0, 1.0), rep)
-        assert rep.verdicts["essential_spectrum"] == "R"
-        assert rep.verdicts["positivity"] is False  # odd-degree symbol
+        rules = spectral_rules(poly(0.0, 1.0), _hankel_eigenvalues(poly(0.0, 1.0), grid))
+        assert rules["essential_spectrum"] == "R"
+        assert rules["certificate"].nonnegative is False  # odd-degree symbol
+        assert set(rules) == {"essential_spectrum", "certificate", "min_eigenvalue",
+                              "max_eigenvalue", "negative_count"}
 
     def test_carleman_positive(self):
         grid = LogGrid(L=8.0, N=128)
         p = poly(2.0)  # constant profile: verdicts need degree >= 1
-        rep = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-        assert rep.verdicts["essential_spectrum"] == "unknown"
-        assert rep.verdicts["positivity"] is None
+        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        assert rules["essential_spectrum"] == "unknown"
+        assert rules["certificate"] is None
 
     def test_quadratic_positivity_threshold(self):
         grid = LogGrid(L=10.0, N=128)
         for p0, expected in ((math.pi**2 / 6.0 + 0.05, True),
                              (math.pi**2 / 6.0 - 0.05, False)):
             p = poly(p0, 0.0, 1.0)
-            rep = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-            assert rep.verdicts["positivity"] is expected
-            assert rep.verdicts["essential_spectrum"] == "[0,inf)"
+            rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+            assert rules["certificate"].nonnegative is expected
+            assert rules["essential_spectrum"] == "[0,inf)"
 
     def test_quadratic_closed_form_inequality(self):
         # verdict must match p1^2 + 2 pi^2 p2^2 / 3 <= 4 p0 p2 exactly
@@ -298,23 +303,23 @@ class TestSpectralRules:
             if abs(margin) < 1e-9:
                 continue
             p = poly(p0, p1, p2)
-            rep = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-            assert rep.verdicts["positivity"] is bool(margin <= 0.0), (p0, p1, p2)
+            rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+            assert rules["certificate"].nonnegative is bool(margin <= 0.0), (p0, p1, p2)
 
     def test_negative_leading_even_degree_unknown(self):
         grid = LogGrid(L=6.0, N=32)
         p = poly(1.0, 0.0, -1.0)
-        rep = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-        assert rep.verdicts["essential_spectrum"] == "unknown"
-        assert rep.verdicts["positivity"] is None
+        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        assert rules["essential_spectrum"] == "unknown"
+        assert rules["certificate"] is None
 
     def test_positive_case_min_eigenvalue(self):
         # forward direction of the positivity theorem, finite-section surrogate
         grid = LogGrid(L=14.0, N=512)
         p = poly(1.70, 0.0, 1.0)
-        rep = spectral_rules(p, eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid)))
-        assert rep.verdicts["positivity"] is True
-        assert rep.extras["min_eigenvalue"] >= -1e-10
+        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        assert rules["certificate"].nonnegative is True
+        assert rules["min_eigenvalue"] >= -1e-10
 
     def test_negative_cascade_converged_in_window(self):
         # a symbol dipping negative gives a geometric cascade of negative
@@ -367,7 +372,7 @@ class TestCarlemanExtremes:
             with pytest.raises(DomainError):
                 carleman_extremes(grid)
             return
-        rep = carleman_extremes(grid)
+        rep, _ = carleman_extremes(grid)
         dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
         top = float(dense.eigenvalues[-1])
         assert rep.eigenvalues.shape == (2,) and rep.residuals.shape == (2,)
@@ -381,7 +386,7 @@ class TestCarlemanExtremes:
         # a reflection-even start (ones) is an exact eigenvector at N = 2 and
         # would report the top eigenvalue twice
         grid = LogGrid(L=n / 8.0, N=n)   # dx = 1/4
-        rep = carleman_extremes(grid)
+        rep, _ = carleman_extremes(grid)
         dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
         np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
                                    rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
@@ -389,10 +394,10 @@ class TestCarlemanExtremes:
 
     def test_deterministic(self):
         grid = LogGrid(L=20.0, N=1024)
-        first, second = carleman_extremes(grid), carleman_extremes(grid)
+        (first, steps1), (second, steps2) = carleman_extremes(grid), carleman_extremes(grid)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.residuals, second.residuals)
-        assert first.grid_meta == second.grid_meta
+        assert steps1 == steps2
 
     def test_non_finite_matvec_raises(self):
         with pytest.raises(ConvergenceError):
