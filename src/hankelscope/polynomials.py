@@ -58,8 +58,9 @@ def eval_poly(poly: RealPolynomial, x):
     """Evaluate by Horner's rule; accepts scalars or numpy arrays."""
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
-    for c in poly.coeffs[::-1]:
-        acc = acc * x + c
+    for c in poly.coeffs[::-1]:   # in place: no temporary per step on large grids
+        acc *= x
+        acc += c
     return float(acc) if acc.ndim == 0 else acc
 
 
@@ -199,7 +200,8 @@ def _sturm_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
     """Decide nonnegativity for even degree, positive leading coefficient."""
     chain = _sturm_chain(poly.coeffs)
     bound = _cauchy_bound(poly.coeffs)
-    n_roots = _variations(chain, -bound) - _variations(chain, bound)
+    v_low, v_high = _variations(chain, -bound), _variations(chain, bound)
+    n_roots = v_low - v_high
     if n_roots <= 0:
         val0 = eval_poly(poly, 0.0)
         if val0 <= 0.0:
@@ -208,24 +210,25 @@ def _sturm_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
             True, distinct_real_roots=0, all_roots_even_multiplicity=True,
             method="sturm", detail="no real roots; positive leading coefficient, even degree")
 
-    # isolate the distinct real roots by bisection on the variation count
-    intervals = [(-bound, bound, n_roots)]
+    # isolate the distinct real roots by bisection on the variation count;
+    # each interval carries the counts at its ends, (a, va, b, vb, roots)
+    intervals = [(-bound, v_low, bound, v_high, n_roots)]
     isolated: list[tuple[float, float]] = []
     for _ in range(20000):
         if not intervals:
             break
-        a, b, k = intervals.pop()
+        a, va, b, vb, k = intervals.pop()
         if k == 1 and (b - a) <= 1e-9 * max(1.0, abs(a), abs(b)):
             isolated.append((a, b))
             continue
         m = 0.5 * (a + b)
         vm = _variations(chain, m)
-        ka = _variations(chain, a) - vm
-        kb = vm - _variations(chain, b)
+        ka = va - vm
+        kb = vm - vb
         if ka > 0:
-            intervals.append((a, m, ka))
+            intervals.append((a, va, m, vm, ka))
         if kb > 0:
-            intervals.append((m, b, kb))
+            intervals.append((m, vm, b, vb, kb))
         if ka + kb < k:
             # a root sits on the sample point m itself; isolate it tightly
             isolated.append((m - 1e-12 * max(1.0, abs(m)), m + 1e-12 * max(1.0, abs(m))))

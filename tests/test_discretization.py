@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
-from hankelscope.discretization import (_carleman_matvec, _lanczos_extremes,
-                                        build_a_matrix, build_hankel_matrix,
-                                        carleman_extremes, eigen_sym,
-                                        form_identity_check,
+from hankelscope.discretization import (DiscreteOperator, _carleman_matvec,
+                                        _lanczos_extremes, build_a_matrix,
+                                        build_hankel_matrix, carleman_extremes,
+                                        eigen_sym, form_identity_check,
                                         identity_gap_ladder, observed_orders,
-                                        spectral_rules)
+                                        sketch_width, spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
-from hankelscope.errors import ConvergenceError, DomainError
+from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
 from hankelscope.transforms import LogGrid, v_eval
 
@@ -174,7 +174,6 @@ class TestRealForm:
 
 class TestEigenSym:
     def test_identity_matrix(self):
-        from hankelscope.discretization import DiscreteOperator
         grid = LogGrid(L=4.0, N=16)
         rep = eigen_sym(DiscreteOperator(np.eye(16), grid))
         np.testing.assert_array_equal(rep.eigenvalues, np.ones(16))
@@ -194,6 +193,91 @@ class TestEigenSym:
         # entries near 1e300 overflow the residual product
         with pytest.raises(ConvergenceError):
             eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=64)))
+
+
+def _dense_eigen(m):
+    """The dense reference: eigh and its N x N residual product."""
+    w, vecs = np.linalg.eigh(m)
+    return w, np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
+
+
+def _rank_deficient(n, rank, seed=5):
+    """Random symmetric n x n matrix of the given rank, eigenvalues of both
+    signs between 0.5 and 2 in magnitude."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    d = rng.choice([-1.0, 1.0], rank) * rng.uniform(0.5, 2.0, rank)
+    m = (basis * d) @ basis.T
+    return 0.5 * (m + m.T)
+
+
+class TestSketchedEigenSym:
+    """eigen_sym on a sketched range: Ritz pairs plus exact zeros whose
+    residual is the complement bound, against the dense eigh."""
+
+    SIDES = {"hankel": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)), g),
+             "hankel-odd": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(0.5, -1.0, 0.3, 0.2)), g),
+             "a": lambda g: build_a_matrix(poly(0.5, 0.3, 1.0), g),
+             "a-odd": lambda g: build_a_matrix(poly(0.1, 1.0, 0.0, 0.4), g)}
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("L", [8.0, 20.0, 30.0])
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_matches_dense(self, side, L, n):
+        op = self.SIDES[side](LogGrid(L=L, N=n))
+        rep = eigen_sym(op)
+        w, dense_res = _dense_eigen(op.matrix)
+        scale = np.abs(w).max()
+        dev = np.abs(rep.eigenvalues - w).max()
+        # each side is within its residual of the spectrum of M
+        assert dev <= rep.residuals.max() + dense_res.max()
+        assert dev <= 1e-13 * scale
+        assert rep.residuals.max() <= 1e-13 * scale
+        assert np.all(np.diff(rep.eigenvalues) >= 0.0)
+        zeros = rep.eigenvalues == 0.0
+        # the phase-space width suffices on both sides, with no doubling;
+        # beyond N/3 columns the dense path runs
+        first = sketch_width(L)
+        assert n - int(zeros.sum()) == (first if 3 * first <= n else n)
+        assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
+
+    def test_rank_between_first_width_and_a_third_doubles(self):
+        grid = LogGrid(L=4.0, N=512)
+        first = sketch_width(grid.L)
+        assert 3 * 2 * first <= grid.N
+        m = _rank_deficient(grid.N, first + 20)
+        rep = eigen_sym(DiscreteOperator(m, grid))
+        w, _ = _dense_eigen(m)
+        assert np.sum(rep.eigenvalues == 0.0) == grid.N - 2 * first
+        assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * np.abs(w).max()
+        assert rep.residuals.max() <= 1e-13 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("make", [np.eye, lambda n: _rank_deficient(n, n)],
+                             ids=["identity", "random-symmetric"])
+    def test_full_rank_is_the_dense_path_bitwise(self, make):
+        grid = LogGrid(L=4.0, N=512)
+        m = make(grid.N)
+        rep = eigen_sym(DiscreteOperator(m, grid))
+        w, res = _dense_eigen(m)
+        assert np.array_equal(rep.eigenvalues, w)
+        assert np.array_equal(rep.residuals, res)
+
+    def test_repeated_calls_bit_identical(self):
+        op = self.SIDES["hankel"](LogGrid(L=8.0, N=512))
+        first, second = eigen_sym(op), eigen_sym(op)
+        assert np.sum(first.eigenvalues == 0.0) > 0
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.residuals, second.residuals)
+
+    def test_non_symmetric_raises(self):
+        m = _rank_deficient(512, 40)
+        m[0, 1] += 1e-6
+        with pytest.raises(DiscretizationError):
+            eigen_sym(DiscreteOperator(m, LogGrid(L=4.0, N=512)))
+
+    def test_non_finite_residual_raises_at_sketch_size(self):
+        with pytest.raises(ConvergenceError):
+            eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=512)))
 
 
 class TestFactory:
