@@ -70,7 +70,10 @@ def _dumps(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        items = ",\n".join(f"{inner}{_dumps(v, indent + 1)}" for v in seq)
+        if all(type(v) is float for v in seq):   # eigenvalue lists: no call per element
+            items = ",\n".join(inner + _format_real(v) for v in seq)
+        else:
+            items = ",\n".join(f"{inner}{_dumps(v, indent + 1)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]

@@ -217,6 +217,16 @@ class TestValidation:
         assert "t0" in err and "Warning" not in err
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command", ["spectrum-hankel", "equiv-check"])
+    def test_profile_overflow_is_a_discretization_error(self, capsys, command):
+        # P = 1e305 x^4 overflows at the window corner x = y = -30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--p", "0,0,0,0,1e305",
+                                     "--L", "30", "--N", "64")
+        assert code == 2 and out == ""
+        assert "non-finite kernel entry" in err and "Warning" not in err
+
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")

@@ -4,6 +4,7 @@ module. Frozen eigenvalues were produced by this package and cross-checked
 against an independent Toeplitz construction of the same kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,34 @@ def poly(*coeffs):
     return RealPolynomial(np.array(coeffs, dtype=float))
 
 
+def _meshgrid_hankel(kernel, grid):
+    """The N^2-entry reference: P(logaddexp(x, y)) dx / (2 cosh((x - y)/2))
+    evaluated on the full node meshgrid."""
+    x = grid.x_nodes
+    xs, ys = np.meshgrid(x, x, indexing="ij")
+    return grid.dx * kernel.profile(np.logaddexp(xs, ys)) / (2.0 * np.cosh(0.5 * (xs - ys)))
+
+
 class TestHankelMatrix:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("L", [8.0, 30.0])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_matches_meshgrid_reference(self, degree, L, n):
+        kern = QuasiCarlemanKernel(poly(*((-1) ** j * (j + 1) / (j + 3)
+                                          for j in range(degree + 1))))
+        grid = LogGrid(L=L, N=n)
+        m = build_hankel_matrix(kern, grid).matrix
+        ref = _meshgrid_hankel(kern, grid)
+        assert np.abs(m - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+        assert np.array_equal(m, m.T)
+
+    def test_overflow_is_a_typed_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match="x=-30, y=-30"):
+                build_hankel_matrix(QuasiCarlemanKernel(poly(0, 0, 0, 0, 1e305)),
+                                    LogGrid(L=30.0, N=64))
+
     def test_carleman_is_symmetric_toeplitz(self):
         grid = LogGrid(L=8.0, N=64)
         m = build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid).matrix
@@ -240,6 +268,14 @@ class TestSketchedEigenSym:
         first = sketch_width(L)
         assert n - int(zeros.sum()) == (first if 3 * first <= n else n)
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
+
+    def test_wide_window_at_large_n_needs_no_doubling(self):
+        op = self.SIDES["hankel"](LogGrid(L=30.0, N=2048))
+        rep = eigen_sym(op)
+        zeros = rep.eigenvalues == 0.0
+        assert op.matrix.shape[0] - int(zeros.sum()) == sketch_width(30.0)
+        assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
+        assert rep.residuals.max() <= 1e-13 * np.abs(rep.eigenvalues).max()
 
     def test_rank_between_first_width_and_a_third_doubles(self):
         grid = LogGrid(L=4.0, N=512)
@@ -475,6 +511,16 @@ class TestCarlemanExtremes:
         np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
                                    rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
         assert rep.eigenvalues[0] < 0.5 * rep.eigenvalues[1]
+
+    def test_stops_at_n_between_convergence_tests(self):
+        # N = 6 is not a multiple of the 8-step test cadence
+        grid = LogGrid(L=3.0, N=6)   # dx = 1
+        rep, steps = carleman_extremes(grid)
+        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
+        assert steps == grid.N
+        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
+                                   rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
+        assert rep.residuals.max() <= 1e-14 * dense.eigenvalues[-1]
 
     def test_deterministic(self):
         grid = LogGrid(L=20.0, N=1024)
