@@ -10,7 +10,9 @@ validation error (including a log grid with dx = 2L/N > 1, too coarse for
 the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
 small that the collocation derivative powers overflow, --seeds that are not
 two integers, and an unwritable --output), 3 numerical-convergence failure
-(including a non-finite eigenvalue or residual).
+(including a non-finite eigenvalue or residual, and a spectrum-hankel or
+carleman eigenvalue of a constant profile P = p0 outside the Toeplitz band
+p0 [0, pi (1 + eps_alias)] by more than its residual).
 
 carleman computes only the two ends of its spectrum, by one Lanczos run on
 the Toeplitz matrix of the reciprocal kernel: its residual_max covers those
@@ -18,11 +20,13 @@ two eigenpairs, and min_eigenvalue is the converged bottom Ritz value, at
 rounding level.
 
 spectrum-hankel and spectrum-a report every eigenvalue from one
-Rayleigh-Ritz step on a sketched range of about 6.2 L + 32 columns: the
-eigenvalues below 1e-13 of the matrix's Frobenius norm (a rounding-level
-cluster) come out as exact zeros whose residual is the complement bound
-||M - (MQ) Q^T||_F, and the others agree with a dense solve to rounding.
-Grids with N below three times that width keep the dense solve.
+Rayleigh-Ritz step on a sketched range of about 6.2 L + 32 columns, after
+eigen_sym has deflated the rows below rounding (the A side keeps its weight
+core of about 10 L rows once that is at most N/2): the eigenvalues below
+1e-13 of the matrix's Frobenius norm (a rounding-level cluster) come out as
+exact zeros whose residual is the complement bound ||M - (MQ) Q^T||_F plus
+the deflation bound, and the others agree with a dense solve to rounding.
+Blocks with fewer than three times that width of rows keep the dense solve.
 """
 
 from __future__ import annotations
@@ -128,6 +132,26 @@ def _spectrum_payload(report, args: argparse.Namespace) -> dict:
     }
 
 
+def _require_in_band(report, p0: float, grid: LogGrid) -> None:
+    """Constant P = p0: the Nystrom matrix is p0 times the Toeplitz section of
+    the symbol sum_k pi / cosh(pi (theta + 2 pi k) / dx), which is positive
+    and at most pi (1 + eps_alias), eps_alias = 2 sum_{k>=1} 1/cosh(2 pi^2 k
+    / dx). Every eigenvalue must lie in p0 [0, pi (1 + eps_alias)] up to its
+    residual and the rounding of the entries (4 eps of a row sum); one
+    outside raises ConvergenceError."""
+    a = 2.0 * math.pi ** 2 / grid.dx   # dx <= 1 here: terms beyond k = 3 are below 1e-25
+    eps_alias = 2.0 * sum(2.0 * math.exp(-a * k) / (1.0 + math.exp(-2.0 * a * k))
+                          for k in (1, 2, 3))
+    top = p0 * math.pi * (1.0 + eps_alias)
+    lo, hi = min(0.0, top), max(0.0, top)
+    slack = report.residuals + 4.0 * np.finfo(float).eps * abs(top)
+    outside = (report.eigenvalues < lo - slack) | (report.eigenvalues > hi + slack)
+    if np.any(outside):
+        lam = float(report.eigenvalues[np.argmax(outside)])
+        raise ConvergenceError(f"eigenvalue {lam:.17g} outside the constant-profile band "
+                               f"[{lo:.17g}, {hi:.17g}]")
+
+
 def _certificate(cert) -> dict:
     return {"method": cert.method, "witness": cert.witness,
             "witness_value": cert.witness_value,
@@ -177,6 +201,8 @@ def _cmd_spectrum_hankel(args: argparse.Namespace) -> dict:
     p = RealPolynomial(np.array(args.coefficients))
     grid = LogGrid(L=args.L, N=args.N)
     report = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid))
+    if p.degree == 0:
+        _require_in_band(report, p.leading, grid)
     rules = spectral_rules(p, report.eigenvalues)
     cert = rules["certificate"]
     return {
@@ -255,7 +281,9 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
 
 def _cmd_carleman(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
-    report, _ = carleman_extremes(LogGrid(L=args.L, N=args.N))
+    grid = LogGrid(L=args.L, N=args.N)
+    report, _ = carleman_extremes(grid)
+    _require_in_band(report, 1.0, grid)
     lam_max = float(report.eigenvalues[-1])
     return {
         "max_eigenvalue": lam_max,

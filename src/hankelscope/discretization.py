@@ -6,8 +6,15 @@ and J the reflection xi -> -xi, exact for real Q and even v; see
 build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
 Both sides have about 6.2 L eigenvalues above rounding level, whatever N
-is: eigen_sym finds them on a sketched range of that width and reports the
-rest as exact zeros whose residual is the complement bound.
+is. eigen_sym first deflates the rows below rounding, which leaves the A
+side's weight core (about 10 L rows) once that is at most N/2 and the Hankel
+side whole; it solves the kept block on a sketched range of that width (or
+dense, when the width exceeds a third of the block) and reports the other
+eigenvalues, the N - kept dropped rows among them, as exact zeros. Their
+residual is the complement bound plus the deflation bound, which share the
+budget RANGE_TOL ||M||_F. Every N x N pass (assembly, the symmetry and norm
+scan, the complement) runs over cache-sized row blocks, so only the dense
+path (eigh and its residual product) allocates N x N temporaries.
 
 For the reciprocal kernel (P = 1) the Nystrom matrix is symmetric Toeplitz,
 so carleman_extremes finds its two spectral ends matrix-free: circulant-
@@ -35,6 +42,10 @@ from .transforms import LogGrid, f_transform, u_map, v_eval
 ESS_REALLINE = "R"
 ESS_HALFLINE = "[0,inf)"
 ESS_UNKNOWN = "unknown"
+
+# rows per elementwise pass over an N x N matrix: 16 rows of N = 2048 doubles
+# (256 KB) stay in cache, so no pass allocates an N x N temporary
+ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -90,22 +101,28 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
 
     No exponential can overflow, the matrix is exactly symmetric, and only
     the 2N values of g and c are transcendental: the N^2 entries are P on
-    strided views. Grids with dx > 1 raise DomainError (see
+    strided views, filled ROW_BLOCK rows at a time (sum, Horner and the
+    factor c inside one cache-sized block, so nothing N x N but the result
+    is allocated). Grids with dx > 1 raise DomainError (see
     _require_resolved); a non-finite entry raises DiscretizationError naming
     its nodes.
     """
     _require_resolved(grid)
     x, n = grid.x_nodes, grid.N
-    half = x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
+    half = sliding_window_view(x[0] + 0.5 * grid.dx * np.arange(2 * n - 1), n)
     g, c = _offset_factors(grid)
+    toeplitz_g, toeplitz_c = _toeplitz(g), _toeplitz(c)
+    entries = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        entries = kernel.profile(sliding_window_view(half, n) + _toeplitz(g))
-        entries *= _toeplitz(c)
-    bad = ~np.isfinite(entries)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), entries.shape)
-        raise DiscretizationError(
-            f"non-finite kernel entry at nodes (x={x[i]:.6g}, y={x[j]:.6g})")
+        for i in range(0, n, ROW_BLOCK):
+            rows = slice(i, i + ROW_BLOCK)
+            block = np.multiply(kernel.profile(half[rows] + toeplitz_g[rows]), toeplitz_c[rows],
+                                out=entries[rows])
+            bad = ~np.isfinite(block)
+            if np.any(bad):
+                bi, j = np.unravel_index(int(np.argmax(bad)), block.shape)
+                raise DiscretizationError(
+                    f"non-finite kernel entry at nodes (x={x[i + bi]:.6g}, y={x[j]:.6g})")
     return DiscreteOperator(matrix=entries, grid=grid)
 
 
@@ -179,46 +196,109 @@ def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return q, m @ q
 
 
-def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectrum of a symmetric/Hermitian discrete operator from one
-    Rayleigh-Ritz step on a sketched range Q of about sketch_width(L)
-    columns.
+def _row_scan(m: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """One pass over m in ROW_BLOCK-row blocks: the symmetry defect
+    max|m - m^H| over the upper triangle (no full transpose), max|m| and the
+    squared row norms. np.max over the block maxima, so a NaN propagates."""
+    n = m.shape[0]
+    starts = range(0, n, ROW_BLOCK)
+    defect, peak, row_sq = np.empty(len(starts)), np.empty(len(starts)), np.empty(n)
+    for b, i in enumerate(starts):
+        rows = m[i:i + ROW_BLOCK]
+        defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].conj().T))
+        peak[b] = np.max(np.abs(rows))
+        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows.conj()).real
+    return float(np.max(defect)), float(np.max(peak)), row_sq
 
-    The width doubles until the complement bound ||M - (MQ) Q^T||_F is at
-    most RANGE_TOL ||M||_F. It covers ||M z|| for every unit z orthogonal to
-    Q, so the other N - width eigenvalues are reported as exact zeros with
-    that bound as their residual; the Ritz pairs (theta, QS) of Q^T M Q carry
-    explicit residuals. Each reported value is within its residual of an
-    eigenvalue of M. Once the width exceeds N/3 (where a sketch stops paying:
-    it breaks even near 0.45 N), Q is the identity and this is the dense
-    eigh. A non-finite eigenvalue or residual raises ConvergenceError.
+
+def _complement(m: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
+    """||M - (MQ) Q^H||_F accumulated over blocks of 8 ROW_BLOCK rows, enough
+    for each GEMM to run at speed, instead of two N x N temporaries."""
+    qh, total, step = q.conj().T, 0.0, 8 * ROW_BLOCK
+    for i in range(0, m.shape[0], step):
+        d = mq[i:i + step] @ qh
+        np.subtract(m[i:i + step], d, out=d)
+        total += float(np.vdot(d, d).real)
+    return math.sqrt(total)
+
+
+def _deflation(row_sq: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
+    """Rows to keep and delta >= ||M - PMP||_F, P the projection on them.
+
+    The rows of smallest norm are dropped while delta = sqrt(2 * sum of
+    their squared norms) <= tol / 2: M - PMP holds the dropped rows and, by
+    symmetry, the dropped columns. Returns (None, 0.0), keep every row, when
+    more than N/2 rows would stay or tol is not finite."""
+    n = row_sq.size
+    order = np.argsort(row_sq, kind="stable")
+    tail = np.sqrt(2.0 * np.cumsum(row_sq[order]))
+    drop = int(np.searchsorted(tail, 0.5 * tol, side="right"))
+    if not math.isfinite(tol) or 2 * (n - drop) > n:
+        return None, 0.0
+    return np.sort(order[drop:]), float(tail[drop - 1])
+
+
+def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
+    """Ritz pairs of m on a sketched range of width columns, doubled until
+    the complement is at most budget; once 3 * width > N, the dense eigh.
+    Returns (theta, residuals, width, complement)."""
+    n = m.shape[0]
+    while 3 * width <= n:
+        q, mq = _sketched_range(m, width)
+        complement = _complement(m, q, mq)
+        if complement <= budget:
+            break
+        width *= 2
+    else:
+        q, mq, width, complement = None, m, n, 0.0
+    try:
+        theta, s = np.linalg.eigh(m if q is None else q.conj().T @ mq)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    vecs = s if q is None else q @ s
+    return theta, np.linalg.norm(mq @ s - vecs * theta, axis=0), width, complement
+
+
+def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
+    """Full spectrum of a symmetric/Hermitian discrete operator: deflation of
+    the rows below rounding, then one Rayleigh-Ritz step on a sketched range
+    of about sketch_width(L) columns.
+
+    One row-blocked scan gives the symmetry defect, max|m| and the squared
+    row norms, whose sum is ||M||_F^2. The rows of smallest norm are dropped
+    while delta = sqrt(2 * sum of their squared norms) <= RANGE_TOL ||M||_F
+    / 2, which bounds ||M - PMP||_F for the projection P on the kept rows;
+    this deflates only when at most N/2 rows stay, else every row is kept
+    and delta = 0. The A side keeps its weight core, about 10 L rows
+    whatever N is (about 120 of 2048 at L = 12); the Hankel side keeps every
+    row.
+
+    The kept block gets the sketch: the width doubles until the complement
+    bound ||M_KK - (MQ) Q^T||_F (accumulated over row blocks) is within the
+    budget the deflation left, RANGE_TOL ||M||_F - delta. Once the width
+    exceeds a third of the block (a sketch breaks even near 0.45 N), Q is
+    the identity and this is the dense eigh. The Ritz pairs carry explicit
+    residuals plus delta; the other N - width eigenvalues, the N - kept
+    dropped rows among them, are exact zeros whose residual complement +
+    delta <= RANGE_TOL ||M||_F covers ||M z|| for every unit z orthogonal to
+    the Ritz vectors. Each reported value is within its residual of an
+    eigenvalue of M, and no product touches the dropped rows. A non-finite
+    ||M||_F never deflates; a non-finite eigenvalue or residual raises
+    ConvergenceError.
     """
     m = op.matrix
     n = m.shape[0]
-    # max |m - m^H| over the upper triangle in row blocks: no full transpose
-    sym_defect = float(np.max([np.max(np.abs(m[i:i + 128, i:] - m[i:, i:i + 128].conj().T))
-                               for i in range(0, n, 128)]))
-    if sym_defect > 1e-12 * max(float(np.max(np.abs(m))), 1e-300):
-        raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
-        width, bound = sketch_width(op.grid.L), RANGE_TOL * np.linalg.norm(m)
-        while 3 * width <= n:
-            q, mq = _sketched_range(m, width)
-            complement = np.linalg.norm(m - mq @ q.conj().T)
-            if complement <= bound:
-                break
-            width *= 2
-        else:
-            q, mq, width, complement = None, m, n, 0.0
-        try:
-            theta, s = np.linalg.eigh(m if q is None else q.conj().T @ mq)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-            raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-        vecs = s if q is None else q @ s
-        residuals = np.linalg.norm(mq @ s - vecs * theta, axis=0)
+        sym_defect, peak, row_sq = _row_scan(m)
+        if sym_defect > 1e-12 * max(peak, 1e-300):
+            raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
+        tol = RANGE_TOL * math.sqrt(float(np.sum(row_sq)))
+        keep, delta = _deflation(row_sq, tol)
+        theta, residuals, width, complement = _rayleigh_ritz(
+            m if keep is None else m[np.ix_(keep, keep)], sketch_width(op.grid.L), tol - delta)
     w = np.concatenate([theta, np.zeros(n - width)])
     order = np.argsort(w, kind="stable")
-    residuals = np.concatenate([residuals, np.full(n - width, complement)])[order]
+    residuals = np.concatenate([residuals + delta, np.full(n - width, complement + delta)])[order]
     _require_finite(w, residuals)
     return SpectrumReport(eigenvalues=w[order], residuals=residuals)
 

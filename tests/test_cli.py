@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from hankelscope import cli
 from hankelscope.cli import main
+from hankelscope.discretization import SpectrumReport
 from hankelscope.special_functions import EULER_GAMMA
 
 
@@ -129,6 +131,52 @@ class TestSpectrumCommands:
                                "--N", "128")
         doc = json.loads(out)
         assert doc["relative_gap"] < 1e-6
+
+
+class TestConstantProfileBand:
+    """For constant P = p0 the Nystrom matrix is p0 times a Toeplitz section
+    of a positive symbol at most pi (1 + eps_alias): a reported eigenvalue
+    outside p0 [0, pi (1 + eps_alias)] by more than its residual exits 3."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum-hankel", "--p", "1", "--L", "8", "--N", "256"),
+        ("spectrum-hankel", "--p", "-2.5", "--L", "14", "--N", "512"),
+        ("spectrum-hankel", "--p", "1", "--L", "32", "--N", "64"),   # dx = 1
+        ("carleman", "--L", "32", "--N", "64"),
+        ("carleman", "--L", "30", "--N", "2048")])
+    def test_computed_spectra_lie_in_the_band(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        p0 = float(argv[2]) if argv[0] == "spectrum-hankel" else 1.0
+        dx = 2.0 * doc["grid"]["L"] / doc["grid"]["N"]
+        lo, hi = sorted((0.0, p0 * math.pi * (1.0 + 2.0 / math.cosh(2.0 * math.pi ** 2 / dx))))
+        tol = doc["residual_max"] + 1e-15 * abs(p0)
+        assert lo - tol <= doc["min_eigenvalue"] <= doc["max_eigenvalue"] <= hi + tol
+
+    @pytest.mark.parametrize("p, end, value", [
+        ("1", -1, math.pi + 1e-9), ("1", 0, -1e-9),
+        ("-2.5", 0, -2.5 * math.pi - 1e-9), ("-2.5", -1, 1e-9)])
+    def test_spectrum_hankel_outside_the_band_exits_3(self, capsys, monkeypatch, p, end, value):
+        solve = cli.eigen_sym
+
+        def patched(op):
+            w = solve(op).eigenvalues.copy()
+            w[end] = value   # one end just past the band edge (dx = 1/16: eps_alias = 0)
+            return SpectrumReport(w, np.full_like(w, 1e-16))
+
+        monkeypatch.setattr(cli, "eigen_sym", patched)
+        code, out, err = run_cli(capsys, "spectrum-hankel", "--p", p, "--L", "8", "--N", "256")
+        assert code == 3 and out == ""
+        assert "outside the constant-profile band" in err
+
+    @pytest.mark.parametrize("ends", [(-1e-9, 3.0), (0.0, math.pi + 1e-9)])
+    def test_carleman_outside_the_band_exits_3(self, capsys, monkeypatch, ends):
+        report = SpectrumReport(np.array(ends), np.full(2, 1e-16))
+        monkeypatch.setattr(cli, "carleman_extremes", lambda grid: (report, 8))
+        code, out, err = run_cli(capsys, "carleman", "--L", "8", "--N", "256")
+        assert code == 3 and out == ""
+        assert "outside the constant-profile band" in err
 
 
 class TestDeterminismAndFormat:

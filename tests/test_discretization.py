@@ -8,14 +8,15 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
-from hankelscope.discretization import (DiscreteOperator, _carleman_matvec,
-                                        _lanczos_extremes, build_a_matrix,
-                                        build_hankel_matrix, carleman_extremes,
-                                        eigen_sym, form_identity_check,
-                                        identity_gap_ladder, observed_orders,
-                                        sketch_width, spectral_rules)
+from hankelscope.discretization import (RANGE_TOL, DiscreteOperator, _carleman_matvec,
+                                        _deflation, _lanczos_extremes, _offset_factors,
+                                        _toeplitz, build_a_matrix, build_hankel_matrix,
+                                        carleman_extremes, eigen_sym, form_identity_check,
+                                        identity_gap_ladder, observed_orders, sketch_width,
+                                        spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
@@ -38,7 +39,42 @@ def _meshgrid_hankel(kernel, grid):
     return grid.dx * kernel.profile(np.logaddexp(xs, ys)) / (2.0 * np.cosh(0.5 * (xs - ys)))
 
 
+def _one_shot_hankel(kernel, grid):
+    """The unblocked assembly: P(hankel(half) + toeplitz(g)) * toeplitz(c)
+    on full N x N views, with N x N temporaries."""
+    x, n = grid.x_nodes, grid.N
+    half = x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
+    g, c = _offset_factors(grid)
+    entries = kernel.profile(sliding_window_view(half, n) + _toeplitz(g))
+    entries *= _toeplitz(c)
+    return entries
+
+
 class TestHankelMatrix:
+    @pytest.mark.parametrize("L, n", [(8.0, 18), (8.0, 130), (30.0, 2048)])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_row_blocks_equal_the_one_shot_assembly(self, degree, L, n):
+        # N = 18 and 130 end in a partial block of ROW_BLOCK rows
+        kern = QuasiCarlemanKernel(poly(*((-1) ** j * (j + 2) / (j + 3)
+                                          for j in range(degree + 1))))
+        grid = LogGrid(L=L, N=n)
+        assert np.array_equal(build_hankel_matrix(kern, grid).matrix,
+                              _one_shot_hankel(kern, grid))
+
+    def test_non_finite_entry_in_a_later_block_names_its_nodes(self):
+        # P = s x with s = DBL_MAX / 8.05 overflows for arguments above 8.05;
+        # at L = 8, N = 64 (x_63 = 7.75) the first such entry in row order is
+        # row 59, column 63: logaddexp(6.75, 7.75) = 8.063, in the fourth block
+        kern = QuasiCarlemanKernel(poly(0.0, np.finfo(float).max / 8.05))
+        grid = LogGrid(L=8.0, N=64)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(_one_shot_hankel(kern, grid))
+        assert np.all(finite[:59]) and not finite[59, 63] and np.all(finite[59, :63])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match=r"x=6\.75, y=7\.75\)"):
+                build_hankel_matrix(kern, grid)
+
     @pytest.mark.parametrize("n", [64, 512])
     @pytest.mark.parametrize("L", [8.0, 30.0])
     @pytest.mark.parametrize("degree", range(5))
@@ -229,6 +265,16 @@ def _dense_eigen(m):
     return w, np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
 
 
+def _kept_rows(m):
+    """The rows eigen_sym keeps, from the row norms of m: the smallest are
+    dropped while sqrt(2 * sum of their squares) <= RANGE_TOL ||M||_F / 2,
+    and every row stays when more than N/2 would."""
+    n = m.shape[0]
+    tail = np.sqrt(2.0 * np.cumsum(np.sort(np.sum(m * m, axis=1))))
+    kept = n - int(np.sum(tail <= 0.5 * RANGE_TOL * np.linalg.norm(m)))
+    return kept if 2 * kept <= n else n
+
+
 def _rank_deficient(n, rank, seed=5):
     """Random symmetric n x n matrix of the given rank, eigenvalues of both
     signs between 0.5 and 2 in magnitude."""
@@ -263,10 +309,14 @@ class TestSketchedEigenSym:
         assert rep.residuals.max() <= 1e-13 * scale
         assert np.all(np.diff(rep.eigenvalues) >= 0.0)
         zeros = rep.eigenvalues == 0.0
-        # the phase-space width suffices on both sides, with no doubling;
-        # beyond N/3 columns the dense path runs
-        first = sketch_width(L)
-        assert n - int(zeros.sum()) == (first if 3 * first <= n else n)
+        if side.startswith("a"):
+            # the weight core is solved dense, the other rows are deflated
+            assert n - int(zeros.sum()) == _kept_rows(op.matrix)
+        else:
+            # the phase-space width suffices, with no doubling; beyond N/3
+            # columns the dense path runs
+            first = sketch_width(L)
+            assert n - int(zeros.sum()) == (first if 3 * first <= n else n)
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
 
     def test_wide_window_at_large_n_needs_no_doubling(self):
@@ -314,6 +364,49 @@ class TestSketchedEigenSym:
     def test_non_finite_residual_raises_at_sketch_size(self):
         with pytest.raises(ConvergenceError):
             eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=512)))
+
+
+class TestDeflatedEigenSym:
+    """The A side solves only its weight core: rows below rounding are
+    deflated, and the spectrum still matches the dense eigh of the whole
+    matrix."""
+
+    SYMBOLS = {"even": (0.5, 0.3, 1.0), "odd": (0.1, 1.0, 0.0, 0.4)}
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    @pytest.mark.parametrize("parity", sorted(SYMBOLS))
+    def test_weight_core_matches_dense(self, parity, n):
+        op = build_a_matrix(poly(*self.SYMBOLS[parity]), LogGrid(L=12.0, N=n))
+        rep = eigen_sym(op)
+        w = np.linalg.eigvalsh(op.matrix)
+        scale = np.abs(w).max()
+        assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * scale
+        assert rep.residuals.max() <= 1e-13 * scale
+        zeros = rep.eigenvalues == 0.0
+        kept = n - int(zeros.sum())
+        assert kept == _kept_rows(op.matrix) and kept <= n // 2
+        assert np.all(rep.residuals[zeros] <= RANGE_TOL * np.linalg.norm(op.matrix))
+
+    @pytest.mark.parametrize("L, n", [(8.0, 512), (12.0, 2048), (30.0, 2048)])
+    @pytest.mark.parametrize("side", ["hankel", "hankel-odd"])
+    def test_hankel_side_drops_no_row(self, side, L, n):
+        m = TestSketchedEigenSym.SIDES[side](LogGrid(L=L, N=n)).matrix
+        row_sq = np.sum(m * m, axis=1)
+        # even the smallest row alone is above the deflation budget
+        assert math.sqrt(2.0 * row_sq.min()) > 0.5 * RANGE_TOL * np.linalg.norm(m)
+        assert _deflation(row_sq, RANGE_TOL * np.linalg.norm(m)) == (None, 0.0)
+
+    def test_huge_entries_still_raise_at_core_size(self):
+        # ||M||_F overflows to inf: no deflation, and the residuals are inf
+        with pytest.raises(ConvergenceError):
+            eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=2048)))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_no_deflation_on_a_non_finite_norm(self, tol):
+        row_sq = np.concatenate([np.full(8, 1e-300), np.ones(2)])
+        assert _deflation(row_sq, tol) == (None, 0.0)
+        keep, delta = _deflation(row_sq, 1.0)
+        assert keep.tolist() == [8, 9] and 0.0 < delta <= 0.5
 
 
 class TestFactory:
