@@ -10,6 +10,7 @@ as an independent quadrature oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,23 +32,9 @@ class QuasiCarlemanKernel:
         if self.profile.is_zero:
             raise DomainError("kernel profile must not be identically zero")
 
-    @property
-    def degree(self) -> int:
-        return self.profile.degree
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return self.profile(np.log(t)) / t
-
-
-def _binomials(n: int) -> np.ndarray:
-    """Pascal-recurrence binomial table C[l, k] = binom(l, k); exact in float
-    for the supported orders."""
-    c = np.zeros((n + 1, n + 1))
-    c[:, 0] = 1.0
-    for l in range(1, n + 1):
-        c[l, 1:l + 1] = c[l - 1, 1:l + 1] + c[l - 1, 0:l]
-    return c
 
 
 def build_map_matrix(K: int) -> np.ndarray:
@@ -59,12 +46,17 @@ def build_map_matrix(K: int) -> np.ndarray:
         raise UnsupportedOrderError(
             f"map order {K} > {MAX_MAP_ORDER}: outside the jet accuracy budget")
     jet = build_gamma_jet(K)
-    binom = _binomials(K)
     m = np.zeros((K + 1, K + 1))
     for k in range(K + 1):
         for l in range(k, K + 1):
-            m[k, l] = binom[l, k] * jet[l - k]
+            m[k, l] = math.comb(l, k) * jet[l - k]
     return m
+
+
+def _finite(c: np.ndarray) -> RealPolynomial:
+    if not np.all(np.isfinite(c)):
+        raise DomainError("coefficient map overflows double precision for these coefficients")
+    return RealPolynomial(c)
 
 
 def p_to_q(p: RealPolynomial) -> RealPolynomial:
@@ -74,9 +66,10 @@ def p_to_q(p: RealPolynomial) -> RealPolynomial:
     """
     if p.is_zero:
         raise DomainError("p_to_q requires a nonzero polynomial")
-    q = build_map_matrix(p.degree) @ p.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = build_map_matrix(p.degree) @ p.coeffs
     q[-1] = p.coeffs[-1]  # unit diagonal: exact leading-coefficient transfer
-    return RealPolynomial(q)
+    return _finite(q)
 
 
 def q_to_p(q: RealPolynomial) -> RealPolynomial:
@@ -85,6 +78,7 @@ def q_to_p(q: RealPolynomial) -> RealPolynomial:
         raise DomainError("q_to_p requires a nonzero polynomial")
     m = build_map_matrix(q.degree)
     p = q.coeffs.copy()
-    for k in range(q.degree, -1, -1):
-        p[k] = p[k] - m[k, k + 1:] @ p[k + 1:]
-    return RealPolynomial(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(q.degree, -1, -1):
+            p[k] = p[k] - m[k, k + 1:] @ p[k + 1:]
+    return _finite(p)

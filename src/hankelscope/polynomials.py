@@ -64,22 +64,6 @@ def eval_poly(poly: RealPolynomial, x):
     return float(acc) if acc.ndim == 0 else acc
 
 
-def derivative(poly: RealPolynomial) -> RealPolynomial:
-    """Coefficient-shifted derivative; constants map to the zero polynomial."""
-    if poly.coeffs.size == 1:
-        return RealPolynomial(np.zeros(1))
-    k = np.arange(1, poly.coeffs.size)
-    return RealPolynomial(poly.coeffs[1:] * k)
-
-
-def integrate(poly: RealPolynomial) -> RealPolynomial:
-    """Antiderivative with zero constant term (inverse of derivative)."""
-    if poly.is_zero:
-        return RealPolynomial(np.zeros(1))
-    k = np.arange(1, poly.coeffs.size + 1)
-    return RealPolynomial(np.concatenate(([0.0], poly.coeffs / k)))
-
-
 @dataclass
 class NonnegativityCertificate:
     """Evidence backing a nonnegativity verdict.

@@ -275,6 +275,18 @@ class TestValidation:
         assert code == 2 and out == ""
         assert "non-finite kernel entry" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("pq", "--p", "1e308,-1e308,1e308"),
+        ("qp", "--q", "1e308,1e308,1e308"),
+        ("positivity", "--p", "-1e308,0,1e308")])
+    def test_coefficient_map_overflow_is_a_domain_error(self, capsys, argv):
+        # finite input whose image under the triangular map exceeds DBL_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "coefficient map overflows double precision" in err and "Warning" not in err
+
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")

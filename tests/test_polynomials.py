@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankelscope.errors import DomainError
-from hankelscope.polynomials import (RealPolynomial, derivative, eval_poly,
-                                     integrate, is_nonnegative_on_reals)
+from hankelscope.polynomials import RealPolynomial, eval_poly, is_nonnegative_on_reals
 
 
 def poly(*coeffs):
@@ -26,22 +25,6 @@ class TestEval:
         np.testing.assert_allclose(eval_poly(poly(1.0, 0.0, 1.0), x), 1.0 + x**2)
 
 
-class TestDerivative:
-    def test_quadratic(self):
-        np.testing.assert_array_equal(derivative(poly(1.0, -2.0, 1.0)).coeffs, [-2.0, 2.0])
-
-    def test_constant_maps_to_zero(self):
-        d = derivative(poly(7.0))
-        assert d.is_zero and list(d.coeffs) == [0.0]
-
-    def test_cubic_monomial(self):
-        np.testing.assert_array_equal(derivative(poly(0.0, 0.0, 0.0, 1.0)).coeffs, [0.0, 0.0, 3.0])
-
-    def test_degree_drops_by_one(self):
-        p = poly(1.0, 2.0, 3.0, 4.0)
-        assert derivative(p).degree == p.degree - 1
-
-
 # exact zeros or honest magnitudes: the oracle rejects polynomials whose
 # leading coefficient sits below the relative noise floor
 coeff_entry = st.one_of(
@@ -49,14 +32,6 @@ coeff_entry = st.one_of(
     st.floats(min_value=-10, max_value=10, allow_nan=False,
               allow_infinity=False).filter(lambda v: abs(v) > 1e-6))
 coeff_lists = st.lists(coeff_entry, min_size=1, max_size=9)
-
-
-@given(coeff_lists)
-def test_derivative_of_integral_is_identity(coeffs):
-    p = RealPolynomial(np.array(coeffs))
-    back = derivative(integrate(p))
-    assert back.coeffs.size == p.coeffs.size
-    np.testing.assert_allclose(back.coeffs, p.coeffs, rtol=1e-14, atol=1e-300)
 
 
 class TestTrimming:

@@ -1,6 +1,7 @@
 """Gamma machinery checks against independent oracles: scipy.special for
-gamma values, mpmath finite differences for the jet, and closed forms for
-zeta. The library itself never imports these; they are oracle-only."""
+gamma values, and mpmath for the jet table (the Abramowitz & Stegun 6.1.34
+recurrence at 60 digits, and finite differences of 1/Gamma(1-z)). The library
+itself never imports these; they are oracle-only."""
 
 import math
 
@@ -11,30 +12,19 @@ from scipy.special import gamma as sp_gamma
 from scipy.special import loggamma as sp_loggamma
 
 from hankelscope.errors import DomainError, UnsupportedOrderError
-from hankelscope.special_functions import (EULER_GAMMA, build_gamma_jet,
-                                           gamma_half_phase, log_cosh,
-                                           log_gamma, reciprocal_gamma_taylor,
-                                           zeta_em)
+from hankelscope.special_functions import (EULER_GAMMA, MAX_JET_ORDER,
+                                           build_gamma_jet, gamma_half_phase,
+                                           log_cosh, log_gamma)
 
 # frozen 25-digit references (40-digit arithmetic, independent of the library)
 GAMMA_REF = 0.5772156649015328606065121
 OMEGA2_REF = -1.311756143040507762154039  # also equals gamma^2 - pi^2/6
-ZETA3_REF = 1.2020569031595942853997
 PHASE5_REF = -0.9962999775719266713376 + 0.0859439043224032944221j
 
 
 class TestEulerGammaAndZeta:
     def test_euler_gamma(self):
         assert abs(EULER_GAMMA - GAMMA_REF) < 1e-15
-
-    def test_zeta_closed_forms(self):
-        assert abs(zeta_em(2) - math.pi**2 / 6.0) < 1e-15
-        assert abs(zeta_em(4) - math.pi**4 / 90.0) < 1e-15
-        assert abs(zeta_em(3) - ZETA3_REF) < 1e-15
-
-    def test_zeta_against_mpmath(self):
-        for s in range(2, 31):
-            assert abs(zeta_em(s) - float(mp.zeta(s))) < 1e-15
 
 
 class TestGammaJet:
@@ -67,14 +57,27 @@ class TestGammaJet:
                 ref = float(mp.diff(lambda z: 1 / mp.gamma(1 - z), 0, m))
                 assert abs(jet[m] - ref) <= 1e-13, m
 
-    def test_taylor_coeffs_match_fd_through_order_8(self):
-        # finite differences of 1/Gamma(1+w) in high precision as the oracle
-        c = reciprocal_gamma_taylor(8)
+    def test_table_against_recurrence_in_mpmath(self):
+        # A&S 6.1.34 for 1/Gamma(1+z) = sum c_n z^n: c_0 = 1, c_1 = gamma,
+        # n c_n = gamma c_{n-1} + sum_{j=2}^n (-1)^{j+1} zeta(j) c_{n-j}
+        jet = build_gamma_jet(MAX_JET_ORDER)
         with mp.workdps(60):
-            for k in range(9):
-                ref = float(mp.diff(lambda w_: 1 / mp.gamma(1 + w_), 0, k)
-                            / mp.factorial(k))
-                assert abs(c[k] - ref) < 1e-9, k
+            c = [mp.mpf(1), +mp.euler]
+            for n in range(2, MAX_JET_ORDER + 1):
+                acc = mp.euler * c[n - 1]
+                for j in range(2, n + 1):
+                    acc += (-1) ** (j + 1) * mp.zeta(j) * c[n - j]
+                c.append(acc / n)
+            ref = np.array([float((-1) ** m * mp.factorial(m) * c[m]) for m in range(len(c))])
+        ulps = np.abs(jet - ref) / np.spacing(np.abs(ref))
+        assert jet.size == 31 and ulps.max() <= 1.0, ulps
+
+    def test_returns_a_fresh_array(self):
+        first = build_gamma_jet(4)
+        kept = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(build_gamma_jet(4), kept)
+        np.testing.assert_array_equal(build_gamma_jet(MAX_JET_ORDER)[:5], kept)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
