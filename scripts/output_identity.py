@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,6 +37,25 @@ from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,  
 DELTA_WEIGHTS = {0: "1.5", 1: "0.5,-1", 2: "0.3,0,1", 3: "0.1,0.2,-0.5,1"}
 DELTA_N = (64, 256, 512)
 LOG_N = (64, 256)
+PI26 = math.pi ** 2 / 6.0
+# positivity profiles, one or more per verdict path of the oracle
+POSITIVITY = (
+    "1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2",
+    # Q = (x - gamma)^2 +- 1e-8: no real roots (Sturm) / companion fallback
+    f"{PI26 + 1e-8!r},0,1", f"{PI26 - 1e-8!r},0,1",
+    # Sturm bisection over 6 and 8 distinct simple real roots of Q
+    "420.4811864780612,421.9330081266201,206.0094801892975,71.06964880740416,"
+    "17.439081954204596,2.2132939894091974,1.0",
+    "29655.58655909014,29635.486542235307,14798.562558455382,4919.432146758467,"
+    "1220.811191405869,244.3463098582926,39.32463573836647,4.617725319212263,1.0",
+    # odd degree and negative leading coefficient: the witness scan
+    "0.5,-1,0.3,0.2,-0.7,0.4", "1,0.5,2,0.1,-1",
+    # degree 12: 6 simple real roots (Sturm), and an alternating profile
+    # (companion fallback)
+    "44498504.93839437,44493889.88337403,22242339.632493075,7411031.996399784,"
+    "1851269.147021981,369600.0303770628,61442.18079386835,8692.63564825408,"
+    "1087.2549292394374,112.12037132499239,12.363070522633395,0.6426587978818394,0.1",
+)
 
 
 def _coeffs(degree: int) -> str:
@@ -47,7 +67,7 @@ def cli_cases() -> list[list[str]]:
     for degree in range(13):
         cases.append(["pq", "--p", _coeffs(degree)])
         cases.append(["qp", "--q", _coeffs(degree)])
-    for p in ("1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2"):
+    for p in POSITIVITY + (_coeffs(12),):
         cases.append(["positivity", "--p", p])
     for n in LOG_N:
         for p in ("1", "0,1", "1.7,0,1", "0.5,-1,0.3,0.2", "1,0,-1"):

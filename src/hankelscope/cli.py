@@ -362,6 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()   # built once per process; parse_args only reads it
+
 _VALUE_FLAGS = ("--p", "--q", "--h", "--seeds")
 
 
@@ -387,7 +389,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     `coefficients` and `--seeds` into a pair of ints in `seeds`."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_negative_values(list(argv)))
+    args = _PARSER.parse_args(_merge_negative_values(list(argv)))
     coeff_flag = {"pq": "--p", "qp": "--q", "positivity": "--p",
                   "spectrum-hankel": "--p", "spectrum-a": "--q",
                   "equiv-check": "--p", "delta-eigs": "--h"}

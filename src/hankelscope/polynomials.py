@@ -4,11 +4,15 @@ Coefficients are stored lowest degree first. Degree bookkeeping trims exact
 zeros only; callers scrub numerical noise themselves. The nonnegativity test
 runs a Sturm-sequence real-root count with sign-uncertainty detection, and
 falls back to companion-matrix rooting with multiplicity clustering when the
-Sturm signs are too close to zero to trust (the touching-root boundary case).
+Sturm signs are too close to zero to trust (the touching-root boundary case)
+or the chain overflows. The chain is evaluated by Horner's rule on Python
+floats, in the operation order of np.polyval (multiply, then add; no fused
+multiply-add), so every sign count equals the numpy evaluation's bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +91,22 @@ def _cauchy_bound(coeffs: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])) if coeffs.size > 1 else 1.0
 
 
-def _scan_negative(poly: RealPolynomial, direction: float, start: float = 1.0,
-                   bound: float | None = None) -> tuple[float, float]:
-    """Scan toward the dominating infinity by doubling until poly < 0."""
-    bound = bound if bound is not None else _cauchy_bound(poly.coeffs)
-    x = direction * start
+@np.errstate(over="ignore", invalid="ignore")
+def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float]:
+    """Scan toward the dominating infinity by doubling until poly < 0; samples
+    that overflow are skipped."""
+    limit = 4.0 * _cauchy_bound(poly.coeffs) + 4.0
+    x, overflow = direction, None
     for _ in range(200):
+        x = direction * min(abs(x), limit)
         val = eval_poly(poly, x)
         if val < 0.0 and np.isfinite(val):
             return float(x), float(val)
-        x *= 2.0
-        if abs(x) > 4.0 * bound + 4.0:
-            x = direction * (4.0 * bound + 4.0)
-            val = eval_poly(poly, x)
-            if val < 0.0 and np.isfinite(val):
-                return float(x), float(val)
+        if overflow is None and not np.isfinite(val):
+            overflow = x
+        if abs(x) == limit:
             break
+        x *= 2.0
     # extreme coefficient scales put the crossing out of doubling range:
     # locate it from the outermost real companion root instead
     roots = np.roots(poly.coeffs[::-1])
@@ -112,6 +116,9 @@ def _scan_negative(poly: RealPolynomial, direction: float, start: float = 1.0,
         edge = real[0] if direction < 0 else real[-1]
         candidates.extend(direction * abs(edge) * np.array([2.0, 4.0, 16.0]))
         candidates.extend([edge - abs(edge), edge + abs(edge)])
+        if overflow is not None and direction * (overflow - edge) > 0.0:
+            # halve the way from the first overflowing sample to the root
+            candidates.extend(edge + (overflow - edge) * 0.5 ** np.arange(1, 60))
     for x in candidates:
         val = eval_poly(poly, float(x))
         if val < 0.0 and np.isfinite(val):
@@ -120,8 +127,10 @@ def _scan_negative(poly: RealPolynomial, direction: float, start: float = 1.0,
                       "the representable range")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sturm_chain(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Sturm chain with per-element max-norm scaling (signs are unchanged)."""
+    """Sturm chain with per-element max-norm scaling (signs are unchanged);
+    raises _UncertainSign if a member overflows."""
     chain = [coeffs.copy()]
     if coeffs.size > 1:
         chain.append(coeffs[1:] * np.arange(1, coeffs.size))
@@ -141,6 +150,8 @@ def _sturm_chain(coeffs: np.ndarray) -> list[np.ndarray]:
         if rem.size == 1 and rem[0] == 0.0:
             break
         chain.append(-rem)
+    if not np.isfinite(np.concatenate(chain)).all():
+        raise _UncertainSign("sturm chain overflows double precision")
     return chain
 
 
@@ -162,27 +173,37 @@ def _deepest_negative(poly: RealPolynomial,
     return best_x, best_val
 
 
-def _variations(chain: list[np.ndarray], x: float) -> int:
+def _prepared(chain: list[np.ndarray]) -> list[tuple[list[float], float, int]]:
+    """Each member as (coefficients highest degree first, max|c|, degree)."""
+    return [(c[::-1].tolist(), float(np.max(np.abs(c))), c.size - 1) for c in chain]
+
+
+def _variations(chain: list[tuple[list[float], float, int]], x: float) -> int:
+    ax = max(1.0, abs(x))
     signs = []
-    for c in chain:
-        val = float(np.polyval(c[::-1], x))
-        if np.isinf(val):
+    for i, (coeffs, cmax, deg) in enumerate(chain):
+        val = 0.0
+        for c in coeffs:   # np.polyval's operation order, on Python floats
+            val = val * x + c
+        if math.isinf(val):
             signs.append(1 if val > 0 else -1)
             continue
-        with np.errstate(over="ignore"):
-            scale = float(np.max(np.abs(c)) * np.float64(max(1.0, abs(x))) ** (c.size - 1))
-        if not np.isfinite(val) or not np.isfinite(scale) or abs(val) <= SIGN_EPS * scale:
-            if c is chain[0] and np.isfinite(scale):
+        try:
+            scale = cmax * ax ** deg
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(val) or not math.isfinite(scale) or abs(val) <= SIGN_EPS * scale:
+            if i == 0 and math.isfinite(scale):
                 # x sits on a root of p itself: count variations of the rest
                 continue
             raise _UncertainSign(f"sturm sign uncertain at x={x}")
         signs.append(1 if val > 0 else -1)
-    return int(np.sum(np.asarray(signs[:-1]) != np.asarray(signs[1:]))) if len(signs) > 1 else 0
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sturm_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
     """Decide nonnegativity for even degree, positive leading coefficient."""
-    chain = _sturm_chain(poly.coeffs)
+    chain = _prepared(_sturm_chain(poly.coeffs))
     bound = _cauchy_bound(poly.coeffs)
     v_low, v_high = _variations(chain, -bound), _variations(chain, bound)
     n_roots = v_low - v_high
@@ -244,8 +265,10 @@ def _sturm_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
         method="sturm", detail="all real roots have even multiplicity")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _companion_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
-    """Fallback: cluster companion-matrix roots and check parity per cluster."""
+    """Fallback: cluster companion-matrix roots and check parity per cluster;
+    DomainError if probes overflowed and no finite negative sample turned up."""
     roots = np.roots(poly.coeffs[::-1])
     order = np.argsort(roots.real)
     clusters: list[list[complex]] = []
@@ -254,7 +277,7 @@ def _companion_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
             clusters[-1].append(r)
         else:
             clusters.append([r])
-    n_real = 0
+    n_real, overflowed = 0, False
     for cl in clusters:
         center = complex(np.mean(cl))
         if abs(center.imag) > CLUSTER_TOL * max(1.0, abs(center)):
@@ -267,12 +290,16 @@ def _companion_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
             for h in h0 * 4.0 ** np.arange(12):
                 for x in (x0 - h, x0 + h):
                     val = eval_poly(poly, x)
-                    if val < -SIGN_EPS * np.max(np.abs(poly.coeffs)) * max(1.0, abs(x)) ** poly.degree:
+                    overflowed |= not np.isfinite(val)
+                    if np.isfinite(val) and val < (-SIGN_EPS * np.max(np.abs(poly.coeffs))
+                                                   * max(1.0, abs(x)) ** poly.degree):
                         return NonnegativityCertificate(
                             False, witness=float(x), witness_value=float(val),
                             distinct_real_roots=n_real, all_roots_even_multiplicity=False,
                             method="companion", detail="odd-multiplicity real root cluster")
             # no resolvable negative dip: treat the touch as nonnegative
+    if overflowed:
+        raise DomainError("companion root probes overflow double precision")
     return NonnegativityCertificate(
         True, distinct_real_roots=n_real, all_roots_even_multiplicity=True,
         method="companion", detail="all real root clusters have even size")

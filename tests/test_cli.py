@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hankelscope import cli
 from hankelscope.cli import main
@@ -200,6 +204,41 @@ class TestDeterminismAndFormat:
         assert doc["q_coeffs"] == [1.0]
 
 
+# stdout of `positivity --p=-1e308,1e308` before its scan warnings were
+# silenced: the verdict and every digit are unchanged
+SCAN_OVERFLOW_DOC = """{
+  "schema": "hankelscope/1",
+  "command": "positivity",
+  "input": {
+    "p_coeffs": [
+      -1e+308,
+      1e+308
+    ]
+  },
+  "q_coeffs": [
+    -1.5772156649015329e+308,
+    1e+308
+  ],
+  "positivity": {
+    "verdict": false,
+    "certificate": {
+      "method": "degree-sign",
+      "witness": 0,
+      "witness_value": -1.5772156649015329e+308,
+      "distinct_real_roots": null,
+      "all_roots_even_multiplicity": null,
+      "detail": "odd degree"
+    }
+  },
+  "essential_spectrum": "R",
+  "paper_refs": [
+    "positivity-iff-symbol-nonnegative",
+    "essential-spectrum-by-degree-parity"
+  ]
+}
+"""
+
+
 class TestValidation:
     def test_malformed_coefficients(self, capsys):
         code, _, err = run_cli(capsys, "pq", "--p", "1,abc")
@@ -287,6 +326,24 @@ class TestValidation:
         assert code == 2 and out == ""
         assert "coefficient map overflows double precision" in err and "Warning" not in err
 
+    def test_scan_overflow_finds_a_finite_witness(self, capsys):
+        # Q = 3.1e307 + 1.2e308 x - 1e308 x^2: every doubling sample and
+        # root-based candidate overflows, Q(1.5) ~ -2.2e307 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "positivity", "--p=-1e308,-1,-1e308")
+        assert code == 0 and err == ""
+        cert = json.loads(out)["positivity"]
+        assert cert["verdict"] is False
+        assert -math.inf < cert["certificate"]["witness_value"] < 0.0
+
+    def test_scan_overflow_prints_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "positivity", "--p=-1e308,1e308")
+        assert code == 0 and err == ""
+        assert out == SCAN_OVERFLOW_DOC
+
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")
@@ -298,3 +355,71 @@ class TestValidation:
             main(["pq", "--p", "1", "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main parses with one parser built at import; no call may leave state
+    in it that a later call sees."""
+
+    @staticmethod
+    def _outcome(capsys, argv, output=None):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        written = output.read_text() if output is not None and output.exists() else None
+        return code, out.out, out.err, written
+
+    def test_sequence_matches_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "eigs.json"
+        delta = ["delta-eigs", "--h", "0.5,0,1", "--t0", "1.5", "--N", "64", "--n-max", "8"]
+        equiv = ["equiv-check", "--p", "1,0.5", "--L", "12", "--N", "64"]
+        sequence = [
+            delta + ["--format", "json", "--output", str(target)],
+            delta,                      # CSV to stdout, no --output
+            equiv + ["--seeds", "3,4"],
+            equiv,                      # the default seeds 11,12
+            ["pq", "--p", "1", "--format", "csv"],   # argparse error, exit 2
+            ["pq", "--p", "1,2"],
+        ]
+        cached = []
+        for argv in sequence:
+            cached.append(self._outcome(capsys, argv, target))
+            target.unlink(missing_ok=True)
+        assert [c[0] for c in cached] == [0, 0, 0, 0, ("SystemExit", 2), 0]
+        assert cached[0][1] == "" and cached[0][3].startswith("{")
+        assert cached[1][1].startswith("eigenvalue,residual\n")
+        assert json.loads(cached[2][1])["input"]["seeds"] == [3, 4]
+        assert json.loads(cached[3][1])["input"]["seeds"] == [11, 12]
+        for argv, outcome in zip(sequence, cached):
+            monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+            assert self._outcome(capsys, argv, target) == outcome, argv
+            target.unlink(missing_ok=True)
+
+
+# extreme coefficient entries for the symbol commands; half the lists are
+# finite, so most draws get past input validation
+FINITE_EXTREMES = ("1e308", "-1e308", "5e-324", "-5e-324", "0", "1e-12", "-1e-12",
+                   repr(math.pi ** 2 / 6.0))
+EXTREMES = FINITE_EXTREMES + ("nan", "inf", "-inf")
+QUOTED_NON_FINITE = re.compile(r'"-?(nan|inf)"')
+
+
+@given(st.sampled_from(("pq", "qp", "positivity")),
+       st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=14),
+                 st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=14)))
+@settings(max_examples=200, deadline=None)
+def test_symbol_commands_on_extreme_coefficients(command, coeffs):
+    flag = "--q" if command == "qp" else "--p"
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, f"{flag}={','.join(coeffs)}"])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert not QUOTED_NON_FINITE.search(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "convergence"))
