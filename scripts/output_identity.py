@@ -3,8 +3,9 @@
 
 Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
 each run's exit code, stdout and stderr, covering all eight commands; it also
-hashes the bytes of ``h_squared_spectrum`` and of the reduced collocation
-matrix returned by ``build_reflection_operator``. Imports the package from
+hashes the bytes of ``h_squared_spectrum``, of the reduced collocation
+matrix returned by ``build_reflection_operator`` and of the A-side matrix
+returned by ``build_a_matrix``. Imports the package from
 the ``src/`` next to this script, so running it in two checkouts and diffing
 the listings shows whether a change moved any output by a single bit:
 
@@ -33,10 +34,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hankelscope.cli import main  # noqa: E402
 from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,  # noqa: E402
                                        h_squared_spectrum)
+from hankelscope.discretization import build_a_matrix  # noqa: E402
+from hankelscope.polynomials import RealPolynomial  # noqa: E402
+from hankelscope.transforms import LogGrid  # noqa: E402
 
 DELTA_WEIGHTS = {0: "1.5", 1: "0.5,-1", 2: "0.3,0,1", 3: "0.1,0.2,-0.5,1"}
 DELTA_N = (64, 256, 512)
 LOG_N = (64, 256)
+A_SYMBOLS = ("0.5,0.3,1", "0.1,1,0,0.4")
+A_N = (64, 256, 1024)
 PI26 = math.pi ** 2 / 6.0
 # positivity profiles, one or more per verdict path of the oracle
 POSITIVITY = (
@@ -112,6 +118,11 @@ def main_listing() -> None:
         for n in DELTA_N:
             _, reduced = build_reflection_operator(kernel, n)
             print(_digest(reduced.tobytes()), f"build_reflection_operator K={k} N={n}")
+    for q in A_SYMBOLS:
+        symbol = RealPolynomial([float(t) for t in q.split(",")])
+        for n in A_N:
+            matrix = build_a_matrix(symbol, LogGrid(L=12.0, N=n)).matrix
+            print(_digest(matrix.tobytes()), f"build_a_matrix q={q} L=12 N={n}")
 
 
 if __name__ == "__main__":

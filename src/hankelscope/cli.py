@@ -8,10 +8,11 @@ eigenvalue,residual list. Identical configurations produce bit-identical
 output (fixed seeds, fixed solver order). Exit codes: 0 success, 2
 validation error (including a log grid with dx = 2L/N > 1, too coarse for
 the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
-small that the collocation derivative powers overflow, --seeds that are not
-two integers, and an unwritable --output), 3 numerical-convergence failure
-(including a non-finite eigenvalue or residual, and a spectrum-hankel or
-carleman eigenvalue of a constant profile P = p0 outside the Toeplitz band
+small that the collocation derivative powers overflow, a coefficient list
+with an empty entry, --seeds that are not two integers >= 0, and an
+unwritable --output), 3 numerical-convergence failure (including a
+non-finite eigenvalue or residual, and a spectrum-hankel or carleman
+eigenvalue of a constant profile P = p0 outside the Toeplitz band
 p0 [0, pi (1 + eps_alias)] by more than its residual).
 
 carleman computes only the two ends of its spectrum, by one Lanczos run on
@@ -56,9 +57,10 @@ EXIT_CONVERGENCE = 3
 
 
 def _format_real(x: float) -> str:
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
+    x = float(x)   # repr(np.float64("nan")) is "np.float64(nan)", not "nan"
+    if math.isnan(x) or math.isinf(x):
         return '"%s"' % repr(x)
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -71,13 +73,10 @@ def _dumps(obj, indent: int = 0) -> str:
         items = ",\n".join(f'{inner}"{k}": {_dumps(v, indent + 1)}' for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+        if len(obj) == 0:
             return "[]"
-        if all(type(v) is float for v in seq):   # eigenvalue lists: no call per element
-            items = ",\n".join(inner + _format_real(v) for v in seq)
-        else:
-            items = ",\n".join(f"{inner}{_dumps(v, indent + 1)}" for v in seq)
+        items = ",\n".join(inner + (_format_real(v) if isinstance(v, float)
+                                     else _dumps(v, indent + 1)) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
@@ -111,7 +110,7 @@ def _write(text: str, args: argparse.Namespace) -> None:
 
 def _parse_reals(text: str, flag: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise HankelscopeError(f"malformed coefficient list for {flag}: {text!r}")
     if not vals or not all(math.isfinite(v) for v in vals):
@@ -399,8 +398,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     if hasattr(args, "seeds"):
         try:
             first, second = (int(tok) for tok in args.seeds.split(","))
+            if min(first, second) < 0:   # np.random.default_rng rejects it
+                raise ValueError
         except ValueError:
-            raise HankelscopeError("--seeds needs exactly two integers") from None
+            raise HankelscopeError("--seeds needs exactly two integers, both >= 0") from None
         args.seeds = (first, second)
     return args
 

@@ -126,7 +126,7 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
     return DiscreteOperator(matrix=entries, grid=grid)
 
 
-def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> DiscreteOperator:
+def build_a_matrix(q: RealPolynomial, grid: LogGrid) -> DiscreteOperator:
     """Spectral model V Q(D_N) V on the xi-nodes, D = i d/d xi, as a real
     symmetric matrix.
 
@@ -137,20 +137,16 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
 
         (U* V C V U)_ab = v_a v_b [Re c_{(a-b) mod N} - Im c_{(a+b) mod N}]
 
-    with the spectrum, trace and Frobenius norm of V C V. The weight must be
-    even on the grid (v[J] == v, as v_eval is bitwise); a v_override whose
-    result is not even or not shaped like the grid raises DomainError. Taking
-    the even part of Re c makes the result exactly symmetric.
+    with the spectrum, trace and Frobenius norm of V C V, filled ROW_BLOCK
+    rows at a time. The weight must be even on the grid (v[J] == v, as v_eval
+    is bitwise), else DomainError. Taking the even part of Re c makes the
+    result exactly symmetric.
     """
     if q.is_zero:
         raise DomainError("build_a_matrix requires a nonzero symbol polynomial")
     n = grid.N
     reflect = -np.arange(n) % n
-    v = v_eval(grid.xi_nodes) if v_override is None \
-        else np.asarray(v_override(grid.xi_nodes), dtype=float)
-    if v.shape != grid.xi_nodes.shape:
-        raise DomainError(f"weight must be shaped like the xi-grid {grid.xi_nodes.shape}, "
-                          f"got {v.shape}")
+    v = v_eval(grid.xi_nodes)
     if not np.array_equal(v[reflect], v):
         raise DomainError("the real a-side model needs a weight even on the xi-grid")
     x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)
@@ -160,7 +156,11 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid, v_override=None) -> Discret
     # even); row a of Im c[(a + b) mod N] is window a of [Im c, Im c]
     circulant = sliding_window_view(np.tile(even, 2), n)[n:0:-1]
     anticirculant = sliding_window_view(np.tile(c.imag, 2), n)[:n]
-    m = np.multiply.outer(v, v) * (circulant - anticirculant)
+    m = np.empty((n, n))
+    for i in range(0, n, ROW_BLOCK):
+        rows = slice(i, i + ROW_BLOCK)
+        np.multiply(np.multiply.outer(v[rows], v), circulant[rows] - anticirculant[rows],
+                    out=m[rows])
     return DiscreteOperator(matrix=m, grid=grid)
 
 
@@ -198,27 +198,27 @@ def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_scan(m: np.ndarray) -> tuple[float, float, np.ndarray]:
     """One pass over m in ROW_BLOCK-row blocks: the symmetry defect
-    max|m - m^H| over the upper triangle (no full transpose), max|m| and the
+    max|m - m^T| over the upper triangle (no full transpose), max|m| and the
     squared row norms. np.max over the block maxima, so a NaN propagates."""
     n = m.shape[0]
     starts = range(0, n, ROW_BLOCK)
     defect, peak, row_sq = np.empty(len(starts)), np.empty(len(starts)), np.empty(n)
     for b, i in enumerate(starts):
         rows = m[i:i + ROW_BLOCK]
-        defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].conj().T))
+        defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].T))
         peak[b] = np.max(np.abs(rows))
-        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows.conj()).real
+        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows)
     return float(np.max(defect)), float(np.max(peak)), row_sq
 
 
 def _complement(m: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
-    """||M - (MQ) Q^H||_F accumulated over blocks of 8 ROW_BLOCK rows, enough
+    """||M - (MQ) Q^T||_F accumulated over blocks of 8 ROW_BLOCK rows, enough
     for each GEMM to run at speed, instead of two N x N temporaries."""
-    qh, total, step = q.conj().T, 0.0, 8 * ROW_BLOCK
+    qt, total, step = q.T, 0.0, 8 * ROW_BLOCK
     for i in range(0, m.shape[0], step):
-        d = mq[i:i + step] @ qh
+        d = mq[i:i + step] @ qt
         np.subtract(m[i:i + step], d, out=d)
-        total += float(np.vdot(d, d).real)
+        total += float(np.vdot(d, d))
     return math.sqrt(total)
 
 
@@ -252,7 +252,7 @@ def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
     else:
         q, mq, width, complement = None, m, n, 0.0
     try:
-        theta, s = np.linalg.eigh(m if q is None else q.conj().T @ mq)
+        theta, s = np.linalg.eigh(m if q is None else q.T @ mq)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     vecs = s if q is None else q @ s
@@ -260,7 +260,7 @@ def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
 
 
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectrum of a symmetric/Hermitian discrete operator: deflation of
+    """Full spectrum of a real symmetric discrete operator: deflation of
     the rows below rounding, then one Rayleigh-Ritz step on a sketched range
     of about sketch_width(L) columns.
 
@@ -388,7 +388,6 @@ class FactoryTestFunction:
         self.window = (grid.L / 8.0) * (0.95 + 0.10 * rng.random())
         self.center = -1.0 + 2.0 * rng.random()
         self.modulation = -2.0 + 4.0 * rng.random()
-        self.seed = seed
 
     def log_profile(self, x):
         """The profile phi evaluated in the logarithmic variable."""
@@ -413,14 +412,13 @@ class IdentityCheck:
     violation: bool  # gap above the discretization-adequacy threshold
 
 
-def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid,
-                        pad: int = 3) -> IdentityCheck:
+def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityCheck:
     """Compare (H f1, f2) against (A F f1, F f2) on one grid.
 
     lhs: double log-variable quadrature of the integral operator.
     rhs: single quadrature of v * Q(D)(v * Ff1) * conj(Ff2) with the spectral
-    derivative, evaluated on a pad-times zero-extended grid: the xi-sampling
-    error of the weight decays like exp(-pad * L), while the x-extension adds
+    derivative, evaluated on the 3-times zero-extended grid: the xi-sampling
+    error of the weight decays like exp(-3 L), while the x-extension adds
     nothing because the integrands already vanish at the window edge.
     A gap above 1e-3 flags discretization inadequacy (violation), not a math
     failure.
@@ -431,7 +429,7 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid,
     hm = build_hankel_matrix(kernel, grid).matrix
     lhs = complex(grid.dx * np.vdot(u2.values, hm @ u1.values))
 
-    grid_p = LogGrid(L=pad * grid.L, N=pad * grid.N)
+    grid_p = LogGrid(L=3 * grid.L, N=3 * grid.N)
     g1 = f_transform(f1, grid_p)
     g2 = f_transform(f2, grid_p)
     v = v_eval(g1.coords)
@@ -443,39 +441,6 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid,
     scale = max(abs(lhs), abs(rhs))
     gap = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
     return IdentityCheck(lhs=lhs, rhs=rhs, relative_gap=gap, violation=gap > 1e-3)
-
-
-def identity_gap_ladder(p: RealPolynomial, seed1: int, seed2: int, L: float,
-                        n_ladder=(32, 64, 128, 256, 512, 1024)) -> list[tuple[int, float]]:
-    """Relative identity gap across a dyadic resolution ladder at fixed L.
-
-    Factory functions are re-seeded per grid so the profile is identical; the
-    gap decays spectrally until it reaches the rounding/truncation floor.
-    """
-    out = []
-    for n in n_ladder:
-        grid = LogGrid(L=L, N=n)
-        f1 = FactoryTestFunction(seed1, grid)
-        f2 = FactoryTestFunction(seed2, grid)
-        out.append((n, form_identity_check(p, f1, f2, grid).relative_gap))
-    return out
-
-
-def observed_orders(ladder: list[tuple[int, float]], floor: float = 1e-11):
-    """log2 gap ratios for consecutive ladder pairs above the rounding floor.
-
-    Returns (orders, converged): pairs with both gaps below the floor carry no
-    order information; if every pair is below the floor the sequence is
-    reported as converged.
-    """
-    orders = []
-    measurable = False
-    for (_, g0), (_, g1) in zip(ladder[:-1], ladder[1:]):
-        if g0 > floor and g1 > 0.0:
-            orders.append(math.log2(g0 / max(g1, 1e-300)))
-            measurable = True
-    converged = not measurable and all(g <= floor for _, g in ladder)
-    return orders, converged
 
 
 def essential_spectrum(p: RealPolynomial) -> str:

@@ -31,7 +31,6 @@ _JET = np.array([
     -70086076641.08212, -151583726590.44205, 35473637108.82347,
 ])
 MAX_JET_ORDER = len(_JET) - 1
-EULER_GAMMA = float(-_JET[1])
 
 # Lanczos approximation, g = 7, 9 terms
 _LANCZOS_G = 7.0

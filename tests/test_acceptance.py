@@ -27,12 +27,12 @@ from hankelscope.delta_spectra import (DeltaKernel, branches, delta_spectrum,
                                        exact_delta_prime_eigs)
 from hankelscope.discretization import (build_a_matrix, build_hankel_matrix,
                                         carleman_extremes, eigen_sym,
-                                        form_identity_check,
-                                        identity_gap_ladder, observed_orders)
+                                        form_identity_check)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.polynomials import RealPolynomial
 from hankelscope.special_functions import log_gamma
 from hankelscope.transforms import GridFunction, LogGrid, f_transform, mellin, u_map, v_eval
+from identity_ladder import identity_gap_ladder, observed_orders
 
 
 def poly(*coeffs):
@@ -131,8 +131,8 @@ def test_criterion_4_unitary_equivalence_identity():
             worst = max(worst, chk.relative_gap)
     gaps_ok = worst < 1e-6
 
-    ladder = identity_gap_ladder(poly(1.0, -0.5, 0.25), 11, 12, L=12.0,
-                                 n_ladder=(32, 64, 128, 256, 512, 1024, 2048))
+    ladder = identity_gap_ladder(poly(1.0, -0.5, 0.25), 11, 12, 12.0,
+                                 (32, 64, 128, 256, 512, 1024, 2048))
     orders, converged = observed_orders(ladder)
     order_ok = converged or (bool(orders) and max(orders) >= 2.0)
     detail_ladder = ", ".join(f"N={n}:{g:.1e}" for n, g in ladder)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from hankelscope import cli
 from hankelscope.cli import main
 from hankelscope.discretization import SpectrumReport
-from hankelscope.special_functions import EULER_GAMMA
 
 
 def run_cli(capsys, *argv):
@@ -27,14 +26,14 @@ class TestCoefficientCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == "hankelscope/1"
-        np.testing.assert_allclose(doc["q_coeffs"], [1.0 - 2.0 * EULER_GAMMA, 2.0],
+        np.testing.assert_allclose(doc["q_coeffs"], [1.0 - 2.0 * np.euler_gamma, 2.0],
                                    atol=1e-14)
         assert isinstance(doc["paper_refs"], list) and doc["paper_refs"]
 
     def test_qp_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "qp", "--q", "1,2")
         doc = json.loads(out)
-        np.testing.assert_allclose(doc["p_coeffs"], [1.0 + 2.0 * EULER_GAMMA, 2.0],
+        np.testing.assert_allclose(doc["p_coeffs"], [1.0 + 2.0 * np.euler_gamma, 2.0],
                                    atol=1e-14)
 
     def test_leading_negative_coefficient_accepted(self, capsys):
@@ -194,7 +193,7 @@ class TestDeterminismAndFormat:
     def test_reals_serialized_17_digits(self, capsys):
         _, out, _ = run_cli(capsys, "pq", "--p", "1,2")
         # gamma-dependent value needs all 17 significant digits
-        assert format(1.0 - 2.0 * EULER_GAMMA, ".17g") in out
+        assert format(1.0 - 2.0 * np.euler_gamma, ".17g") in out
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "out.json"
@@ -202,6 +201,36 @@ class TestDeterminismAndFormat:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text())
         assert doc["q_coeffs"] == [1.0]
+
+    def test_list_elements_of_every_kind(self):
+        # np.float64 is a float subclass: it prints like a float, non-finite
+        # values as "inf"/"nan" strings, in a mixed list and in an all-float one
+        payload = {
+            "mixed": [np.float64(0.1), 1.5, 2, True, None, 'a"b',
+                      {"k": np.float64(-np.inf)}, np.float64(np.nan)],
+            "floats": list(np.array([1.0 / 3.0, -2.5e-300, np.inf])),
+            "empty": [],
+        }
+        assert cli._dumps(payload) == """{
+  "mixed": [
+    0.10000000000000001,
+    1.5,
+    2,
+    true,
+    null,
+    "a\\"b",
+    {
+      "k": "-inf"
+    },
+    "nan"
+  ],
+  "floats": [
+    0.33333333333333331,
+    -2.5e-300,
+    "inf"
+  ],
+  "empty": []
+}"""
 
 
 # stdout of `positivity --p=-1e308,1e308` before its scan warnings were
@@ -254,6 +283,13 @@ class TestValidation:
         code, _, _ = run_cli(capsys, "positivity", "--p", ",")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "1, ,2"])
+    def test_empty_coefficient_token(self, capsys, text):
+        # every comma-separated token is a coefficient; none is dropped
+        code, out, err = run_cli(capsys, "pq", "--p", text)
+        assert code == 2 and out == ""
+        assert "malformed coefficient list for --p" in err
+
     @pytest.mark.parametrize("argv", [
         ("carleman", "--L", "1e6", "--N", "64"),
         ("spectrum-hankel", "--p", "1", "--L", "1e6", "--N", "64")])
@@ -286,6 +322,15 @@ class TestValidation:
                                  "--N", "64", "--L", "4")
         assert code == 2 and out == ""
         assert "--seeds needs exactly two integers" in err
+
+    @pytest.mark.parametrize("seeds", [("--seeds=-1,2",), ("--seeds", "-1,2"),
+                                       ("--seeds", "3,-4")])
+    def test_negative_seeds(self, capsys, seeds):
+        # np.random.default_rng rejects a negative seed with a traceback
+        code, out, err = run_cli(capsys, "equiv-check", "--p", "1", *seeds,
+                                 "--N", "64", "--L", "4")
+        assert code == 2 and out == ""
+        assert "--seeds needs exactly two integers" in err and ">= 0" in err
 
     def test_unwritable_output(self, capsys, tmp_path):
         for target in (tmp_path / "missing" / "out.json", tmp_path):

@@ -13,9 +13,8 @@ from hankelscope.coeff_map import (QuasiCarlemanKernel, build_map_matrix,
                                    p_to_q, q_to_p)
 from hankelscope.errors import DomainError, UnsupportedOrderError
 from hankelscope.polynomials import RealPolynomial, eval_poly
-from hankelscope.special_functions import EULER_GAMMA
 
-GAMMA = EULER_GAMMA
+GAMMA = np.euler_gamma
 PI26 = math.pi**2 / 6.0
 
 
