@@ -6,8 +6,10 @@ Collocation uses Chebyshev-Gauss-Lobatto nodes, which are symmetric about
 t0/2, so the argument reflection is a reversal of the node order: R D^k is
 D^k with its rows flipped. Both the reflection route and the squared-operator
 route impose their boundary conditions through one helper that projects onto
-the null space of the row-normalized constraint rows (basis recombination),
-keeping the reduced eigenproblem square.
+the null space of the row-normalized constraint rows (basis recombination,
+from one SVD), keeping the reduced eigenproblem square. The SVD and the
+dense non-symmetric eigensolves run on numpy.linalg, so delta-eigs starts
+without loading SciPy.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig as dense_eig
-from scipy.linalg import null_space
+from numpy.linalg import eig as dense_eig
 
 from .discretization import SpectrumReport, _require_finite
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
@@ -101,13 +102,18 @@ def _null_space_basis(rows: np.ndarray) -> np.ndarray:
 
     Each row is scaled to unit norm first: row scaling preserves the row space
     but makes rank detection and null-space extraction well posed when
-    derivative orders mix.
+    derivative orders mix. The rank tolerance s_max max(shape) eps is the
+    one numpy's matrix_rank and SciPy's null_space share. The basis is
+    returned in C order: the layout of basis sets the rounding of
+    basis.T @ m @ basis.
     """
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     scaled = rows / np.where(norms > 0.0, norms, 1.0)
-    if np.linalg.matrix_rank(scaled) < rows.shape[0]:
+    k = rows.shape[0]
+    _, s, vh = np.linalg.svd(scaled)
+    if np.count_nonzero(s > s.max() * max(scaled.shape) * np.finfo(float).eps) < k:
         raise DiscretizationError("boundary-condition rows are rank deficient")
-    return null_space(scaled)
+    return np.ascontiguousarray(vh[k:].T)
 
 
 def build_reflection_operator(kernel: DeltaKernel, n: int
@@ -221,6 +227,6 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
                 row += (-1.0) ** l * hl * powers[k + l][-1, :]
         rows.append(row)
     basis = _null_space_basis(np.array(rows))
-    w = dense_eig(basis.T @ m @ basis, right=False)
+    w = np.linalg.eigvals(basis.T @ m @ basis)
     keep = np.abs(w.imag) <= RELATIVE_IMAG_TOL * np.maximum(np.abs(w), 1e-300)
     return np.sort(w.real[keep & (w.real > 0.0)])

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh_tridiagonal
 
 from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
@@ -327,6 +326,9 @@ def _lanczos_extremes(matvec, v0: np.ndarray):
     steps) with theta = [lambda_min, lambda_max] and the explicit residuals
     ||M y - theta y|| of the Ritz vectors, one matvec each.
     """
+    # imported here: SciPy takes ~0.3 s to load, and only carleman needs it
+    from scipy.linalg import eigh_tridiagonal
+
     n = v0.size
     basis = np.empty((min(n, 64), n))
     basis[0] = v0 / np.linalg.norm(v0)

@@ -3,7 +3,11 @@ line imports from it, plus the error types and the version."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +46,31 @@ def test_branches_splits_an_ascending_spectrum():
     # delta-eigs reads lambda_plus and lambda_minus through this export
     plus, minus = hankelscope.branches(np.array([-3.0, -1.0, 2.0, 5.0]))
     assert plus.tolist() == [2.0, 5.0] and minus.tolist() == [-1.0, -3.0]
+
+
+def test_only_carleman_loads_scipy():
+    # SciPy takes ~0.3 s to import; every other command must start without it
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from hankelscope import cli
+        runs = [
+            ["pq", "--p", "1,2"], ["qp", "--q", "1,2"], ["positivity", "--p", "1.7,0,1"],
+            ["spectrum-hankel", "--p", "1", "--L", "8", "--N", "64"],
+            ["spectrum-a", "--q", "1", "--L", "8", "--N", "64"],
+            ["equiv-check", "--p", "1,0.5", "--L", "12", "--N", "64", "--seeds", "11,12"],
+            ["delta-eigs", "--h", "0,1", "--t0", "1", "--N", "32", "--n-max", "4"],
+            ["carleman", "--L", "8", "--N", "64"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(argv[0], code, "scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(hankelscope.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {cmd: (code, flag) for cmd, code, flag in map(str.split, proc.stdout.splitlines())}
+    assert loaded == {cmd: ("0", "False") for cmd in (
+        "pq", "qp", "positivity", "spectrum-hankel", "spectrum-a", "equiv-check",
+        "delta-eigs")} | {"carleman": ("0", "True")}

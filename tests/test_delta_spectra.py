@@ -52,18 +52,37 @@ class TestNodesAndModel:
 MIXED_WEIGHTS = [[-1.5], [0.5, -1.0], [0.3, -0.2, 1.0], [0.1, 0.0, -0.5, 2.0]]
 
 
+def oracle_powers(kernel, n, order):
+    """[I, D, ..., D^order] by repeated products with the negative-sum
+    diagonal."""
+    _, d = chebyshev_lobatto(n, kernel.t0)
+    powers = [np.eye(n)]
+    for _ in range(order):
+        nxt = d @ powers[-1]
+        np.fill_diagonal(nxt, 0.0)
+        np.fill_diagonal(nxt, -nxt.sum(axis=1))
+        powers.append(nxt)
+    return powers
+
+
+def boundary_rows(kernel, n, squared):
+    """The K left-endpoint rows f^(k)(0), followed on the squared route by
+    the K right-endpoint rows sum_l (-1)^l h_l f^(k+l)(t0)."""
+    k_ord = kernel.order
+    powers = oracle_powers(kernel, n, 2 * k_ord if squared else k_ord)
+    rows = [powers[k][0, :] for k in range(k_ord)]
+    if squared:
+        rows += [sum((-1.0) ** l * hl * powers[k + l][-1, :]
+                     for l, hl in enumerate(kernel.h_coeffs)) for k in range(k_ord)]
+    return np.array(rows)
+
+
 def reflection_oracle(kernel, n):
     """First-principles assembly: derivative powers by repeated products with
     the negative-sum diagonal, the reflection as an explicit permutation
     matrix, and projection onto the null space of the row-normalized
     boundary rows (identity basis for K = 0)."""
-    _, d = chebyshev_lobatto(n, kernel.t0)
-    powers = [np.eye(n)]
-    for _ in range(kernel.order):
-        nxt = d @ powers[-1]
-        np.fill_diagonal(nxt, 0.0)
-        np.fill_diagonal(nxt, -nxt.sum(axis=1))
-        powers.append(nxt)
+    powers = oracle_powers(kernel, n, kernel.order)
     refl = np.eye(n)[::-1]
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
@@ -98,6 +117,19 @@ class TestReflectionAssembly:
         for k in range(k_ord):
             row = np.linalg.matrix_power(d, k)[0, :]
             assert np.abs(row @ basis).max() <= 1e-12 * np.linalg.norm(row)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("squared", [False, True], ids=["reflection", "squared"])
+    @pytest.mark.parametrize("h", MIXED_WEIGHTS[1:], ids=["K1", "K2", "K3"])
+    def test_basis_is_scipy_null_space_bit_for_bit(self, h, squared, n):
+        # layout matters as well as values: matmul copies SciPy's strided
+        # view to C order, while a Fortran-ordered basis with the same values
+        # rounds basis.T @ m @ basis differently
+        rows = boundary_rows(DeltaKernel(h, 1.5), n, squared)
+        basis = _null_space_basis(rows)
+        ref = null_space(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        assert basis.flags.c_contiguous
+        assert np.array_equal(basis, ref)
 
     @pytest.mark.parametrize("rows", [[[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]],
                                       [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]],
