@@ -18,7 +18,9 @@ p0 [0, pi (1 + eps_alias)] by more than its residual).
 carleman computes only the two ends of its spectrum, by one Lanczos run on
 the Toeplitz matrix of the reciprocal kernel: its residual_max covers those
 two eigenpairs, and min_eigenvalue is the converged bottom Ritz value, at
-rounding level.
+rounding level. The run's tridiagonal ends come from an O(m) Laguerre
+iteration and twisted factorization (Li & Zeng 1994; Parlett & Dhillon
+1997), so no command imports SciPy.
 
 spectrum-hankel and spectrum-a report every eigenvalue from one
 Rayleigh-Ritz step on a sketched range of about 6.2 L + 32 columns, after

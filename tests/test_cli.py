@@ -468,3 +468,21 @@ def test_symbol_commands_on_extreme_coefficients(command, coeffs):
         assert err.getvalue() == ""
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "convergence"))
+
+
+@given(st.floats(0.25, 60.0), st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_carleman_on_small_grids(L, k):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["carleman", "--L", repr(L), "--N", str(2 ** k)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert doc["min_eigenvalue"] >= -1e-12 * math.pi
+        assert doc["max_eigenvalue"] < math.pi
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "convergence"))
