@@ -48,17 +48,21 @@ PI26 = math.pi ** 2 / 6.0
 # positivity profiles, one or more per verdict path of the oracle
 POSITIVITY = (
     "1.7,0,1", "1.5,0,1", "0.5,1,0.3,0.2",
-    # Q = (x - gamma)^2 +- 1e-8: no real roots (Sturm) / companion fallback
+    # Q = (x - gamma)^2 +- 1e-8 and +- 1e-13: one critical point, the vertex,
+    # whose value is positive or a witness; 1e-13 is about 1000 times
+    # Horner's rounding bound there
     f"{PI26 + 1e-8!r},0,1", f"{PI26 - 1e-8!r},0,1",
-    # Sturm bisection over 6 and 8 distinct simple real roots of Q
+    f"{PI26 + 1e-13!r},0,1", f"{PI26 - 1e-13!r},0,1",
+    # 6 and 8 distinct simple real roots of Q: the deepest of 5 and 7
+    # critical values is the witness
     "420.4811864780612,421.9330081266201,206.0094801892975,71.06964880740416,"
     "17.439081954204596,2.2132939894091974,1.0",
     "29655.58655909014,29635.486542235307,14798.562558455382,4919.432146758467,"
     "1220.811191405869,244.3463098582926,39.32463573836647,4.617725319212263,1.0",
     # odd degree and negative leading coefficient: the witness scan
     "0.5,-1,0.3,0.2,-0.7,0.4", "1,0.5,2,0.1,-1",
-    # degree 12: 6 simple real roots (Sturm), and an alternating profile
-    # (companion fallback)
+    # degree 12: 6 simple real roots, and (below, _coeffs(12)) an alternating
+    # profile
     "44498504.93839437,44493889.88337403,22242339.632493075,7411031.996399784,"
     "1851269.147021981,369600.0303770628,61442.18079386835,8692.63564825408,"
     "1087.2549292394374,112.12037132499239,12.363070522633395,0.6426587978818394,0.1",

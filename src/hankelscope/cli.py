@@ -122,7 +122,7 @@ def _parse_reals(text: str, flag: str) -> list[float]:
 
 def _require_pow2(n: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
-        raise HankelscopeError(f"--N must be a power of two for FFT-based commands, got {n}")
+        raise HankelscopeError(f"--N must be a power of two >= 2 for FFT-based commands, got {n}")
 
 
 def _spectrum_payload(report, args: argparse.Namespace) -> dict:
@@ -155,9 +155,7 @@ def _require_in_band(report, p0: float, grid: LogGrid) -> None:
 
 def _certificate(cert) -> dict:
     return {"method": cert.method, "witness": cert.witness,
-            "witness_value": cert.witness_value,
-            "distinct_real_roots": cert.distinct_real_roots,
-            "all_roots_even_multiplicity": cert.all_roots_even_multiplicity}
+            "witness_value": cert.witness_value}
 
 
 def _cmd_pq(args: argparse.Namespace) -> dict:
@@ -330,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_grid(sp):
         sp.add_argument("--L", type=float, default=12.0, help="log-grid half-width")
-        sp.add_argument("--N", type=int, default=1024, help="sample count (power of two)")
+        sp.add_argument("--N", type=int, default=1024, help="sample count (power of two >= 2)")
 
     sp = sub.add_parser("pq", help="map kernel-profile coefficients to the symbol")
     sp.add_argument("--p", required=True, help="comma-separated profile coefficients")

@@ -1,13 +1,13 @@
 """Dense real polynomials and a global-nonnegativity oracle.
 
 Coefficients are stored lowest degree first. Degree bookkeeping trims exact
-zeros only; callers scrub numerical noise themselves. The nonnegativity test
-runs a Sturm-sequence real-root count with sign-uncertainty detection, and
-falls back to companion-matrix rooting with multiplicity clustering when the
-Sturm signs are too close to zero to trust (the touching-root boundary case)
-or the chain overflows. The chain is evaluated by Horner's rule on Python
-floats, in the operation order of np.polyval (multiply, then add; no fused
-multiply-add), so every sign count equals the numpy evaluation's bit for bit.
+zeros only; callers scrub numerical noise themselves. Odd degree or a
+negative leading coefficient is decided by a witness scan toward the
+dominating infinity. Otherwise the polynomial is negative somewhere exactly
+when it is at a critical point (the real parts of the companion roots of its
+derivative); each critical value comes with Horner's running error bound,
+and only a value negative beyond its bound is a witness. A touch within
+rounding, such as an exact double root, counts as nonnegative.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 
-# Sign values closer to zero than SIGN_EPS * scale are treated as uncertain.
-SIGN_EPS = 1e-12
-# Companion-matrix roots closer than CLUSTER_TOL (relative) merge into one root.
-CLUSTER_TOL = 1e-8
+# IEEE double precision: the unit roundoff, and the smallest subnormal, which
+# bounds the error of a product that underflows
+_UNIT_ROUNDOFF, _UNDERFLOW = 2.0 ** -53, 2.0 ** -1074
 
 
 @dataclass
@@ -72,16 +71,13 @@ def eval_poly(poly: RealPolynomial, x):
 class NonnegativityCertificate:
     """Evidence backing a nonnegativity verdict.
 
-    Either a witness point with a strictly negative value, or a real-root
-    census showing every real root has even multiplicity while the leading
-    coefficient is positive with even degree.
+    Either a witness point with a strictly negative value, or no critical
+    value that is negative beyond Horner's rounding bound.
     """
 
     nonnegative: bool
     witness: float | None = None
     witness_value: float | None = None
-    distinct_real_roots: int | None = None
-    all_roots_even_multiplicity: bool | None = None
     method: str = ""
     detail: str = ""
 
@@ -127,182 +123,60 @@ def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float
                       "the representable range")
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _sturm_chain(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Sturm chain with per-element max-norm scaling (signs are unchanged);
-    raises _UncertainSign if a member overflows."""
-    chain = [coeffs.copy()]
-    if coeffs.size > 1:
-        chain.append(coeffs[1:] * np.arange(1, coeffs.size))
-    while chain[-1].size > 1:
-        num, den = chain[-2], chain[-1]
-        den = den / np.max(np.abs(den))
-        rem = num.copy()
-        while rem.size >= den.size:
-            q = rem[-1] / den[-1]
-            rem = rem[:-1].copy()
-            if den.size > 1:
-                rem[-(den.size - 1):] -= q * den[:-1]
-            nz = np.nonzero(rem)[0]
-            rem = rem[: nz[-1] + 1] if nz.size else np.zeros(1)
-            if rem.size == 1 and rem[0] == 0.0:
-                break
-        if rem.size == 1 and rem[0] == 0.0:
-            break
-        chain.append(-rem)
-    if not np.isfinite(np.concatenate(chain)).all():
-        raise _UncertainSign("sturm chain overflows double precision")
-    return chain
+def _horner_with_bound(coeffs: np.ndarray, x):
+    """Horner values at x, in eval_poly's operation order, with Higham's
+    running error bound (Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, Alg. 5.1) plus the underflow of each product carried through
+    the later steps: |value - exact| <= bound to first order in u."""
+    ax = np.abs(x)
+    y = np.full_like(ax, coeffs[-1])
+    mu, tiny = 0.5 * np.abs(y), np.zeros_like(ax)
+    for c in coeffs[-2::-1]:
+        y = y * x + c
+        mu = mu * ax + np.abs(y)
+        tiny = tiny * ax + _UNDERFLOW
+    return y, _UNIT_ROUNDOFF * (2.0 * mu - np.abs(y)) + tiny
 
 
-class _UncertainSign(Exception):
-    """Raised when a chain value is too close to zero to trust its sign."""
-
-
-def _deepest_negative(poly: RealPolynomial,
-                      isolated: list[tuple[float, float]]) -> tuple[float, float]:
-    """Most negative sample among root midpoints and near-root probes."""
-    candidates: list[float] = []
-    for (a, b), (a2, _) in zip(isolated[:-1], isolated[1:]):
-        candidates.append(0.5 * (b + a2))
-    for a, b in isolated:
-        h = max(b - a, 1e-6 * max(1.0, abs(a)))
-        candidates.extend((a - h, b + h, a - 4 * h, b + 4 * h))
-    vals = [(float(eval_poly(poly, x)), float(x)) for x in candidates]
-    best_val, best_x = min(vals)
-    return best_x, best_val
-
-
-def _prepared(chain: list[np.ndarray]) -> list[tuple[list[float], float, int]]:
-    """Each member as (coefficients highest degree first, max|c|, degree)."""
-    return [(c[::-1].tolist(), float(np.max(np.abs(c))), c.size - 1) for c in chain]
-
-
-def _variations(chain: list[tuple[list[float], float, int]], x: float) -> int:
-    ax = max(1.0, abs(x))
-    signs = []
-    for i, (coeffs, cmax, deg) in enumerate(chain):
-        val = 0.0
-        for c in coeffs:   # np.polyval's operation order, on Python floats
-            val = val * x + c
-        if math.isinf(val):
-            signs.append(1 if val > 0 else -1)
-            continue
-        try:
-            scale = cmax * ax ** deg
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(val) or not math.isfinite(scale) or abs(val) <= SIGN_EPS * scale:
-            if i == 0 and math.isfinite(scale):
-                # x sits on a root of p itself: count variations of the rest
-                continue
-            raise _UncertainSign(f"sturm sign uncertain at x={x}")
-        signs.append(1 if val > 0 else -1)
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _sturm_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
-    """Decide nonnegativity for even degree, positive leading coefficient."""
-    chain = _prepared(_sturm_chain(poly.coeffs))
-    bound = _cauchy_bound(poly.coeffs)
-    v_low, v_high = _variations(chain, -bound), _variations(chain, bound)
-    n_roots = v_low - v_high
-    if n_roots <= 0:
-        val0 = eval_poly(poly, 0.0)
-        if val0 <= 0.0:
-            raise _UncertainSign("rootless polynomial not positive at 0")
-        return NonnegativityCertificate(
-            True, distinct_real_roots=0, all_roots_even_multiplicity=True,
-            method="sturm", detail="no real roots; positive leading coefficient, even degree")
-
-    # isolate the distinct real roots by bisection on the variation count;
-    # each interval carries the counts at its ends, (a, va, b, vb, roots)
-    intervals = [(-bound, v_low, bound, v_high, n_roots)]
-    isolated: list[tuple[float, float]] = []
-    for _ in range(20000):
-        if not intervals:
-            break
-        a, va, b, vb, k = intervals.pop()
-        if k == 1 and (b - a) <= 1e-9 * max(1.0, abs(a), abs(b)):
-            isolated.append((a, b))
-            continue
-        m = 0.5 * (a + b)
-        vm = _variations(chain, m)
-        ka = va - vm
-        kb = vm - vb
-        if ka > 0:
-            intervals.append((a, va, m, vm, ka))
-        if kb > 0:
-            intervals.append((m, vm, b, vb, kb))
-        if ka + kb < k:
-            # a root sits on the sample point m itself; isolate it tightly
-            isolated.append((m - 1e-12 * max(1.0, abs(m)), m + 1e-12 * max(1.0, abs(m))))
-    if len(isolated) < n_roots:
-        raise _UncertainSign("root isolation incomplete")
-
-    # parity via the sign of p just outside each isolated root
-    scale = float(np.max(np.abs(poly.coeffs)))
-    isolated = sorted(isolated)
-    negative_found = False
-    for a, b in isolated:
-        h = max(b - a, 1e-9 * max(1.0, abs(a)))
-        left, right = eval_poly(poly, a - h), eval_poly(poly, b + h)
-        lscale = scale * max(1.0, abs(a - h)) ** max(poly.degree, 1)
-        rscale = scale * max(1.0, abs(b + h)) ** max(poly.degree, 1)
-        if abs(left) <= SIGN_EPS * lscale or abs(right) <= SIGN_EPS * rscale:
-            raise _UncertainSign("sign probe too close to zero near a root")
-        if left < 0.0 or right < 0.0:
-            negative_found = True
-            break
-    if negative_found:
-        x, val = _deepest_negative(poly, isolated)
-        return NonnegativityCertificate(
-            False, witness=x, witness_value=val,
-            distinct_real_roots=n_roots, all_roots_even_multiplicity=False,
-            method="sturm", detail="odd-multiplicity real root (sign change)")
-    return NonnegativityCertificate(
-        True, distinct_real_roots=n_roots, all_roots_even_multiplicity=True,
-        method="sturm", detail="all real roots have even multiplicity")
+def _finite_witness(scaled: np.ndarray, exponent: int, x: float) -> tuple[float, float]:
+    """x and its unscaled value (scaled value * 2**exponent) when that is
+    finite and negative; otherwise bisect toward 2 B (B the Cauchy bound, so
+    the value there is positive) on the sign of the scaled values until it is."""
+    lo, hi = x, math.copysign(2.0 * _cauchy_bound(scaled), x)
+    val = np.ldexp(_horner_with_bound(scaled, lo)[0], exponent)
+    while not (val < 0.0 and np.isfinite(val)):
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            raise DomainError("negative critical value not representable in double precision")
+        y = _horner_with_bound(scaled, mid)[0]
+        if y < 0.0:
+            lo, val = mid, np.ldexp(y, exponent)
+        else:
+            hi = mid
+    return lo, float(val)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _companion_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
-    """Fallback: cluster companion-matrix roots and check parity per cluster;
-    DomainError if probes overflowed and no finite negative sample turned up."""
-    roots = np.roots(poly.coeffs[::-1])
-    order = np.argsort(roots.real)
-    clusters: list[list[complex]] = []
-    for r in roots[order]:
-        if clusters and abs(r - np.mean(clusters[-1])) <= CLUSTER_TOL * max(1.0, abs(r)):
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    n_real, overflowed = 0, False
-    for cl in clusters:
-        center = complex(np.mean(cl))
-        if abs(center.imag) > CLUSTER_TOL * max(1.0, abs(center)):
-            continue
-        n_real += 1
-        if len(cl) % 2 == 1:
-            # odd multiplicity: p changes sign; search for a negative sample
-            x0 = center.real
-            h0 = max(1e-7, 10 * CLUSTER_TOL * max(1.0, abs(x0)))
-            for h in h0 * 4.0 ** np.arange(12):
-                for x in (x0 - h, x0 + h):
-                    val = eval_poly(poly, x)
-                    overflowed |= not np.isfinite(val)
-                    if np.isfinite(val) and val < (-SIGN_EPS * np.max(np.abs(poly.coeffs))
-                                                   * max(1.0, abs(x)) ** poly.degree):
-                        return NonnegativityCertificate(
-                            False, witness=float(x), witness_value=float(val),
-                            distinct_real_roots=n_real, all_roots_even_multiplicity=False,
-                            method="companion", detail="odd-multiplicity real root cluster")
-            # no resolvable negative dip: treat the touch as nonnegative
-    if overflowed:
-        raise DomainError("companion root probes overflow double precision")
-    return NonnegativityCertificate(
-        True, distinct_real_roots=n_real, all_roots_even_multiplicity=True,
-        method="companion", detail="all real root clusters have even size")
+def _critical_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
+    """Even degree, positive leading coefficient: poly >= 0 unless its value
+    at some critical point is negative beyond Horner's error bound."""
+    # an exact power-of-two scaling keeps the derivative, the roots and the
+    # bounds of coefficients near DBL_MAX finite without moving any sign
+    exponent = int(np.frexp(np.max(np.abs(poly.coeffs)))[1])
+    scaled = np.ldexp(poly.coeffs, -exponent)
+    crit = np.roots((scaled[1:] * np.arange(1, scaled.size))[::-1]).real
+    values, bounds = _horner_with_bound(scaled, crit)
+    negative = values + bounds < 0.0
+    if negative.any():
+        deepest = float(crit[negative][np.argmin(values[negative])])
+        x, val = _finite_witness(scaled, exponent, deepest)
+        return NonnegativityCertificate(False, witness=x, witness_value=val,
+                                        method="critical-points",
+                                        detail="critical value negative beyond its rounding bound")
+    if not np.isfinite(bounds).all():
+        raise DomainError("critical values overflow double precision")
+    return NonnegativityCertificate(True, method="critical-points",
+                                    detail="no critical value negative beyond its rounding bound")
 
 
 def is_nonnegative_on_reals(poly: RealPolynomial) -> NonnegativityCertificate:
@@ -322,9 +196,8 @@ def is_nonnegative_on_reals(poly: RealPolynomial) -> NonnegativityCertificate:
     if deg == 0:
         c0 = float(poly.coeffs[0])
         if c0 >= 0.0:
-            return NonnegativityCertificate(True, distinct_real_roots=0,
-                                            all_roots_even_multiplicity=True,
-                                            method="degree-sign", detail="nonnegative constant")
+            return NonnegativityCertificate(True, method="degree-sign",
+                                            detail="nonnegative constant")
         return NonnegativityCertificate(False, witness=0.0, witness_value=c0,
                                         method="degree-sign", detail="negative constant")
     if deg % 2 == 1 or poly.leading < 0.0:
@@ -334,9 +207,4 @@ def is_nonnegative_on_reals(poly: RealPolynomial) -> NonnegativityCertificate:
         reason = "odd degree" if deg % 2 == 1 else "negative leading coefficient"
         return NonnegativityCertificate(False, witness=x, witness_value=val,
                                         method="degree-sign", detail=reason)
-    try:
-        return _sturm_verdict(poly)
-    except _UncertainSign as exc:
-        cert = _companion_verdict(poly)
-        cert.detail += f" (sturm fallback: {exc})"
-        return cert
+    return _critical_verdict(poly)

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,49 @@ class TestCoefficientCommands:
         doc = json.loads(out)
         assert doc["positivity"]["verdict"] is False
         assert doc["positivity"]["certificate"]["witness"] is not None
+
+
+def exact_q_min(q_coeffs):
+    """Minimum of c0 + c1 x + c2 x^2 (c2 > 0) for the float coefficients, to
+    60 digits: c0 - c1^2 / (4 c2)."""
+    with mpmath.workdps(60):
+        c0, c1, c2 = (mpmath.mpf(c) for c in q_coeffs)
+        return c0 - c1 * c1 / (4 * c2)
+
+
+PI26 = math.pi ** 2 / 6.0
+
+
+class TestPositivityThreshold:
+    """P = p0 + x^2 near p0 = pi^2/6, where Q = p_to_q(P) touches zero: the
+    verdict is the sign of the exact minimum of the float coefficients of Q,
+    once that minimum is beyond the rounding of Horner's rule at the vertex."""
+
+    @pytest.mark.parametrize("p0", [repr(PI26 + d) for d in
+                                    (1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10, -2.6e-14)]
+                             + ["1.644934066848"])
+    def test_verdict_is_the_sign_of_the_exact_minimum(self, capsys, p0):
+        code, out, _ = run_cli(capsys, "positivity", "--p", f"{p0},0,1")
+        doc = json.loads(out)
+        q_min = exact_q_min(doc["q_coeffs"])
+        assert code == 0 and abs(q_min) > 1e-14
+        assert doc["positivity"]["verdict"] is bool(q_min > 0)
+        cert = doc["positivity"]["certificate"]
+        assert cert["method"] == "critical-points"
+        if q_min < 0:
+            x = mpmath.mpf(cert["witness"])
+            with mpmath.workdps(60):
+                exact = sum(mpmath.mpf(c) * x ** k for k, c in enumerate(doc["q_coeffs"]))
+            assert cert["witness_value"] < 0 and exact < 0
+            assert abs(exact - q_min) < 1e-3 * abs(q_min)
+
+    def test_threshold_itself_touches_within_rounding(self, capsys):
+        # the exact minimum of the float coefficients is -7.9e-17, inside
+        # Horner's bound at the vertex: a touch, not a witness
+        code, out, _ = run_cli(capsys, "positivity", "--p", f"{PI26!r},0,1")
+        doc = json.loads(out)
+        assert -1e-16 < exact_q_min(doc["q_coeffs"]) < 0
+        assert code == 0 and doc["positivity"]["verdict"] is True
 
 
 class TestSpectrumCommands:
@@ -233,8 +277,8 @@ class TestDeterminismAndFormat:
 }"""
 
 
-# stdout of `positivity --p=-1e308,1e308` before its scan warnings were
-# silenced: the verdict and every digit are unchanged
+# stdout of `positivity --p=-1e308,1e308`: the verdict and every digit are
+# those printed before the scan's overflow warnings were silenced
 SCAN_OVERFLOW_DOC = """{
   "schema": "hankelscope/1",
   "command": "positivity",
@@ -254,8 +298,6 @@ SCAN_OVERFLOW_DOC = """{
       "method": "degree-sign",
       "witness": 0,
       "witness_value": -1.5772156649015329e+308,
-      "distinct_real_roots": null,
-      "all_roots_even_multiplicity": null,
       "detail": "odd degree"
     }
   },
@@ -275,9 +317,10 @@ class TestValidation:
         assert "--p" in err
 
     def test_non_power_of_two(self, capsys):
-        code, _, err = run_cli(capsys, "carleman", "--L", "8", "--N", "100")
-        assert code == 2
-        assert "power of two" in err
+        for n in ("100", "1"):
+            code, _, err = run_cli(capsys, "carleman", "--L", "8", "--N", n)
+            assert code == 2
+            assert "a power of two >= 2" in err
 
     def test_empty_coefficients(self, capsys):
         code, _, _ = run_cli(capsys, "positivity", "--p", ",")

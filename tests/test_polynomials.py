@@ -1,17 +1,12 @@
-import dataclasses
-import math
 import warnings
-from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelscope import polynomials
 from hankelscope.errors import DomainError
-from hankelscope.polynomials import (SIGN_EPS, RealPolynomial, _cauchy_bound,
-                                     _companion_verdict, _prepared, _sturm_chain,
-                                     _UncertainSign, _variations, eval_poly,
+from hankelscope.polynomials import (RealPolynomial, _horner_with_bound, eval_poly,
                                      is_nonnegative_on_reals)
 
 
@@ -77,7 +72,7 @@ class TestNonnegativityExamples:
     def test_double_pair(self):
         # (x^2 - 1)^2 touches zero at two points
         cert = is_nonnegative_on_reals(poly(1.0, 0.0, -2.0, 0.0, 1.0))
-        assert cert.nonnegative and cert.all_roots_even_multiplicity
+        assert cert.nonnegative and cert.witness is None
 
     def test_negative_constant(self):
         cert = is_nonnegative_on_reals(poly(-2.0))
@@ -92,10 +87,10 @@ class TestNonnegativityExamples:
             is_nonnegative_on_reals(poly(1.0, 1e-211))
 
     def test_certificate_shape_on_positive_case(self):
+        # minimum 0.9 near x = -0.6, no real root
         cert = is_nonnegative_on_reals(poly(2.0, 3.0, 4.0, 3.0, 1.0))
-        if cert.nonnegative:
-            assert cert.distinct_real_roots is not None
-            assert cert.all_roots_even_multiplicity
+        assert cert.nonnegative and cert.method == "critical-points"
+        assert cert.witness is None and cert.witness_value is None
 
 
 quadratics = st.tuples(
@@ -137,111 +132,6 @@ def test_nonnegative_verdict_backed_by_samples(coeffs):
         assert eval_poly(p, cert.witness) < 0.0
 
 
-# ---------------------------------------------------------------- Sturm chain
-
-def _polyval_variations(chain, x):
-    """Sign variations of a raw Sturm chain at x, one np.polyval per member:
-    the evaluation `polynomials._variations` replaced, kept as its oracle."""
-    signs = []
-    for c in chain:
-        val = float(np.polyval(c[::-1], x))
-        if np.isinf(val):
-            signs.append(1 if val > 0 else -1)
-            continue
-        with np.errstate(over="ignore"):
-            scale = float(np.max(np.abs(c)) * np.float64(max(1.0, abs(x))) ** (c.size - 1))
-        if not np.isfinite(val) or not np.isfinite(scale) or abs(val) <= SIGN_EPS * scale:
-            if c is chain[0] and np.isfinite(scale):
-                continue
-            raise _UncertainSign(f"sturm sign uncertain at x={x}")
-        signs.append(1 if val > 0 else -1)
-    return int(np.sum(np.asarray(signs[:-1]) != np.asarray(signs[1:]))) if len(signs) > 1 else 0
-
-
-def _count_or_raise(variations, chain, x):
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return variations(chain, x)
-    except _UncertainSign as exc:
-        return ("uncertain", str(exc))
-
-
-# dyadic roots keep the expanded coefficients exact, so Horner hits the
-# roots themselves exactly (the chain-0 skip)
-DYADIC_ROOTS = (-3.0, -2.0, -1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
-float_coeff = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
-                        allow_infinity=False).filter(lambda v: abs(v) > 1e-3)
-chain_polys = st.one_of(
-    st.lists(float_coeff, min_size=2, max_size=13),
-    st.tuples(st.lists(st.sampled_from(DYADIC_ROOTS), min_size=1, max_size=12),
-              st.sampled_from((1.0, -1.0, 0.5, 8.0)))
-    .map(lambda t: list(t[1] * np.polynomial.polynomial.polyfromroots(t[0]))),
-)
-
-
-def _probe_points(coeffs):
-    bound = _cauchy_bound(coeffs)
-    roots = np.roots(coeffs[::-1])
-    real = sorted({float(r.real) for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r))})
-    points = [bound, -bound, 0.0, 1e200, -1e200, 1e300, -1e300]
-    # just below and above where the leading term alone overflows
-    log_edge = (math.log(np.finfo(float).max) - math.log(abs(coeffs[-1]))) / (coeffs.size - 1)
-    points += [s * math.exp(min(log_edge + t, 709.0)) for s in (1, -1) for t in (-0.5, 0.5)]
-    for r in real:
-        points += [r, r * (1.0 + 1e-13) + 1e-14, r - 1e-13 * max(1.0, abs(r)),
-                   np.nextafter(r, np.inf), np.nextafter(r, -np.inf)]
-    return [float(x) for x in points if np.isfinite(x)]
-
-
-class TestSturmChainEvaluation:
-    @given(chain_polys)
-    @settings(max_examples=200, deadline=None)
-    def test_variations_match_the_polyval_oracle(self, coeffs):
-        p = RealPolynomial(np.array(coeffs))
-        if p.degree < 1:
-            return
-        chain = _sturm_chain(p.coeffs)
-        prepared = _prepared(chain)
-        for x in _probe_points(p.coeffs):
-            assert (_count_or_raise(_variations, prepared, x)
-                    == _count_or_raise(_polyval_variations, chain, x)), x
-
-    def test_probes_reach_every_branch(self):
-        # the strategy's probes cover the chain-0 skip, uncertain signs and
-        # infinite members: pin one polynomial that hits each
-        p = poly(*np.polynomial.polynomial.polyfromroots([-1.0, 0.5, 2.0, 2.0]))
-        chain = _sturm_chain(p.coeffs)
-        assert eval_poly(p, 0.5) == 0.0
-        assert _variations(_prepared(chain), 0.5) == _polyval_variations(chain, 0.5)
-        with pytest.raises(_UncertainSign):
-            _variations(_prepared(chain), 2.0 + 1e-13)
-        with pytest.raises(_UncertainSign):
-            _polyval_variations(chain, 2.0 + 1e-13)
-        with np.errstate(over="ignore"):
-            assert np.isinf(np.polyval(p.coeffs[::-1], 1e300))
-            assert _variations(_prepared(chain), 1e300) == _polyval_variations(chain, 1e300)
-
-    @given(st.one_of(
-        st.lists(float_coeff, min_size=3, max_size=13).filter(lambda c: len(c) % 2 == 1),
-        st.lists(st.sampled_from(DYADIC_ROOTS), min_size=1, max_size=6)
-        .map(lambda r: list(np.polynomial.polynomial.polyfromroots(r + r[:len(r) // 2]))),
-    ))
-    @settings(max_examples=200, deadline=None)
-    def test_certificates_match_the_polyval_reference(self, coeffs):
-        coeffs[-1] = abs(coeffs[-1])
-        p = RealPolynomial(np.array(coeffs))
-        if p.degree < 1:
-            return
-        cert = is_nonnegative_on_reals(p)
-        # the reference verdict: the same _sturm_verdict on the raw chain
-        # and the np.polyval evaluation
-        with mock.patch.object(polynomials, "_prepared", lambda chain: chain), \
-                mock.patch.object(polynomials, "_variations", _polyval_variations), \
-                np.errstate(over="ignore", invalid="ignore"):
-            ref = is_nonnegative_on_reals(p)
-        assert dataclasses.asdict(cert) == dataclasses.asdict(ref)
-
-
 # ------------------------------------------------------------ witness scan
 
 class TestWitnessScanOverflow:
@@ -264,48 +154,101 @@ class TestWitnessScanOverflow:
         assert cert.witness == 0.0 and cert.witness_value == -1.5772156649015329e+308
 
 
+def exact_value(q, x):
+    """q(x) for the float coefficients and the float x, to 80 digits."""
+    with mpmath.workdps(80):
+        return sum(mpmath.mpf(float(c)) * mpmath.mpf(x) ** k for k, c in enumerate(q.coeffs))
+
+
+def decide_without_warnings(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return is_nonnegative_on_reals(q)
+
+
 class TestOverflowingFallback:
-    """Coefficients near DBL_MAX: the Sturm chain overflows and the companion
-    fallback decides, without numpy warnings and without a non-finite witness."""
+    """Coefficients near DBL_MAX: the rule decides on power-of-two scaled
+    coefficients, without numpy warnings, and reports a finite witness or
+    raises DomainError."""
 
     def test_chain_overflow_falls_back_to_companion(self):
-        # Q' = 2e308 x - ... overflows in the chain's first derivative
+        # Q' = 2e308 x - 1.5e307 overflows unless the coefficients are scaled
         q = poly(-8.889718079420407e+307, -1.5443132980306573e+307, 1e308)
-        with pytest.raises(_UncertainSign, match="overflows"):
-            _sturm_chain(q.coeffs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cert = is_nonnegative_on_reals(q)
-        assert cert.method == "companion" and not cert.nonnegative
-        assert "sturm chain overflows double precision" in cert.detail
+        cert = decide_without_warnings(q)
+        assert cert.method == "critical-points" and not cert.nonnegative
         assert np.isfinite(cert.witness_value) and eval_poly(q, cert.witness) < 0.0
 
     def test_overflowing_cluster_probes_are_skipped(self):
-        # roots near -3.3e9 (every probe overflows) and 1.7e-28 (finite probes)
+        # roots near -3.3e9 and 1.7e-28: Q at the vertex, -1.8e314, overflows,
+        # and the witness moves toward -2 B until Q is finite
         q = poly(-3.6388600709536234e+277, 2.1223335812455025e+305, 6.431817956381441e+295)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cert = is_nonnegative_on_reals(q)
-        assert cert.method == "companion" and not cert.nonnegative
+        cert = decide_without_warnings(q)
+        assert cert.method == "critical-points" and not cert.nonnegative
         assert np.isfinite(cert.witness_value) and eval_poly(q, cert.witness) < 0.0
 
     def test_overflowing_probe_is_no_witness(self):
-        # real roots at -1.1e79 and 10.9: every probe of the first overflows,
-        # and beside the second the samples reach -inf before any finite one
-        # dips below the threshold; -inf is no witness value
+        # real roots at -1.1e79 and 10.9; the leading coefficient is 1e-79 of
+        # the largest, below the noise floor, so no witness is attempted
         q = poly(1.5457990055864605e+275, -1.84315624264069e+200, -8.789700724378668e+270,
                  -6.60780938033716e+306, -6.1248344632289215e+227)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="companion root probes overflow"):
-                _companion_verdict(q)
+        with pytest.raises(DomainError, match="noise floor"):
+            decide_without_warnings(q)
 
     def test_undecidable_when_only_overflowing_probes_remain(self):
-        # the sign changes at about +-2.6e5 cannot be sampled in double
-        # precision; the pair of roots near 1e-16 merges into one even cluster
+        # sign changes at about +-2.6e5; Q at the critical point of the right
+        # well overflows, and the witness moves toward 2 B until it is finite
         q = poly(1.907372146575506e+273, -1.0922513918083833e+292, -3.9858107320800984e+307,
                  -5.844409286089505e+258, 5.9857001573818945e+296)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="companion root probes overflow"):
-                is_nonnegative_on_reals(q)
+        cert = decide_without_warnings(q)
+        assert cert.method == "critical-points" and not cert.nonnegative
+        assert 2.5e5 < abs(cert.witness) < 2.7e5
+        assert np.isfinite(cert.witness_value) and cert.witness_value < 0.0
+        assert eval_poly(q, cert.witness) == cert.witness_value
+        assert exact_value(q, cert.witness) < 0
+
+    def test_witness_value_where_unscaled_horner_overflows(self):
+        # Q(-0.884) = -5.97e307 is finite, but Horner on the unscaled
+        # coefficients overflows on the way; the scaled value times 2^e is not
+        D = 1.7976931348623157e+308
+        q = poly(D, D, -1.5962229353583416e+48, D, 0.0, 6.789329004772812e+16,
+                 5.537175945353114e+16, D, D, 0.0, D)
+        cert = decide_without_warnings(q)
+        assert cert.method == "critical-points" and not cert.nonnegative
+        assert np.isfinite(cert.witness_value) and cert.witness_value < 0.0
+        exact = exact_value(q, cert.witness)
+        assert exact < 0 and abs(cert.witness_value - exact) < 1e-12 * abs(exact)
+
+    def test_overflowing_critical_value_is_no_verdict(self):
+        # Q = x^29 (1e-12 x - 1): the critical value at 9.7e11 overflows even
+        # scaled, so its sign has no bound; no silent "nonnegative"
+        q = poly(*([0.0] * 29 + [-1.0, 1e-12]))
+        with pytest.raises(DomainError, match="critical values overflow"):
+            decide_without_warnings(q)
+
+
+# ------------------------------------------------------- the running bound
+
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1,
+                max_size=13),
+       st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_running_bound_covers_the_rounding_error(coeffs, x):
+    # Higham's bound is first order in u; the second-order slack is far
+    # below the 1e-6 relative margin allowed here
+    c = np.array(coeffs)
+    value, bound = _horner_with_bound(c, np.float64(x))
+    assert value == eval_poly(RealPolynomial(c), x)
+    exact = exact_value(RealPolynomial(c), x)
+    with mpmath.workdps(80):
+        assert abs(mpmath.mpf(float(value)) - exact) <= bound * (1 + 1e-6)
+
+
+def test_running_bound_covers_underflow():
+    # (x + 3e-160) x at x = -1.7e-160 is subnormal: the product's rounding
+    # error is absolute, far above u times the value, and the bound holds it
+    c = np.array([0.0, 3e-160, 1.0])
+    value, bound = _horner_with_bound(c, np.float64(-1.7e-160))
+    exact = exact_value(RealPolynomial(c), -1.7e-160)
+    with mpmath.workdps(80):
+        error = abs(mpmath.mpf(float(value)) - exact)
+    assert error > 2.0 ** -53 * abs(value) and error <= bound
