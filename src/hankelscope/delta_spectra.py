@@ -2,14 +2,17 @@
 supported at a single interior point: (Hf)(t) = sum_k (-1)^k h_k f^(k)(t0 - t)
 on (0, t0), with vanishing derivatives of order < K at the left endpoint.
 
-Collocation uses Chebyshev-Gauss-Lobatto nodes, which are symmetric about
+Collocation uses Legendre-Gauss-Lobatto nodes, which are symmetric about
 t0/2, so the argument reflection is a reversal of the node order: R D^k is
-D^k with its rows flipped. Both the reflection route and the squared-operator
-route impose their boundary conditions through one helper that projects onto
-the null space of the row-normalized constraint rows (basis recombination,
-from one SVD), keeping the reduced eigenproblem square. The SVD and the
-dense non-symmetric eigensolves run on numpy.linalg, so delta-eigs starts
-without loading SciPy.
+D^k with its rows flipped. The operator is self-adjoint, and LGL
+differentiation is summation-by-parts in the quadrature inner product, so
+after scaling by the square roots of the quadrature weights the reflection
+route's reduced matrix is symmetric and one real symmetric eigensolve gives
+its spectrum. Both the reflection route and the squared-operator route impose
+their boundary conditions through one helper that projects onto the null
+space of the row-normalized constraint rows (basis recombination, from one
+SVD), keeping the reduced eigenproblem square. The SVD and the eigensolves
+run on numpy.linalg, so delta-eigs starts without loading SciPy.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import eig as dense_eig
+from numpy.linalg import eigh as dense_eig
 
 from .discretization import SpectrumReport, _require_finite
-from .errors import (ConvergenceError, DiscretizationError, DomainError,
-                     NotApplicableError)
+from .errors import DiscretizationError, DomainError, NotApplicableError
 
 RELATIVE_IMAG_TOL = 1e-6
 
@@ -50,48 +52,81 @@ class DeltaKernel:
         return self.h_coeffs.size - 1
 
 
-def chebyshev_lobatto(n: int, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending Chebyshev-Gauss-Lobatto nodes on [0, t0] and the spectral
-    differentiation matrix acting on node values."""
+def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending Legendre-Gauss-Lobatto nodes on [-1, 1], their quadrature
+    weights and the spectral differentiation matrix acting on node values.
+
+    The nodes are -1, 1 and the roots of P_m', m = N - 1. On the left half
+    the second-order Gatteschi-Pittaluga estimates of those roots (the zeros
+    of the Jacobi polynomial P^(1,1)_(m-1)), -cos(tau - 3 cot(tau) / (8 r^2))
+    with tau = (j + 1/4) pi / r and r = m + 1/2, lie within 3e-6 of them. Two
+    Newton steps on x P_m - P_{m-1}, whose derivative N P_m is stationary at
+    the roots (so the convergence is cubic), take them to rounding, and the
+    right half mirrors the left, so the set is exactly symmetric about 0. The
+    weights are 2 / (m N P_m(x)^2). The quadrature is exact to degree
+    2N - 3, so the differentiation is summation-by-parts:
+    W D + D^T W = diag(-1, 0, ..., 0, 1).
+    """
     if n < 2:
         raise DomainError("need at least 2 collocation nodes")
-    j = np.arange(n)
-    xc = np.cos(math.pi * j / (n - 1))        # descending on [-1, 1]
-    c = np.ones(n)
-    c[0] = 2.0
-    c[-1] = 2.0
-    c = c * (-1.0) ** j
-    xm = np.tile(xc, (n, 1)).T
-    dx = xm - xm.T
-    d = np.outer(c, 1.0 / c) / (dx + np.eye(n))
-    d = d - np.diag(d.sum(axis=1))
-    nodes = t0 * (1.0 - xc) / 2.0             # ascending on [0, t0]
-    return nodes, d * (-2.0 / t0)
+    m = n - 1
+    tau = (np.arange(1, n // 2) + 0.25) * math.pi / (m + 0.5)
+    x = -np.cos(tau - 3.0 / (8.0 * (m + 0.5) ** 2 * np.tan(tau)))
+    for _ in range(2):
+        p, p_prev = _legendre_pair(x, m)
+        x = x - (x * p - p_prev) / (n * p)
+    if n % 2:
+        x = np.append(x, 0.0)
+    p, _ = _legendre_pair(x, m)
+    # mirror, with P_m(-x) = (-1)^m P_m(x); P_m(+-1) = (+-1)^m
+    sign, left = (-1.0) ** m, n // 2 - 1
+    nodes = np.concatenate([[-1.0], x, -x[:left][::-1], [1.0]])
+    pm = np.concatenate([[sign], p, sign * p[:left][::-1], [1.0]])
+    dx = np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(dx, 1.0)
+    d = np.divide.outer(pm, pm) / dx
+    np.fill_diagonal(d, 0.0)
+    d[0, 0], d[-1, -1] = -m * n / 4.0, m * n / 4.0
+    return nodes, 2.0 / (m * n * pm * pm), d
 
 
-def _collocation_powers(kernel: DeltaKernel, n: int, order: int) -> list:
-    """[I, D, D^2, ..., D^order] on N Chebyshev-Lobatto nodes of [0, t0],
-    after the resolution check N >= 4K+8.
+def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_m(x), P_{m-1}(x)) by the three-term recurrence, m >= 1, in place
+    on three buffers."""
+    p_prev, p, xp = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, m):
+        np.multiply(x, p, out=xp)
+        xp *= (2 * k + 1) / (k + 1)
+        p_prev *= k / (k + 1)
+        np.subtract(xp, p_prev, out=p_prev)
+        p, p_prev = p_prev, p
+    return p, p_prev
+
+
+def _require_resolution(kernel: DeltaKernel, n: int) -> None:
+    if n < 4 * kernel.order + 8:
+        raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * kernel.order + 8}")
+
+
+def _collocation_powers(d: np.ndarray, t0: float, order: int) -> list:
+    """[I, D, D^2, ..., D^order] on [0, t0], D the differentiation matrix d of
+    the reference interval [-1, 1] scaled by 2 / t0.
 
     The negative-sum trick is reapplied to every power (each derivative
     annihilates constants exactly), which suppresses the rounding growth of
     repeated matrix products. D scales like N^2 / t0, so a tiny t0 overflows
     a power; that raises DomainError.
     """
-    k_ord = kernel.order
-    if n < 4 * k_ord + 8:
-        raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * k_ord + 8}")
+    n = d.shape[0]
     powers = [np.eye(n)]
-    if order == 0:
-        return powers
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        _, d = chebyshev_lobatto(n, kernel.t0)
+        d = d * (2.0 / t0)
         for k in range(order):
             nxt = d @ powers[-1] if k else d.copy()
             np.fill_diagonal(nxt, 0.0)
             np.fill_diagonal(nxt, -nxt.sum(axis=1))
             if not np.all(np.isfinite(nxt)):
-                raise DomainError(f"t0 = {kernel.t0:.6g} is too small: derivative "
+                raise DomainError(f"t0 = {t0:.6g} is too small: derivative "
                                   f"power {k + 1} overflows double precision at N={n}")
             powers.append(nxt)
     return powers
@@ -118,25 +153,40 @@ def _null_space_basis(rows: np.ndarray) -> np.ndarray:
 
 def build_reflection_operator(kernel: DeltaKernel, n: int
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation matrix of sum_k (-1)^k h_k R D^k with the K left-endpoint
-    conditions f^(k)(0) = 0, k < K, imposed by null-space projection.
+    """Symmetric collocation matrix of sum_k (-1)^k h_k R D^k with the K
+    left-endpoint conditions f^(k)(0) = 0, k < K, imposed by null-space
+    projection.
 
     Returns (basis, reduced): the (N, N-K) orthonormal null-space basis (the
-    identity for K = 0, where nothing is projected) and the reduced matrix
-    basis^T M basis. R D^k evaluates the k-th derivative at the reflected
-    nodes; the node set is symmetric about t0/2, so R D^k is D^k with its
-    rows reversed.
+    identity for K = 0, where nothing is projected) and the reduced matrix.
+    R D^k evaluates the k-th derivative at the reflected nodes; the node set
+    is symmetric about t0/2, so R D^k is D^k with its rows reversed.
+
+    In the quadrature inner product <u, v>_W = u^T W v, summation by parts
+    moves each D across with boundary terms in f^(j)(0) and in (R g)^(j)(t0)
+    = +-g^(j)(0), j < K, which the conditions annul: M = sum (-1)^k h_k R D^k
+    is W-symmetric on the constrained space. With S = diag(sqrt(w)) (the
+    reference-interval weights; a constant factor cancels in S M S^-1) and B
+    the orthonormal null space of the scaled rows D^k[0, :] S^-1, the matrix
+    A = B^T S M S^-1 B is symmetric in exact arithmetic, and reduced is
+    (A + A^T)/2 exactly. The discarded skew part E = (A - A^T)/2 is assembly
+    rounding (about 2e-12 of ||A|| at N = 512); since v^T E v = 0 for every
+    real v, it moves the eigenvalues only at second order.
     """
+    _require_resolution(kernel, n)
     k_ord = kernel.order
-    powers = _collocation_powers(kernel, n, k_ord)
+    if k_ord == 0:
+        return np.eye(n), kernel.h_coeffs[0] * np.eye(n)[::-1]
+    _, w, d = legendre_lobatto(n)
+    powers = _collocation_powers(d, kernel.t0, k_ord)
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         if hk != 0.0:
             m += (-1.0) ** k * hk * powers[k][::-1]
-    if k_ord == 0:
-        return powers[0], m
-    basis = _null_space_basis(np.array([powers[k][0, :] for k in range(k_ord)]))
-    return basis, basis.T @ m @ basis
+    s = np.sqrt(w)
+    basis = _null_space_basis(np.array([powers[k][0, :] / s for k in range(k_ord)]))
+    a = basis.T @ (s[:, None] * m / s) @ basis
+    return basis, 0.5 * (a + a.T)
 
 
 def exact_delta_prime_eigs(t0: float, n: int) -> tuple[float, float]:
@@ -165,9 +215,9 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     trusted modes (the first n_max of each sign, n_max <= N/4), ascending with
     aligned residuals; see branches for the two signed branches.
 
-    The reduced matrix is non-normal even though the operator is self-adjoint;
-    trusted eigenvalues must be real to relative 1e-6, and finite with finite
-    residuals, or the solve is reported as a convergence failure.
+    The reduced matrix is symmetric (see build_reflection_operator), so its
+    eigenvalues are real; trusted eigenvalues and their residuals must be
+    finite, or the solve is reported as a convergence failure.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -176,24 +226,14 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     _, reduced = build_reflection_operator(kernel, n)
     w, vecs = dense_eig(reduced)
 
-    order_pos = np.argsort(np.where(w.real > 0.0, w.real, np.inf))[:n_max]
-    order_neg = np.argsort(np.where(w.real < 0.0, -w.real, np.inf))[:n_max]
-    trusted = np.concatenate([order_neg[::-1], order_pos])
-    lam = w[trusted]
-    bad = np.abs(lam.imag) > RELATIVE_IMAG_TOL * np.maximum(np.abs(lam), 1e-300)
-    if np.any(bad):
-        worst = lam[np.argmax(np.abs(lam.imag))]
-        raise ConvergenceError(
-            f"trusted mode has complex part beyond tolerance: {worst}")
-
-    cols = vecs[:, trusted]
-    cols = cols / np.linalg.norm(cols, axis=0)
+    # w ascends: the negatives nearest zero end the negative run
+    trusted = np.concatenate([np.flatnonzero(w < 0.0)[-n_max:],
+                              np.flatnonzero(w > 0.0)[:n_max]])
+    lam, cols = w[trusted], vecs[:, trusted]
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
-        residuals = np.linalg.norm(reduced @ cols - cols * lam[None, :], axis=0).real
+        residuals = np.linalg.norm(reduced @ cols - cols * lam, axis=0)
     _require_finite(lam, residuals)
-
-    sort = np.argsort(lam.real)
-    return SpectrumReport(eigenvalues=lam.real[sort], residuals=residuals[sort])
+    return SpectrumReport(eigenvalues=lam, residuals=residuals)
 
 
 def branches(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +253,9 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
     k_ord = kernel.order
     if k_ord < 1:
         raise NotApplicableError("squared-operator route needs K >= 1")
-    powers = _collocation_powers(kernel, n, 2 * k_ord)
+    _require_resolution(kernel, n)
+    _, _, d = legendre_lobatto(n)
+    powers = _collocation_powers(d, kernel.t0, 2 * k_ord)
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         for l, hl in enumerate(kernel.h_coeffs):

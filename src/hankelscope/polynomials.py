@@ -5,9 +5,9 @@ zeros only; callers scrub numerical noise themselves. Odd degree or a
 negative leading coefficient is decided by a witness scan toward the
 dominating infinity. Otherwise the polynomial is negative somewhere exactly
 when it is at a critical point (the real parts of the companion roots of its
-derivative); each critical value comes with Horner's running error bound,
-and only a value negative beyond its bound is a witness. A touch within
-rounding, such as an exact double root, counts as nonnegative.
+derivative). On both paths each value comes with Horner's running error
+bound, and only a value negative beyond its bound is a witness. A touch
+within rounding, such as an exact double root, counts as nonnegative.
 """
 
 from __future__ import annotations
@@ -89,20 +89,16 @@ def _cauchy_bound(coeffs: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float]:
-    """Scan toward the dominating infinity by doubling until poly < 0; samples
-    that overflow are skipped."""
+    """Scan toward the dominating infinity by doubling until poly is negative
+    beyond Horner's rounding bound; samples that overflow are skipped."""
     limit = 4.0 * _cauchy_bound(poly.coeffs) + 4.0
-    x, overflow = direction, None
-    for _ in range(200):
-        x = direction * min(abs(x), limit)
-        val = eval_poly(poly, x)
-        if val < 0.0 and np.isfinite(val):
-            return float(x), float(val)
-        if overflow is None and not np.isfinite(val):
-            overflow = x
-        if abs(x) == limit:
-            break
-        x *= 2.0
+    xs = [direction]
+    while abs(xs[-1]) < limit and len(xs) < 200:
+        xs.append(direction * min(2.0 * abs(xs[-1]), limit))
+    witness = _first_witness(poly, xs)
+    if witness is not None:
+        return witness
+    overflow = next((x for x in xs if not np.isfinite(eval_poly(poly, x))), None)
     # extreme coefficient scales put the crossing out of doubling range:
     # locate it from the outermost real companion root instead
     roots = np.roots(poly.coeffs[::-1])
@@ -115,27 +111,48 @@ def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float
         if overflow is not None and direction * (overflow - edge) > 0.0:
             # halve the way from the first overflowing sample to the root
             candidates.extend(edge + (overflow - edge) * 0.5 ** np.arange(1, 60))
-    for x in candidates:
-        val = eval_poly(poly, float(x))
-        if val < 0.0 and np.isfinite(val):
-            return float(x), float(val)
-    raise DomainError("negative-witness scan failed: coefficient scales exceed "
-                      "the representable range")
+    witness = _first_witness(poly, [float(x) for x in candidates])
+    if witness is None:
+        raise DomainError("negative-witness scan failed: coefficient scales exceed "
+                          "the representable range")
+    return witness
 
 
-def _horner_with_bound(coeffs: np.ndarray, x):
-    """Horner values at x, in eval_poly's operation order, with Higham's
-    running error bound (Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., 2002, Alg. 5.1) plus the underflow of each product carried through
-    the later steps: |value - exact| <= bound to first order in u."""
-    ax = np.abs(x)
-    y = np.full_like(ax, coeffs[-1])
-    mu, tiny = 0.5 * np.abs(y), np.zeros_like(ax)
+def _first_witness(poly: RealPolynomial, xs: list[float]) -> tuple[float, float] | None:
+    """The first x in xs where poly is negative beyond Horner's rounding bound
+    and its value is finite, with that value. Where Higham's running sum
+    overflows, the rule is applied to the coefficients scaled by an exact
+    power of two, as in _critical_verdict. Python floats: a scan stops after
+    a sample or two, where numpy's per-call cost would dominate."""
+    coeffs = poly.coeffs.tolist()
+    for x in xs:
+        value, bound = _horner_with_bound(coeffs, x)
+        if math.isfinite(bound):
+            negative = value + bound < 0.0
+        else:
+            exponent = math.frexp(max(map(abs, coeffs)))[1]
+            scaled, bound = _horner_with_bound([math.ldexp(c, -exponent) for c in coeffs], x)
+            negative = scaled + bound < 0.0 and value < 0.0
+        if negative and math.isfinite(value):
+            return x, value
+    return None
+
+
+def _horner_with_bound(coeffs, x):
+    """Horner values at x (a float or an array), in eval_poly's operation
+    order, with Higham's running error bound (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, Alg. 5.1) plus the underflow of each
+    product carried through the later steps: |value - exact| <= bound to
+    first order in u."""
+    ax = abs(x)
+    zero = 0.0 * ax
+    y, tiny = zero + coeffs[-1], zero
+    mu = 0.5 * abs(y)
     for c in coeffs[-2::-1]:
         y = y * x + c
-        mu = mu * ax + np.abs(y)
+        mu = mu * ax + abs(y)
         tiny = tiny * ax + _UNDERFLOW
-    return y, _UNIT_ROUNDOFF * (2.0 * mu - np.abs(y)) + tiny
+    return y, _UNIT_ROUNDOFF * (2.0 * mu - abs(y)) + tiny
 
 
 def _finite_witness(scaled: np.ndarray, exponent: int, x: float) -> tuple[float, float]:

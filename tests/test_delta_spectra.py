@@ -7,14 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
 from hankelscope.delta_spectra import (DeltaKernel, _null_space_basis, branches,
-                                       build_reflection_operator,
-                                       chebyshev_lobatto, delta_spectrum,
-                                       exact_delta_prime_eigs,
-                                       h_squared_spectrum, weyl_prediction)
+                                       build_reflection_operator, delta_spectrum,
+                                       exact_delta_prime_eigs, h_squared_spectrum,
+                                       legendre_lobatto, weyl_prediction)
 from hankelscope.errors import DiscretizationError, DomainError, NotApplicableError
 
 BEAM_BETA_SQ = [3.5160152685001512, 22.034491564666770, 61.697214413549102,
@@ -31,14 +31,66 @@ def beam_roots(count):
     return roots
 
 
+def lgl_oracle(n):
+    """LGL nodes from numpy.polynomial.legendre (the roots of P_m' and the
+    endpoints), weights by the formula 2 / (m N P_m(x)^2) with P_m(+-1) =
+    (+-1)^m exact, and the differentiation matrix from barycentric weights
+    1 / prod_k (x_j - x_k) with the negative-sum diagonal."""
+    m = n - 1
+    unit = [0.0] * m + [1.0]
+    x = np.concatenate([[-1.0], np.sort(legendre.legroots(legendre.legder(unit))), [1.0]])
+    p = legendre.legval(x, unit)
+    p[0], p[-1] = (-1.0) ** m, 1.0
+    w = 2.0 / (m * n * p * p)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    lam = 1.0 / np.prod(diff, axis=1)
+    d = (lam[None, :] / lam[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return x, w, d
+
+
 class TestNodesAndModel:
     def test_nodes_symmetric_about_midpoint(self):
-        nodes, _ = chebyshev_lobatto(33, 2.0)
-        np.testing.assert_allclose(nodes + nodes[::-1], 2.0, atol=1e-14)
+        for n in (2, 3, 32, 33):
+            nodes, w, _ = legendre_lobatto(n)
+            assert nodes[0] == -1.0 and nodes[-1] == 1.0
+            assert np.all(np.diff(nodes) > 0.0)
+            assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", [8, 17, 64, 129, 512])
+    def test_nodes_and_weights_match_numpy_legendre(self, n):
+        nodes, w, _ = legendre_lobatto(n)
+        ref_x, ref_w, _ = lgl_oracle(n)
+        # both tolerances are the oracle's: legroots and legval round at
+        # about 1e-14 and 2e-13 at N = 512
+        np.testing.assert_allclose(nodes, ref_x, rtol=0, atol=5e-14)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-12)
+        assert abs(w.sum() - 2.0) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 17, 64, 129])
+    def test_summation_by_parts(self, n):
+        # W D + D^T W = diag(-1, 0, ..., 0, 1): LGL quadrature is exact to
+        # degree 2N - 3, and every product of a polynomial of degree < N with
+        # the derivative of another has degree <= 2N - 3
+        _, w, d = legendre_lobatto(n)
+        boundary = np.zeros((n, n))
+        boundary[0, 0], boundary[-1, -1] = -1.0, 1.0
+        wd = w[:, None] * d
+        np.testing.assert_allclose(wd + wd.T, boundary, rtol=0, atol=1e-15)
 
     def test_differentiation_exact_on_polynomials(self):
-        nodes, d = chebyshev_lobatto(16, 1.5)
-        np.testing.assert_allclose(d @ nodes**3, 3.0 * nodes**2, atol=1e-10)
+        # exact on x^k, k < N, to rounding: relative to the rounding scale
+        # |D| |x^k|, the nodes next to +-1 carry an error of eps against a
+        # spacing of order 1/N^2
+        for n in (8, 17, 64, 129):
+            nodes, _, d = legendre_lobatto(n)
+            for k in range(n):
+                v = nodes ** k
+                exact = k * nodes ** (k - 1) if k else np.zeros(n)
+                err = np.abs(d @ v - exact) / (np.abs(d) @ np.abs(v))
+                assert err.max() < 1e-12, (n, k, err.max())
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(DomainError):
@@ -53,36 +105,40 @@ MIXED_WEIGHTS = [[-1.5], [0.5, -1.0], [0.3, -0.2, 1.0], [0.1, 0.0, -0.5, 2.0]]
 
 
 def oracle_powers(kernel, n, order):
-    """[I, D, ..., D^order] by repeated products with the negative-sum
-    diagonal."""
-    _, d = chebyshev_lobatto(n, kernel.t0)
+    """Square-root weights and [I, D, ..., D^order] on [0, t0], by repeated
+    products with the negative-sum diagonal."""
+    _, w, d = lgl_oracle(n)
+    d = d * (2.0 / kernel.t0)
     powers = [np.eye(n)]
     for _ in range(order):
         nxt = d @ powers[-1]
         np.fill_diagonal(nxt, 0.0)
         np.fill_diagonal(nxt, -nxt.sum(axis=1))
         powers.append(nxt)
-    return powers
+    return np.sqrt(w), powers
 
 
 def boundary_rows(kernel, n, squared):
-    """The K left-endpoint rows f^(k)(0), followed on the squared route by
-    the K right-endpoint rows sum_l (-1)^l h_l f^(k+l)(t0)."""
+    """The K left-endpoint rows: f^(k)(0) scaled by the inverse square-root
+    weights on the reflection route; unscaled, followed by the K
+    right-endpoint rows sum_l (-1)^l h_l f^(k+l)(t0), on the squared route."""
     k_ord = kernel.order
-    powers = oracle_powers(kernel, n, 2 * k_ord if squared else k_ord)
+    s, powers = oracle_powers(kernel, n, 2 * k_ord if squared else k_ord)
+    if not squared:
+        return np.array([powers[k][0, :] / s for k in range(k_ord)])
     rows = [powers[k][0, :] for k in range(k_ord)]
-    if squared:
-        rows += [sum((-1.0) ** l * hl * powers[k + l][-1, :]
-                     for l, hl in enumerate(kernel.h_coeffs)) for k in range(k_ord)]
+    rows += [sum((-1.0) ** l * hl * powers[k + l][-1, :]
+                 for l, hl in enumerate(kernel.h_coeffs)) for k in range(k_ord)]
     return np.array(rows)
 
 
 def reflection_oracle(kernel, n):
-    """First-principles assembly: derivative powers by repeated products with
-    the negative-sum diagonal, the reflection as an explicit permutation
-    matrix, and projection onto the null space of the row-normalized
-    boundary rows (identity basis for K = 0)."""
-    powers = oracle_powers(kernel, n, kernel.order)
+    """First-principles assembly: the reflection as an explicit permutation
+    matrix, the similarity S M S^-1 with S the square roots of the weights,
+    and SciPy's null space of the row-normalized scaled boundary rows
+    (identity basis for K = 0). Returns the basis and B^T S M S^-1 B, not
+    symmetrized."""
+    s, powers = oracle_powers(kernel, n, kernel.order)
     refl = np.eye(n)[::-1]
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
@@ -90,20 +146,34 @@ def reflection_oracle(kernel, n):
             m += (-1.0) ** k * hk * (refl @ powers[k])
     basis = np.eye(n)
     if kernel.order > 0:
-        rows = np.array([powers[k][0, :] for k in range(kernel.order)])
+        rows = boundary_rows(kernel, n, squared=False)
         basis = null_space(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    return basis, basis.T @ m @ basis
+    return basis, basis.T @ np.diag(s) @ m @ np.diag(1.0 / s) @ basis
 
 
 class TestReflectionAssembly:
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("h", MIXED_WEIGHTS)
     def test_matches_first_principles_oracle(self, h, n):
+        # the null-space basis is fixed only up to a rotation, so compare the
+        # projector B B^T and the lifted operator B A B^T
         kernel = DeltaKernel(h, 1.5)
         basis, reduced = build_reflection_operator(kernel, n)
         ref_basis, ref_reduced = reflection_oracle(kernel, n)
-        assert np.array_equal(basis, ref_basis)
-        assert np.array_equal(reduced, ref_reduced)
+        np.testing.assert_allclose(basis @ basis.T, ref_basis @ ref_basis.T,
+                                   rtol=0, atol=1e-12)
+        lifted = basis @ reduced @ basis.T
+        ref_lifted = ref_basis @ ref_reduced @ ref_basis.T
+        scale = np.abs(ref_lifted).max()
+        assert np.abs(lifted - ref_lifted).max() <= 1e-11 * scale
+        # the oracle is not symmetrized: its skew part is rounding only
+        assert np.abs(ref_reduced - ref_reduced.T).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("n", [32, 64, 512])
+    @pytest.mark.parametrize("h", MIXED_WEIGHTS)
+    def test_reduced_matrix_exactly_symmetric(self, h, n):
+        _, reduced = build_reflection_operator(DeltaKernel(h, 0.7), n)
+        assert np.array_equal(reduced, reduced.T)
 
     @pytest.mark.parametrize("h", MIXED_WEIGHTS)
     def test_basis_is_orthonormal_null_space(self, h):
@@ -113,9 +183,9 @@ class TestReflectionAssembly:
         k_ord = kernel.order
         assert basis.shape == (n, n - k_ord) and reduced.shape == (n - k_ord, n - k_ord)
         np.testing.assert_allclose(basis.T @ basis, np.eye(n - k_ord), rtol=0, atol=1e-12)
-        _, d = chebyshev_lobatto(n, kernel.t0)
+        _, w, d = legendre_lobatto(n)
         for k in range(k_ord):
-            row = np.linalg.matrix_power(d, k)[0, :]
+            row = np.linalg.matrix_power(d, k)[0, :] / np.sqrt(w)
             assert np.abs(row @ basis).max() <= 1e-12 * np.linalg.norm(row)
 
     @pytest.mark.parametrize("n", [64, 256])
@@ -182,6 +252,17 @@ class TestExactFirstDerivativeKernel:
             ep, em = exact_delta_prime_eigs(1.0, i + 1)
             assert abs(lp[i] - ep) < 1e-10
             assert abs(lm[i] - em) < 1e-10
+
+    def test_closed_form_at_high_resolution(self):
+        # h1 < 0 swaps the branches; the first N/5 modes of each sign hold the
+        # closed form to 1e-12 |h1| / t0 at N = 512
+        h1, t0, n_max = -1.7, 0.6, 102
+        rep = delta_spectrum(DeltaKernel([0.0, h1], t0), 512, n_max)
+        lp, lm = branches(rep.eigenvalues)
+        exact = np.array([exact_delta_prime_eigs(t0, i + 1) for i in range(n_max)]) * h1
+        assert lp.size == lm.size == n_max
+        err = max(np.abs(lp - exact[:, 1]).max(), np.abs(lm - exact[:, 0]).max())
+        assert err <= 1e-12 * abs(h1) / t0, err
 
     def test_smallest_magnitude_bounded_away_from_zero(self):
         rep = delta_spectrum(DeltaKernel([0.0, 1.0], 1.0), 64, 10)

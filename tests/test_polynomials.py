@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -152,6 +153,17 @@ class TestWitnessScanOverflow:
             warnings.simplefilter("error")
             cert = is_nonnegative_on_reals(q)
         assert cert.witness == 0.0 and cert.witness_value == -1.5772156649015329e+308
+
+    def test_negative_sample_within_its_bound_is_no_witness(self):
+        # Horner gives -2.2e-308 at x = -1, where the exact value is +3.8e-307;
+        # that sample lies within its rounding bound, and the scan goes on
+        # (exact in rational arithmetic: 80 digits cannot hold 1 + 4e-307)
+        q = poly(0.0, 2.2250738585072014e-308, 1.0, 0.0, 3.997604096325102e-307, 1.0)
+        rational = lambda x: sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(q.coeffs))
+        assert eval_poly(q, -1.0) < 0.0 < rational(-1.0)
+        cert = decide_without_warnings(q)
+        assert not cert.nonnegative and cert.method == "degree-sign"
+        assert cert.witness_value < 0.0 and rational(cert.witness) < 0
 
 
 def exact_value(q, x):
