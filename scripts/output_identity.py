@@ -3,10 +3,10 @@
 
 Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
 each run's exit code, stdout and stderr, covering all eight commands; it also
-hashes the bytes of ``h_squared_spectrum``, of the null-space basis and
-the reduced collocation matrix returned by ``build_reflection_operator``
-(the basis only for K >= 1; at K = 0 it is the identity) and of the A-side
-matrix returned by ``build_a_matrix``. Imports the package from
+hashes the bytes of ``h_squared_spectrum``, of the Householder reflectors
+(V, then T) and the reduced collocation matrix returned by
+``build_reflection_operator`` (the reflectors only for K >= 1; at K = 0 there
+are none) and of the A-side matrix returned by ``build_a_matrix``. Imports the package from
 the ``src/`` next to this script, so running it in two checkouts and diffing
 the listings shows whether a change moved any output by a single bit:
 
@@ -121,11 +121,11 @@ def main_listing() -> None:
     for k, h in DELTA_WEIGHTS.items():
         kernel = DeltaKernel([float(t) for t in h.split(",")], 1.5)
         for n in DELTA_N:
-            basis, reduced = build_reflection_operator(kernel, n)
+            (v, t), reduced = build_reflection_operator(kernel, n)
             print(_digest(reduced.tobytes()), f"build_reflection_operator K={k} N={n}")
             if k:
-                print(_digest(basis.tobytes()),
-                      f"build_reflection_operator basis K={k} N={n}")
+                print(_digest(v.tobytes() + t.tobytes()),
+                      f"build_reflection_operator reflectors K={k} N={n}")
     for q in A_SYMBOLS:
         symbol = RealPolynomial([float(t) for t in q.split(",")])
         for n in A_N:

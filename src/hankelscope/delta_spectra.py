@@ -9,10 +9,13 @@ differentiation is summation-by-parts in the quadrature inner product, so
 after scaling by the square roots of the quadrature weights the reflection
 route's reduced matrix is symmetric and one real symmetric eigensolve gives
 its spectrum. Both the reflection route and the squared-operator route impose
-their boundary conditions through one helper that projects onto the null
-space of the row-normalized constraint rows (basis recombination, from one
-SVD), keeping the reduced eigenproblem square. The SVD and the eigensolves
-run on numpy.linalg, so delta-eigs starts without loading SciPy.
+their boundary conditions through one helper: K Householder reflectors of
+the row-normalized constraint rows, whose product carries an orthonormal
+basis of their null space in its trailing columns, restrict an N x N matrix
+to that space in O(K N^2) without forming the basis, keeping the reduced
+eigenproblem square. The order-0 kernel h0 delta is h0 R, whose spectrum is
++-|h0| in closed form. The factorizations and the eigensolves run on
+numpy.linalg, so delta-eigs starts without loading SciPy.
 """
 
 from __future__ import annotations
@@ -132,33 +135,59 @@ def _collocation_powers(d: np.ndarray, t0: float, order: int) -> list:
     return powers
 
 
-def _null_space_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of the boundary-condition rows.
+def _null_space_reflectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K Householder reflectors whose product H = I - V T V^T (compact WY:
+    Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989) has as its
+    trailing N - K columns an orthonormal basis of the null space of the K
+    boundary-condition rows: H^T is the Q of their LQ factorization.
 
     Each row is scaled to unit norm first: row scaling preserves the row space
     but makes rank detection and null-space extraction well posed when
-    derivative orders mix. The rank tolerance s_max max(shape) eps is the
-    one numpy's matrix_rank and SciPy's null_space share. The basis is
-    returned in C order: the layout of basis sets the rounding of
-    basis.T @ m @ basis.
+    derivative orders mix. The rank tolerance s_max max(shape) eps on the K
+    singular values is the one numpy's matrix_rank and SciPy's null_space
+    share. Returns (V, T): V is N x K, unit lower trapezoidal, and T is K x K
+    upper triangular.
     """
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     scaled = rows / np.where(norms > 0.0, norms, 1.0)
     k = rows.shape[0]
-    _, s, vh = np.linalg.svd(scaled)
+    s = np.linalg.svd(scaled, compute_uv=False)
     if np.count_nonzero(s > s.max() * max(scaled.shape) * np.finfo(float).eps) < k:
         raise DiscretizationError("boundary-condition rows are rank deficient")
-    return np.ascontiguousarray(vh[k:].T)
+    h, tau = np.linalg.qr(scaled.T, mode="raw")   # h holds the reflectors as rows
+    v = np.tril(h.T, -1)
+    np.fill_diagonal(v, 1.0)
+    t = np.zeros((k, k))
+    for i in range(k):   # LAPACK's dlarft, forward and columnwise
+        t[:i, i] = -tau[i] * (t[:i, :i] @ (v[:, :i].T @ v[:, i]))
+        t[i, i] = tau[i]
+    return v, t
+
+
+def _restrict(x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The trailing (N - K) block of H^T X H, H = I - V T V^T: X in the
+    null-space basis H[:, K:]. With P = T^T V^T X, Q = X V T and
+    W = T^T V^T X V T, H^T X H = X - [V, Q - V W] [P; V^T], so the block
+    costs X V, V^T X and one rank-2K product, O(K N^2)."""
+    k = v.shape[1]
+    xv, vx = x @ v, v.T @ x
+    p, q = t.T @ vx, xv @ t
+    w = t.T @ (v.T @ xv) @ t
+    left = np.hstack([v[k:], q[k:] - v[k:] @ w])
+    right = np.vstack([p[:, k:], v[k:].T])
+    return x[k:, k:] - left @ right
 
 
 def build_reflection_operator(kernel: DeltaKernel, n: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
+                              ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Symmetric collocation matrix of sum_k (-1)^k h_k R D^k with the K
     left-endpoint conditions f^(k)(0) = 0, k < K, imposed by null-space
     projection.
 
-    Returns (basis, reduced): the (N, N-K) orthonormal null-space basis (the
-    identity for K = 0, where nothing is projected) and the reduced matrix.
+    Returns ((V, T), reduced): the K Householder reflectors of
+    _null_space_reflectors (N x 0 and 0 x 0 for K = 0, where nothing is
+    projected), whose product H has the null-space basis B = H[:, K:] as its
+    trailing columns, and the (N - K) x (N - K) reduced matrix.
     R D^k evaluates the k-th derivative at the reflected nodes; the node set
     is symmetric about t0/2, so R D^k is D^k with its rows reversed.
 
@@ -176,7 +205,7 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
     _require_resolution(kernel, n)
     k_ord = kernel.order
     if k_ord == 0:
-        return np.eye(n), kernel.h_coeffs[0] * np.eye(n)[::-1]
+        return (np.zeros((n, 0)), np.zeros((0, 0))), kernel.h_coeffs[0] * np.eye(n)[::-1]
     _, w, d = legendre_lobatto(n)
     powers = _collocation_powers(d, kernel.t0, k_ord)
     m = np.zeros((n, n))
@@ -184,9 +213,9 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
         if hk != 0.0:
             m += (-1.0) ** k * hk * powers[k][::-1]
     s = np.sqrt(w)
-    basis = _null_space_basis(np.array([powers[k][0, :] / s for k in range(k_ord)]))
-    a = basis.T @ (s[:, None] * m / s) @ basis
-    return basis, 0.5 * (a + a.T)
+    v, t = _null_space_reflectors(np.array([powers[k][0, :] / s for k in range(k_ord)]))
+    a = _restrict(s[:, None] * m / s, v, t)
+    return (v, t), 0.5 * (a + a.T)
 
 
 def exact_delta_prime_eigs(t0: float, n: int) -> tuple[float, float]:
@@ -215,14 +244,21 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     trusted modes (the first n_max of each sign, n_max <= N/4), ascending with
     aligned residuals; see branches for the two signed branches.
 
-    The reduced matrix is symmetric (see build_reflection_operator), so its
-    eigenvalues are real; trusted eigenvalues and their residuals must be
-    finite, or the solve is reported as a convergence failure.
+    Order 0 needs no solve: R^2 = I, so e_i +- e_(N-1-i) (and the middle unit
+    vector for odd N) are exact eigenvectors of h0 R, and the report is n_max
+    copies of -|h0| and of +|h0| with zero residuals. Otherwise the reduced
+    matrix is symmetric (see build_reflection_operator), so its eigenvalues
+    are real; trusted eigenvalues and their residuals must be finite, or the
+    solve is reported as a convergence failure.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > n // 4:
         raise DomainError(f"n_max={n_max} outside the trust region N/4 = {n // 4}")
+    if kernel.order == 0:
+        _require_resolution(kernel, n)
+        lam = abs(kernel.h_coeffs[0]) * np.repeat([-1.0, 1.0], n_max)
+        return SpectrumReport(eigenvalues=lam, residuals=np.zeros(2 * n_max))
     _, reduced = build_reflection_operator(kernel, n)
     w, vecs = dense_eig(reduced)
 
@@ -268,7 +304,6 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
             if hl != 0.0:
                 row += (-1.0) ** l * hl * powers[k + l][-1, :]
         rows.append(row)
-    basis = _null_space_basis(np.array(rows))
-    w = np.linalg.eigvals(basis.T @ m @ basis)
+    w = np.linalg.eigvals(_restrict(m, *_null_space_reflectors(np.array(rows))))
     keep = np.abs(w.imag) <= RELATIVE_IMAG_TOL * np.maximum(np.abs(w), 1e-300)
     return np.sort(w.real[keep & (w.real > 0.0)])

@@ -369,15 +369,21 @@ def _top_eigenvalue(a: list, b2: list, x: float, lo: float, hi: float, tol: floa
     more than half the one before: from far outside a cluster Laguerre
     converges only linearly, and halving isolates the end first. A step
     that lands on the root by rounding is converged, not halved: the
-    iteration stops when a step is at most tol or the bracket is."""
+    iteration stops when a step is at most tol or the bracket is. A start
+    with an eigenvalue above it is dropped for hi: near a multiple
+    eigenvalue below the top, G and the square root cancel to rounding, and
+    the step they give is tiny enough to pass for convergence."""
     n = len(a)
     last = math.inf
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS):
         count, g, h = _laguerre_sweep(a, b2, x)
         if count == 0:
             hi = x
         else:
             lo = x
+            if sweep == 0:
+                x = hi
+                continue
         step = math.nan
         if count <= 1 and math.isfinite(g) and math.isfinite(h):
             disc = (n - 1) * (n * h - g * g)
@@ -441,12 +447,16 @@ def _tridiagonal_ends(alpha: np.ndarray, beta: np.ndarray, starts=None):
     [1/2, 1). Each end comes from _top_eigenvalue (the bottom one as the
     top of -T), started at starts = (below, above), points expected outside
     the spectrum such as the previous test's extremes moved out by their
-    residual bounds, or else at the Gershgorin bounds; the eigenvectors come
-    from _twisted_vector. Returns (theta, s): theta = [lambda_min,
-    lambda_max] and the unit eigenvectors as the columns of s (m x 2). The
-    entries must be finite; ConvergenceError if an end does not converge in
-    _MAX_SWEEPS sweeps or overflows on unscaling."""
+    residual bounds, or else (also where a start proves to lie inside the
+    spectrum) at the Gershgorin bounds; the eigenvectors come from
+    _twisted_vector. Returns (theta, s): theta = [lambda_min, lambda_max]
+    and the unit eigenvectors as the columns of s (m x 2); the zero matrix
+    gives zeros and the first and last unit vectors. The entries must be
+    finite; ConvergenceError if an end does not converge in _MAX_SWEEPS
+    sweeps or overflows on unscaling."""
     peak = float(max(np.max(np.abs(alpha)), np.max(np.abs(beta), initial=0.0)))
+    if peak == 0.0:
+        return np.zeros(2), np.eye(alpha.size)[:, [0, -1]]
     shift = -math.frexp(peak)[1]
     with np.errstate(over="ignore"):   # an overflowing start is not inside (lo, hi)
         a, b = np.ldexp(alpha, shift), np.ldexp(beta, shift)

@@ -158,15 +158,16 @@ def _horner_with_bound(coeffs, x):
 def _finite_witness(scaled: np.ndarray, exponent: int, x: float) -> tuple[float, float]:
     """x and its unscaled value (scaled value * 2**exponent) when that is
     finite and negative; otherwise bisect toward 2 B (B the Cauchy bound, so
-    the value there is positive) on the sign of the scaled values until it is."""
+    the value there is positive) until it is, keeping only points whose
+    scaled value is negative beyond its rounding bound."""
     lo, hi = x, math.copysign(2.0 * _cauchy_bound(scaled), x)
     val = np.ldexp(_horner_with_bound(scaled, lo)[0], exponent)
     while not (val < 0.0 and np.isfinite(val)):
         mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
             raise DomainError("negative critical value not representable in double precision")
-        y = _horner_with_bound(scaled, mid)[0]
-        if y < 0.0:
+        y, bound = _horner_with_bound(scaled, mid)
+        if y + bound < 0.0:
             lo, val = mid, np.ldexp(y, exponent)
         else:
             hi = mid
@@ -176,21 +177,37 @@ def _finite_witness(scaled: np.ndarray, exponent: int, x: float) -> tuple[float,
 @np.errstate(over="ignore", invalid="ignore")
 def _critical_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
     """Even degree, positive leading coefficient: poly >= 0 unless its value
-    at some critical point is negative beyond Horner's error bound."""
-    # an exact power-of-two scaling keeps the derivative, the roots and the
-    # bounds of coefficients near DBL_MAX finite without moving any sign
-    exponent = int(np.frexp(np.max(np.abs(poly.coeffs)))[1])
-    scaled = np.ldexp(poly.coeffs, -exponent)
-    crit = np.roots((scaled[1:] * np.arange(1, scaled.size))[::-1]).real
-    values, bounds = _horner_with_bound(scaled, crit)
+    at some critical point is negative beyond Horner's error bound.
+
+    The rule is _first_witness's: the critical points and their values come
+    from the coefficients as given wherever Horner's running bound is finite.
+    Only where that bound (or the derivative) overflows, near DBL_MAX, is the
+    rule applied to the coefficients scaled by an exact power of two, which
+    keeps every sign; scaling them all would flush tiny coefficients to zero.
+    """
+    coeffs = poly.coeffs
+    exponent = int(np.frexp(np.max(np.abs(coeffs)))[1])
+    scaled = np.ldexp(coeffs, -exponent)
+    deriv = coeffs[1:] * np.arange(1, coeffs.size)
+    if not np.isfinite(deriv).all():
+        deriv = scaled[1:] * np.arange(1, coeffs.size)
+    crit = np.roots(deriv[::-1]).real
+    values, bounds = _horner_with_bound(coeffs, crit)
     negative = values + bounds < 0.0
+    over = ~np.isfinite(bounds)
+    if over.any():
+        scaled_values, scaled_bounds = _horner_with_bound(scaled, crit[over])
+        negative[over] = scaled_values + scaled_bounds < 0.0
+        values[over] = np.ldexp(scaled_values, exponent)   # the depths, maybe -inf
     if negative.any():
-        deepest = float(crit[negative][np.argmin(values[negative])])
-        x, val = _finite_witness(scaled, exponent, deepest)
+        deepest = int(np.argmin(np.where(negative, values, np.inf)))
+        x, val = float(crit[deepest]), float(values[deepest])
+        if over[deepest]:
+            x, val = _finite_witness(scaled, exponent, x)
         return NonnegativityCertificate(False, witness=x, witness_value=val,
                                         method="critical-points",
                                         detail="critical value negative beyond its rounding bound")
-    if not np.isfinite(bounds).all():
+    if over.any() and not np.isfinite(scaled_bounds).all():
         raise DomainError("critical values overflow double precision")
     return NonnegativityCertificate(True, method="critical-points",
                                     detail="no critical value negative beyond its rounding bound")

@@ -11,12 +11,13 @@ from numpy.polynomial import legendre
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from hankelscope.delta_spectra import (DeltaKernel, _null_space_basis, branches,
+from hankelscope.delta_spectra import (DeltaKernel, _null_space_reflectors, branches,
                                        build_reflection_operator, delta_spectrum,
                                        exact_delta_prime_eigs, h_squared_spectrum,
                                        legendre_lobatto, weyl_prediction)
 from hankelscope.errors import DiscretizationError, DomainError, NotApplicableError
 
+EPS = np.finfo(float).eps
 BEAM_BETA_SQ = [3.5160152685001512, 22.034491564666770, 61.697214413549102,
                 120.90191605230572, 199.85953011680345, 298.55553096773009]
 
@@ -151,6 +152,14 @@ def reflection_oracle(kernel, n):
     return basis, basis.T @ np.diag(s) @ m @ np.diag(1.0 / s) @ basis
 
 
+def reflector_basis(reflectors):
+    """The null-space basis B = H[:, K:] of the product H = I - V T V^T of
+    the reflectors (V, T): the identity for K = 0."""
+    v, t = reflectors
+    k = v.shape[1]
+    return (np.eye(v.shape[0]) - v @ t @ v.T)[:, k:]
+
+
 class TestReflectionAssembly:
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("h", MIXED_WEIGHTS)
@@ -158,7 +167,8 @@ class TestReflectionAssembly:
         # the null-space basis is fixed only up to a rotation, so compare the
         # projector B B^T and the lifted operator B A B^T
         kernel = DeltaKernel(h, 1.5)
-        basis, reduced = build_reflection_operator(kernel, n)
+        reflectors, reduced = build_reflection_operator(kernel, n)
+        basis = reflector_basis(reflectors)
         ref_basis, ref_reduced = reflection_oracle(kernel, n)
         np.testing.assert_allclose(basis @ basis.T, ref_basis @ ref_basis.T,
                                    rtol=0, atol=1e-12)
@@ -179,7 +189,8 @@ class TestReflectionAssembly:
     def test_basis_is_orthonormal_null_space(self, h):
         n = 64
         kernel = DeltaKernel(h, 1.5)
-        basis, reduced = build_reflection_operator(kernel, n)
+        reflectors, reduced = build_reflection_operator(kernel, n)
+        basis = reflector_basis(reflectors)
         k_ord = kernel.order
         assert basis.shape == (n, n - k_ord) and reduced.shape == (n - k_ord, n - k_ord)
         np.testing.assert_allclose(basis.T @ basis, np.eye(n - k_ord), rtol=0, atol=1e-12)
@@ -191,22 +202,23 @@ class TestReflectionAssembly:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("squared", [False, True], ids=["reflection", "squared"])
     @pytest.mark.parametrize("h", MIXED_WEIGHTS[1:], ids=["K1", "K2", "K3"])
-    def test_basis_is_scipy_null_space_bit_for_bit(self, h, squared, n):
-        # layout matters as well as values: matmul copies SciPy's strided
-        # view to C order, while a Fortran-ordered basis with the same values
-        # rounds basis.T @ m @ basis differently
+    def test_reflector_basis_spans_scipy_null_space(self, h, squared, n):
+        # the basis is fixed only up to a rotation: compare projectors
         rows = boundary_rows(DeltaKernel(h, 1.5), n, squared)
-        basis = _null_space_basis(rows)
+        v, t = _null_space_reflectors(rows)
+        k = rows.shape[0]
+        assert v.shape == (n, k) and t.shape == (k, k)
+        basis = reflector_basis((v, t))
         ref = null_space(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-        assert basis.flags.c_contiguous
-        assert np.array_equal(basis, ref)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n - k), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(basis @ basis.T, ref @ ref.T, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("rows", [[[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]],
                                       [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]],
                              ids=["parallel", "zero"])
     def test_rank_deficient_rows_rejected(self, rows):
         with pytest.raises(DiscretizationError):
-            _null_space_basis(np.array(rows))
+            _null_space_reflectors(np.array(rows))
 
 
 class TestKernelType:
@@ -231,6 +243,26 @@ class TestOrderZero:
         vals = np.unique(np.round(rep.eigenvalues, 10))
         np.testing.assert_array_equal(vals, [-h0, h0])
         assert rep.residuals.max() < 1e-12
+
+    @pytest.mark.parametrize("h0, n, n_max", [(1.4230776672218808, 256, 42), (-0.8, 64, 16),
+                                              (3.0, 33, 8), (-1.4230776672218808, 257, 64)])
+    def test_closed_form_is_exact(self, h0, n, n_max):
+        # R^2 = I: e_i +- e_(N-1-i) (and the middle unit vector for odd N)
+        # are exact eigenvectors of h0 R, with eigenvalues exactly +-|h0|
+        rep = delta_spectrum(DeltaKernel([h0], 1.3), n, n_max)
+        want = np.concatenate([np.full(n_max, -abs(h0)), np.full(n_max, abs(h0))])
+        assert np.array_equal(rep.eigenvalues, want)
+        assert np.array_equal(rep.residuals, np.zeros(2 * n_max))
+
+    @pytest.mark.parametrize("h0, n", [(1.4230776672218808, 256), (-0.8, 64), (3.0, 33)])
+    def test_model_spectrum_matches_closed_form(self, h0, n):
+        # the model (I, h0 R) stays the reference: its eigh spectrum is
+        # ceil(N/2) copies of h0 and floor(N/2) of -h0, to rounding
+        reflectors, reduced = build_reflection_operator(DeltaKernel([h0], 1.3), n)
+        assert np.array_equal(reflector_basis(reflectors), np.eye(n))
+        w = np.linalg.eigvalsh(reduced)
+        want = np.sort(np.concatenate([np.full((n + 1) // 2, h0), np.full(n // 2, -h0)]))
+        assert np.abs(w - want).max() <= 4.0 * EPS * abs(h0)
 
 
 class TestExactFirstDerivativeKernel:

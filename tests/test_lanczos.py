@@ -5,10 +5,11 @@ two ends every 8 steps)."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from hankelscope import discretization
@@ -207,8 +208,14 @@ def _tridiagonal_strategy():
         st.one_of(st.none(), st.tuples(reals, reals))))
 
 
+# a warm start just above a double eigenvalue 0, below the top 5.9e261
+INSIDE_START = ([0.0, 0.0, 5.9041514747105345e+261], [0.0, 0.0],
+                (-1.0, 7.751074183610109e+229))
+
+
 @given(_tridiagonal_strategy())
 @settings(max_examples=300, deadline=None)
+@example(INSIDE_START)
 def test_tridiagonal_ends_raise_nothing_but_convergence_errors(case):
     alpha, beta, starts = case
     with warnings.catch_warnings():
@@ -219,3 +226,64 @@ def test_tridiagonal_ends_raise_nothing_but_convergence_errors(case):
             return
     assert np.all(np.isfinite(theta)) and theta[0] <= theta[1]
     assert np.all(np.isfinite(s)) and s.shape == (len(alpha), 2)
+
+
+_SCALE = 2 ** 1130   # makes every double, and every end +- 4 eps |end|, an integer
+
+
+def count_at_least(alpha, beta, y: Fraction) -> int:
+    """Exact number of eigenvalues of the tridiagonal (alpha, beta) at or
+    above y: the sign changes of p_k = det(y I - T_k), k = 0 ... m, in
+    integer arithmetic (Sylvester). A zero p_k takes the sign opposite to
+    p_(k-1), as for y moved infinitesimally down; a zero coupling splits T,
+    and the sequence restarts."""
+    scaled = y * _SCALE
+    assert scaled.denominator == 1
+    count, p, p_prev, sign = 0, 1, 0, 1
+    for i, a in enumerate(alpha):
+        b = int(Fraction(beta[i - 1]) * _SCALE) if i else 0
+        if b == 0:
+            p, p_prev, sign = 1, 0, 1
+        p, p_prev = (scaled.numerator - int(Fraction(a) * _SCALE)) * p - b * b * p_prev, p
+        new_sign = -sign if p == 0 else (1 if p > 0 else -1)
+        count += new_sign != sign
+        sign = new_sign
+    return count
+
+
+def test_exact_count_matches_eigvalsh():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 5, 12):
+        alpha, beta = rng.standard_normal(m), rng.standard_normal(m - 1)
+        if m > 3:
+            beta[2] = 0.0
+        w = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
+        for y in np.linspace(-4.0, 4.0, 41):
+            assert count_at_least(alpha, beta, Fraction(y)) == np.sum(w >= y)
+    assert count_at_least([0.0, 0.0], [0.0], Fraction(0)) == 2
+    assert count_at_least([1.0, 1.0], [1.0], Fraction(2)) == 1
+
+
+@given(_tridiagonal_strategy())
+@settings(max_examples=300, deadline=None)
+@example(INSIDE_START)
+@example(([0.0], [], None))
+def test_tridiagonal_ends_are_exact_to_four_ulps_of_the_norm(case):
+    # each end lies within 4 eps max|lambda| (plus the smallest subnormal,
+    # the rounding of an end on the subnormal grid) of the exact end,
+    # bracketed by exact Sylvester counts. numpy.linalg.eigvalsh is no
+    # reference at this tolerance: with zero diagonal and couplings
+    # (1.14e119, 5.07e273) it misses the ends by 8.5 eps of the norm even
+    # after an exact power-of-two scaling, where these ends are exact
+    alpha, beta, starts = case
+    try:
+        theta, _ = _tridiagonal_ends(np.array(alpha), np.array(beta), starts)
+    except ConvergenceError:
+        return
+    m = len(alpha)
+    tol = Fraction(4.0 * EPS) * Fraction(float(np.max(np.abs(theta)))) + Fraction(2.0 ** -1074)
+    bottom, top = Fraction(float(theta[0])), Fraction(float(theta[1]))
+    assert count_at_least(alpha, beta, bottom - tol) == m
+    assert count_at_least(alpha, beta, bottom + tol) < m
+    assert count_at_least(alpha, beta, top - tol) >= 1
+    assert count_at_least(alpha, beta, top + tol) == 0

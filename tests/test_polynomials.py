@@ -180,8 +180,9 @@ def decide_without_warnings(q):
 
 class TestOverflowingFallback:
     """Coefficients near DBL_MAX: the rule decides on power-of-two scaled
-    coefficients, without numpy warnings, and reports a finite witness or
-    raises DomainError."""
+    coefficients where the unscaled bound overflows, without numpy warnings,
+    and reports a finite witness or raises DomainError. Elsewhere it decides
+    on the coefficients as given."""
 
     def test_chain_overflow_falls_back_to_companion(self):
         # Q' = 2e308 x - 1.5e307 overflows unless the coefficients are scaled
@@ -229,6 +230,27 @@ class TestOverflowingFallback:
         assert np.isfinite(cert.witness_value) and cert.witness_value < 0.0
         exact = exact_value(q, cert.witness)
         assert exact < 0 and abs(cert.witness_value - exact) < 1e-12 * abs(exact)
+
+    def test_tiny_coefficients_are_not_flushed(self):
+        # scaled by 2^-665, -1e-200 underflows to 0 and Q(0) would read 0;
+        # the unscaled bound is finite, so the unscaled value decides
+        q = poly(-1e-200, 0.0, 1e200)
+        cert = decide_without_warnings(q)
+        assert cert.method == "critical-points" and not cert.nonnegative
+        assert cert.witness == 0.0 and cert.witness_value == -1e-200
+        assert exact_value(q, cert.witness) < 0
+
+    def test_bisection_keeps_only_certified_points(self):
+        # the critical value near 2e10 is negative beyond its scaled bound but
+        # overflows unscaled; towards 2 B every finite value is a cancellation
+        # of two terms near 1e332, far inside its bound. The bisection used to
+        # stop at x = 20138350931.76822, scaled value -6.9e-46 against a bound
+        # of 1.2e56, where Q is positive
+        q = poly(1.785479572446698e-226, 4.694635104544615e-97, -5.6331279133927756e-269,
+                 -1.035892369592044e+184, 2.3059347283968587e-271, -2.2218806991542718e+20,
+                 -3.359991368447391e-90, -9.664699310514662e+259, 4.799151302537197e+249)
+        with pytest.raises(DomainError, match="not representable"):
+            decide_without_warnings(q)
 
     def test_overflowing_critical_value_is_no_verdict(self):
         # Q = x^29 (1e-12 x - 1): the critical value at 9.7e11 overflows even
