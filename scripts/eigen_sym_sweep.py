@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
-"""eigen_sym against dense full spectra on both operator sides: the
-phase-space count of eigenvalues above 1e-13 max|lambda|, the rows kept after
-deflation, the width eigen_sym solved on, dense and eigen_sym time, max
-|dlambda| / max|lambda| and the reported residual_max / max|lambda|, the
-margin of the exact zeros, and the memory peaks of the build and the solve.
+"""The solvers of both operator sides against dense full spectra: the
+phase-space count of eigenvalues above 1e-13 max|lambda|, the width solved
+on, dense and solver time, max |dlambda| / max|lambda| and the reported
+residual_max / max|lambda|, the margin of the exact zeros, and the memory
+peaks of the build and the solve.
 
-The Hankel side uses P = 1.7 + x^2 and the A side its symbol Q = p_to_q(P),
-so both rows of one (L, N) model the same operator. "count" is the number of
-dense eigenvalues above 1e-13 max|lambda|, to be read against the estimate
-(2L / pi^2) ln(2e13) = 6.2 L. "kept" is the number of rows left after
-eigen_sym's deflation (N when it keeps every row, always on the Hankel side;
-about 10 L on the A side once that is at most N/2). "width" is N minus the
-number of exact zeros in the reported spectrum (the kept rows when the kept
-block is solved dense). The dense reference is np.linalg.eigh with its
-N x N residual product. "margin" is the residual of the exact zeros, the
-complement bound plus the deflation bound, over RANGE_TOL ||M||_F: at most 1
-by construction ("-" when there are no zeros). "build MB" and "solve MB" are
-the tracemalloc peaks of the build call and of the eigen_sym call, taken in
-separate untimed calls; each N x N double array is 8 N^2 bytes (32 MiB at
-N = 2048). BLAS is pinned to one thread.
+The Hankel side uses P = 1.7 + x^2, solved by eigen_sym on
+build_hankel_matrix, and the A side its symbol Q = p_to_q(P), solved by
+a_spectrum on its weight core, so both rows of one (L, N) model the same
+operator. "count" is the number of dense eigenvalues above 1e-13
+max|lambda|, to be read against the estimate (2L / pi^2) ln(2e13) = 6.2 L.
+"width" is N minus the number of exact zeros in the reported spectrum: the
+sketch width, or N when eigen_sym solves dense, on the Hankel side; the
+weight core, about 10 L rows whatever N is, on the A side. The dense
+reference is np.linalg.eigh with its N x N residual product, of the
+Hankel matrix or of build_a_matrix. "margin" is the residual of the exact
+zeros over RANGE_TOL ||M||_F: the complement bound on the Hankel side, the
+deflation bound on the A side, at most 1 by construction ("-" when there
+are no zeros). "build MB" is the tracemalloc peak of build_hankel_matrix
+("-" on the A side, whose solve builds only its core) and "solve MB" that
+of the solver call, taken in separate untimed calls; each N x N double
+array is 8 N^2 bytes (32 MiB at N = 2048). BLAS is pinned to one thread.
 
     PYTHONPATH=src python3 scripts/eigen_sym_sweep.py [--windows 8,20] [--sizes 512,1024]
 """
@@ -35,7 +37,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q  # noqa: E402
-from hankelscope.discretization import (RANGE_TOL, _deflation,  # noqa: E402
+from hankelscope.discretization import (RANGE_TOL, a_spectrum,  # noqa: E402
                                         build_a_matrix, build_hankel_matrix, eigen_sym)
 from hankelscope.polynomials import RealPolynomial  # noqa: E402
 from hankelscope.transforms import LogGrid  # noqa: E402
@@ -58,37 +60,35 @@ def peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def kept_rows(m: np.ndarray) -> int:
-    """Rows left by eigen_sym's deflation of m."""
-    keep, _ = _deflation(np.sum(m * m, axis=1), RANGE_TOL * np.linalg.norm(m))
-    return m.shape[0] if keep is None else keep.size
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--windows", default="8,12,20,30,60")
     parser.add_argument("--sizes", default="512,1024,2048,4096")
     args = parser.parse_args()
-    sides = {"hankel": lambda grid: build_hankel_matrix(QuasiCarlemanKernel(PROFILE), grid),
-             "a": lambda grid: build_a_matrix(p_to_q(PROFILE), grid)}
+    kernel, symbol = QuasiCarlemanKernel(PROFILE), p_to_q(PROFILE)
+    # side: (the dense reference, the solver, whether the solver takes the reference)
+    sides = {"hankel": (lambda grid: build_hankel_matrix(kernel, grid),
+                        lambda grid, op: eigen_sym(op), True),
+             "a": (lambda grid: build_a_matrix(symbol, grid),
+                   lambda grid, op: a_spectrum(symbol, grid), False)}
 
-    print(f"{'side':>6} {'L':>5} {'N':>5} {'estimate':>8} {'count':>5} {'kept':>5} "
+    print(f"{'side':>6} {'L':>5} {'N':>5} {'estimate':>8} {'count':>5} "
           f"{'width':>5} {'dense s':>8} {'solve s':>8} {'speedup':>7} {'max dlam':>9} "
           f"{'residual':>9} {'margin':>8} {'build MB':>8} {'solve MB':>8}")
-    for side, build in sides.items():
+    for side, (build, solve, uses_matrix) in sides.items():
         for L in (float(tok) for tok in args.windows.split(",")):
             for n in (int(tok) for tok in args.sizes.split(",")):
                 if 2.0 * L / n > 1.0:
                     continue   # too coarse for the Nystrom kernel
                 grid = LogGrid(L=L, N=n)
-                build_mb = peak_mb(lambda: build(grid))
+                build_mb = f"{peak_mb(lambda: build(grid)):8.1f}" if uses_matrix else f"{'-':>8}"
                 op = build(grid)
-                solve_mb = peak_mb(lambda: eigen_sym(op))
+                solve_mb = peak_mb(lambda: solve(grid, op))
                 start = time.perf_counter()
                 w, _ = dense(op.matrix)
                 dense_s = time.perf_counter() - start
                 start = time.perf_counter()
-                rep = eigen_sym(op)
+                rep = solve(grid, op)
                 solve_s = time.perf_counter() - start
                 scale = float(np.max(np.abs(w)))
                 estimate = 2.0 * L / math.pi ** 2 * math.log(2.0 / RANGE_TOL)
@@ -97,12 +97,11 @@ def main():
                 width = n - int(np.sum(zeros))
                 bound = RANGE_TOL * np.linalg.norm(op.matrix)
                 margin = f"{rep.residuals[zeros].max() / bound:8.3f}" if width < n else f"{'-':>8}"
-                print(f"{side:>6} {L:5.0f} {n:5d} {estimate:8.1f} {count:5d} "
-                      f"{kept_rows(op.matrix):5d} {width:5d} "
+                print(f"{side:>6} {L:5.0f} {n:5d} {estimate:8.1f} {count:5d} {width:5d} "
                       f"{dense_s:8.3f} {solve_s:8.3f} {dense_s / solve_s:7.1f} "
                       f"{np.max(np.abs(rep.eigenvalues - w)) / scale:9.1e} "
                       f"{rep.residuals.max() / scale:9.1e} {margin} "
-                      f"{build_mb:8.1f} {solve_mb:8.1f}", flush=True)
+                      f"{build_mb} {solve_mb:8.1f}", flush=True)
 
 
 if __name__ == "__main__":

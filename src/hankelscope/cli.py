@@ -9,7 +9,8 @@ output (fixed seeds, fixed solver order). Exit codes: 0 success, 2
 validation error (including a log grid with dx = 2L/N > 1, too coarse for
 the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
 small that the collocation derivative powers overflow, a coefficient list
-with an empty entry, --seeds that are not two integers >= 0, and an
+with an empty entry, --seeds that are not two integers >= 0, a kernel
+entry, symbol value or equiv-check form beyond double precision, and an
 unwritable --output), 3 numerical-convergence failure (including a
 non-finite eigenvalue or residual, and a spectrum-hankel or carleman
 eigenvalue of a constant profile P = p0 outside the Toeplitz band
@@ -22,14 +23,16 @@ rounding level. The run's tridiagonal ends come from an O(m) Laguerre
 iteration and twisted factorization (Li & Zeng 1994; Parlett & Dhillon
 1997), so no command imports SciPy.
 
-spectrum-hankel and spectrum-a report every eigenvalue from one
-Rayleigh-Ritz step on a sketched range of about 6.2 L + 32 columns, after
-eigen_sym has deflated the rows below rounding (the A side keeps its weight
-core of about 10 L rows once that is at most N/2): the eigenvalues below
+spectrum-hankel and spectrum-a report every eigenvalue, and the ones below
 1e-13 of the matrix's Frobenius norm (a rounding-level cluster) come out as
-exact zeros whose residual is the complement bound ||M - (MQ) Q^T||_F plus
-the deflation bound, and the others agree with a dense solve to rounding.
-Blocks with fewer than three times that width of rows keep the dense solve.
+exact zeros; the others agree with a dense solve to rounding.
+spectrum-hankel takes one Rayleigh-Ritz step on a sketched range of about
+6.2 L + 32 columns, or the dense solve when N is less than three times
+that, and its zeros carry the complement bound ||M - (MQ) Q^T||_F.
+spectrum-a solves only the A side's weight core, about 10 L rows whatever
+N is: the rows below rounding are deflated by their norms, one circular
+convolution, and its zeros carry the deflation bound. equiv-check forms no
+matrix: its left side multiplies by FFT products of Toeplitz triangles.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-from .discretization import (FactoryTestFunction, build_a_matrix, build_hankel_matrix,
+from .discretization import (FactoryTestFunction, a_spectrum, build_hankel_matrix,
                              carleman_extremes, eigen_sym, essential_spectrum,
                              form_identity_check, spectral_rules)
 from .errors import ConvergenceError, HankelscopeError
@@ -224,7 +227,7 @@ def _cmd_spectrum_a(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
     q = RealPolynomial(np.array(args.coefficients))
     grid = LogGrid(L=args.L, N=args.N)
-    report = eigen_sym(build_a_matrix(q, grid))
+    report = a_spectrum(q, grid)
     return {
         "input": {"q_coeffs": list(q.coeffs)},
         **_spectrum_payload(report, args),

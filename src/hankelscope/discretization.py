@@ -6,15 +6,18 @@ and J the reflection xi -> -xi, exact for real Q and even v; see
 build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
 Both sides have about 6.2 L eigenvalues above rounding level, whatever N
-is. eigen_sym first deflates the rows below rounding, which leaves the A
-side's weight core (about 10 L rows) once that is at most N/2 and the Hankel
-side whole; it solves the kept block on a sketched range of that width (or
-dense, when the width exceeds a third of the block) and reports the other
-eigenvalues, the N - kept dropped rows among them, as exact zeros. Their
-residual is the complement bound plus the deflation bound, which share the
-budget RANGE_TOL ||M||_F. Every N x N pass (assembly, the symmetry and norm
-scan, the complement) runs over cache-sized row blocks, so only the dense
-path (eigh and its residual product) allocates N x N temporaries.
+is. eigen_sym solves the Hankel side whole, where no row lies below
+rounding: one Rayleigh-Ritz step on a sketched range of that width (or
+dense, when the width exceeds a third of N), with the other eigenvalues
+reported as exact zeros whose residual is the complement bound. Its
+symmetry scan runs over square tiles and the assembly and complement over
+cache-sized row blocks, so only the dense path (eigh and its residual
+product) allocates N x N temporaries. a_spectrum solves the A side on its
+weight core alone: the row norms of V C V are one circular convolution,
+the rows below rounding are deflated, and only the kept block (about 10 L
+rows) is filled and solved. form_identity_check multiplies by the Nystrom
+matrix without forming it, by FFT products of Toeplitz triangles weighted
+with the profile's Taylor coefficients. Neither allocates an N x N array.
 
 For the reciprocal kernel (P = 1) the Nystrom matrix is symmetric Toeplitz,
 so carleman_extremes finds its two spectral ends matrix-free: circulant-
@@ -40,7 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
-from .transforms import LogGrid, f_transform, u_map, v_eval
+from .special_functions import gamma_half_phase
+from .transforms import LogGrid, mellin, u_map, v_eval
 
 # essential-spectrum verdict labels
 ESS_REALLINE = "R"
@@ -81,11 +85,11 @@ def _require_resolved(grid: LogGrid) -> None:
 
 
 def _offset_factors(grid: LogGrid) -> tuple[np.ndarray, np.ndarray]:
-    """g_d = log(2 cosh(d dx/2)) and c_d = dx / (2 cosh(d dx/2)) on the node
-    offsets d = 0..N-1, through e^{-d dx/2} so neither overflows at large L."""
-    d = np.arange(grid.N)
-    decay = np.exp(-0.5 * grid.dx * d)
-    return 0.5 * grid.dx * d + np.log1p(decay * decay), grid.dx * decay / (1.0 + decay * decay)
+    """s_d = log1p(e^{-d dx}) = logaddexp(x, y) - max(x, y), in (0, ln 2], and
+    c_d = dx / (2 cosh(d dx/2)) on the node offsets d = |i - j| = 0..N-1,
+    through e^{-d dx/2} so neither overflows at large L."""
+    decay = np.exp(-0.5 * grid.dx * np.arange(grid.N))
+    return np.log1p(decay * decay), grid.dx * decay / (1.0 + decay * decay)
 
 
 def _toeplitz(column: np.ndarray) -> np.ndarray:
@@ -114,8 +118,8 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
     _require_resolved(grid)
     x, n = grid.x_nodes, grid.N
     half = sliding_window_view(x[0] + 0.5 * grid.dx * np.arange(2 * n - 1), n)
-    g, c = _offset_factors(grid)
-    toeplitz_g, toeplitz_c = _toeplitz(g), _toeplitz(c)
+    shift, c = _offset_factors(grid)
+    toeplitz_g, toeplitz_c = _toeplitz(0.5 * grid.dx * np.arange(n) + shift), _toeplitz(c)
     entries = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         for i in range(0, n, ROW_BLOCK):
@@ -130,9 +134,40 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
     return DiscreteOperator(matrix=entries, grid=grid)
 
 
+def _a_side(q: RealPolynomial, grid: LogGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight v on the xi-nodes and c = ifft(Q(-x)) of the circulant
+    Q(D_N), as the even part of Re c and Im c (see build_a_matrix). A zero
+    symbol, or a weight that is not even on the grid (v[J] != v, where
+    v_eval is bitwise even), raises DomainError; a symbol value beyond double
+    range on the x-grid raises DiscretizationError."""
+    if q.is_zero:
+        raise DomainError("the a-side model requires a nonzero symbol polynomial")
+    n = grid.N
+    reflect = -np.arange(n) % n
+    v = v_eval(grid.xi_nodes)
+    if not np.array_equal(v[reflect], v):
+        raise DomainError("the real a-side model needs a weight even on the xi-grid")
+    x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        c = np.fft.ifft(q(-x_dual))
+    if not np.all(np.isfinite(c)):
+        raise DiscretizationError("non-finite symbol value on the x-grid: Q(x) exceeds "
+                                  "double precision there")
+    return v, 0.5 * (c.real + c.real[reflect]), c.imag
+
+
+def _hartley_entries(v: np.ndarray, even: np.ndarray, odd: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries v_a v_b [even_{(a-b) mod N} - odd_{(a+b) mod N}] of the
+    real form (see build_a_matrix) for a in rows and b in cols."""
+    n = v.size
+    return np.multiply.outer(v[rows], v[cols]) * (even[(rows[:, None] - cols) % n]
+                                                  - odd[(rows[:, None] + cols) % n])
+
+
 def build_a_matrix(q: RealPolynomial, grid: LogGrid) -> DiscreteOperator:
     """Spectral model V Q(D_N) V on the xi-nodes, D = i d/d xi, as a real
-    symmetric matrix.
+    symmetric matrix: the whole-matrix reference for a_spectrum.
 
     Q(D) acts on the mode e^{i x xi} as multiplication by Q(-x), x over the
     x-nodes, so Q(D_N) is the circulant C_ab = c_{(a-b) mod N}, c = ifft(Q(-x)).
@@ -142,29 +177,15 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid) -> DiscreteOperator:
         (U* V C V U)_ab = v_a v_b [Re c_{(a-b) mod N} - Im c_{(a+b) mod N}]
 
     with the spectrum, trace and Frobenius norm of V C V, filled ROW_BLOCK
-    rows at a time. The weight must be even on the grid (v[J] == v, as v_eval
-    is bitwise), else DomainError. Taking the even part of Re c makes the
-    result exactly symmetric.
+    rows at a time by _hartley_entries. Taking the even part of Re c makes
+    the result exactly symmetric. See _a_side for the errors.
     """
-    if q.is_zero:
-        raise DomainError("build_a_matrix requires a nonzero symbol polynomial")
+    v, even, odd = _a_side(q, grid)
     n = grid.N
-    reflect = -np.arange(n) % n
-    v = v_eval(grid.xi_nodes)
-    if not np.array_equal(v[reflect], v):
-        raise DomainError("the real a-side model needs a weight even on the xi-grid")
-    x_dual = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)
-    c = np.fft.ifft(q(-x_dual))
-    even = 0.5 * (c.real + c.real[reflect])
-    # row a of even[(a - b) mod N] is window N - a of [even, even] (even[J] ==
-    # even); row a of Im c[(a + b) mod N] is window a of [Im c, Im c]
-    circulant = sliding_window_view(np.tile(even, 2), n)[n:0:-1]
-    anticirculant = sliding_window_view(np.tile(c.imag, 2), n)[:n]
+    nodes = np.arange(n)
     m = np.empty((n, n))
     for i in range(0, n, ROW_BLOCK):
-        rows = slice(i, i + ROW_BLOCK)
-        np.multiply(np.multiply.outer(v[rows], v), circulant[rows] - anticirculant[rows],
-                    out=m[rows])
+        m[i:i + ROW_BLOCK] = _hartley_entries(v, even, odd, nodes[i:i + ROW_BLOCK], nodes)
     return DiscreteOperator(matrix=m, grid=grid)
 
 
@@ -172,6 +193,24 @@ def _require_finite(eigenvalues: np.ndarray, residuals: np.ndarray) -> None:
     if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(residuals))):
         raise ConvergenceError("non-finite eigenvalue or residual: the matrix entries "
                                "are too large for double precision")
+
+
+def _full_report(theta: np.ndarray, residuals: np.ndarray, n: int,
+                 zero_residual: float) -> SpectrumReport:
+    """theta with its residuals and n - theta.size exact zeros with residual
+    zero_residual, in ascending order; ConvergenceError if any is not finite."""
+    w = np.concatenate([theta, np.zeros(n - theta.size)])
+    order = np.argsort(w, kind="stable")
+    residuals = np.concatenate([residuals, np.full(n - theta.size, zero_residual)])[order]
+    _require_finite(w, residuals)
+    return SpectrumReport(eigenvalues=w[order], residuals=residuals)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:   # non-finite entries
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 # complement bound ||M - (MQ) Q^T||_F accepted for the sketched range Q,
@@ -189,6 +228,67 @@ def sketch_width(L: float) -> int:
     return math.ceil(2.0 * L / math.pi ** 2 * math.log(2.0 / RANGE_TOL)) + OVERSAMPLING
 
 
+def _deflation(row_sq: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Rows to keep and delta >= ||M - PMP||_F, P the projection on them.
+
+    The rows of smallest norm are dropped while sqrt(2 * sum of their
+    squared norms) <= tol / 2: M - PMP holds the dropped rows and, by
+    symmetry, the dropped columns. The kept set is then closed under
+    J: a -> -a mod N, which keeps at most a few rows more and makes P commute
+    with the Hartley unitary U = (I + iJ)/sqrt(2); delta sums the rows still
+    dropped."""
+    n = row_sq.size
+    order = np.argsort(row_sq, kind="stable")
+    drop = int(np.searchsorted(np.sqrt(2.0 * np.cumsum(row_sq[order])), 0.5 * tol,
+                               side="right"))
+    kept = np.zeros(n, dtype=bool)
+    kept[order[drop:]] = True
+    kept |= kept[-np.arange(n) % n]
+    return np.flatnonzero(kept), math.sqrt(2.0 * float(np.sum(row_sq[~kept])))
+
+
+def _weight_rows(v: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, int]:
+    """Squared row norms w_a (w * |c|^2)_a of the complex V C V, w = v^2, by
+    one circular convolution, with c scaled by 2^-e so that |c| < sqrt(2):
+    returns (row norms of 2^-e V C V, e). The weight's exponential tail
+    enters as the exact factor w_a, and for a nonconstant Q the convolution
+    of the slowly decaying |c|^2 is accurate to 1e-9 relative to each row or
+    better; for a constant Q, |c|^2 is one spike and the tail rows carry an
+    error of rounding relative to the largest row (delta moves by up to about
+    2e-4 of itself)."""
+    e = math.frexp(float(max(np.max(np.abs(even)), np.max(np.abs(odd)))))[1]
+    w = v * v
+    c_sq = np.ldexp(even, -e) ** 2 + np.ldexp(odd, -e) ** 2
+    return w * np.abs(np.fft.irfft(np.fft.rfft(w) * np.fft.rfft(c_sq), v.size)), e
+
+
+def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
+    """Full spectrum of the A-side model build_a_matrix, from its weight core.
+
+    Row a of the complex V C V has the squared norm w_a (w * |c|^2)_a with
+    w = v^2: one circular convolution, whose sum is ||M||_F^2 of both forms
+    (they are unitarily similar). _deflation drops the rows below rounding
+    against the budget RANGE_TOL ||M||_F and keeps a J-invariant set K, about
+    10 L rows whatever N is. P on K commutes with U, so the real form
+    deflates like V C V, and its K x K block is build_a_matrix's entries
+    there: only that block is filled and solved by a dense eigh. Its
+    eigenvalues carry their explicit residuals plus delta >= ||M - PMP||_F;
+    the other N - |K| are exact zeros with residual delta, at most
+    RANGE_TOL ||M||_F / 2. |c| is scaled by a power of two for the row norms,
+    so ||M||_F may exceed double range; a non-finite eigenvalue or residual
+    raises ConvergenceError (see _a_side for the input errors).
+    """
+    v, even, odd = _a_side(q, grid)
+    row_sq, e = _weight_rows(v, even, odd)
+    keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
+        delta = float(np.ldexp(delta, e))
+        block = _hartley_entries(v, even, odd, keep, keep)
+        theta, s = _eigh(block)
+        residuals = np.linalg.norm(block @ s - s * theta, axis=0) + delta
+    return _full_report(theta, residuals, grid.N, delta)
+
+
 def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Q (N x width) for the dominant range of m and the product
     m Q: one pass of a fixed-seed Gaussian sketch, Q = qr(m Omega) (Halko,
@@ -200,19 +300,26 @@ def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return q, m @ q
 
 
+# side of the square tiles of the symmetry scan: a 128 x 128 tile of doubles
+# (128 KB) and its mirror tile stay in cache
+TILE = 128
+
+
 def _row_scan(m: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """One pass over m in ROW_BLOCK-row blocks: the symmetry defect
-    max|m - m^T| over the upper triangle (no full transpose), max|m| and the
-    squared row norms. np.max over the block maxima, so a NaN propagates."""
+    """The symmetry defect max|m - m^T|, max|m| and the squared row norms.
+
+    The defect compares each TILE x TILE tile on or above the diagonal with
+    the transpose of its mirror tile, so no full transpose or N x N
+    temporary is formed; max|m| and the row norms are one pass each. np.max
+    over the partial maxima, so a NaN propagates."""
     n = m.shape[0]
-    starts = range(0, n, ROW_BLOCK)
-    defect, peak, row_sq = np.empty(len(starts)), np.empty(len(starts)), np.empty(n)
-    for b, i in enumerate(starts):
-        rows = m[i:i + ROW_BLOCK]
-        defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].T))
-        peak[b] = np.max(np.abs(rows))
-        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows)
-    return float(np.max(defect)), float(np.max(peak)), row_sq
+    defect = []
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            diff = m[i:i + TILE, j:j + TILE] - m[j:j + TILE, i:i + TILE].T
+            defect += [np.max(diff), -np.min(diff)]
+    return (float(np.max(defect)), float(np.max([np.max(m), -np.min(m)])),
+            np.einsum("ij,ij->i", m, m))
 
 
 def _complement(m: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
@@ -224,22 +331,6 @@ def _complement(m: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
         np.subtract(m[i:i + step], d, out=d)
         total += float(np.vdot(d, d))
     return math.sqrt(total)
-
-
-def _deflation(row_sq: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
-    """Rows to keep and delta >= ||M - PMP||_F, P the projection on them.
-
-    The rows of smallest norm are dropped while delta = sqrt(2 * sum of
-    their squared norms) <= tol / 2: M - PMP holds the dropped rows and, by
-    symmetry, the dropped columns. Returns (None, 0.0), keep every row, when
-    more than N/2 rows would stay or tol is not finite."""
-    n = row_sq.size
-    order = np.argsort(row_sq, kind="stable")
-    tail = np.sqrt(2.0 * np.cumsum(row_sq[order]))
-    drop = int(np.searchsorted(tail, 0.5 * tol, side="right"))
-    if not math.isfinite(tol) or 2 * (n - drop) > n:
-        return None, 0.0
-    return np.sort(order[drop:]), float(tail[drop - 1])
 
 
 def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
@@ -255,56 +346,36 @@ def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
         width *= 2
     else:
         q, mq, width, complement = None, m, n, 0.0
-    try:
-        theta, s = np.linalg.eigh(m if q is None else q.T @ mq)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    theta, s = _eigh(m if q is None else q.T @ mq)
     vecs = s if q is None else q @ s
     return theta, np.linalg.norm(mq @ s - vecs * theta, axis=0), width, complement
 
 
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectrum of a real symmetric discrete operator: deflation of
-    the rows below rounding, then one Rayleigh-Ritz step on a sketched range
-    of about sketch_width(L) columns.
+    """Full spectrum of a real symmetric discrete operator from one
+    Rayleigh-Ritz step on a sketched range of about sketch_width(L) columns.
 
-    One row-blocked scan gives the symmetry defect, max|m| and the squared
-    row norms, whose sum is ||M||_F^2. The rows of smallest norm are dropped
-    while delta = sqrt(2 * sum of their squared norms) <= RANGE_TOL ||M||_F
-    / 2, which bounds ||M - PMP||_F for the projection P on the kept rows;
-    this deflates only when at most N/2 rows stay, else every row is kept
-    and delta = 0. The A side keeps its weight core, about 10 L rows
-    whatever N is (about 120 of 2048 at L = 12); the Hankel side keeps every
-    row.
-
-    The kept block gets the sketch: the width doubles until the complement
-    bound ||M_KK - (MQ) Q^T||_F (accumulated over row blocks) is within the
-    budget the deflation left, RANGE_TOL ||M||_F - delta. Once the width
-    exceeds a third of the block (a sketch breaks even near 0.45 N), Q is
-    the identity and this is the dense eigh. The Ritz pairs carry explicit
-    residuals plus delta; the other N - width eigenvalues, the N - kept
-    dropped rows among them, are exact zeros whose residual complement +
-    delta <= RANGE_TOL ||M||_F covers ||M z|| for every unit z orthogonal to
-    the Ritz vectors. Each reported value is within its residual of an
-    eigenvalue of M, and no product touches the dropped rows. A non-finite
-    ||M||_F never deflates; a non-finite eigenvalue or residual raises
-    ConvergenceError.
+    One scan gives the symmetry defect, max|m| and the squared row norms,
+    whose sum is ||M||_F^2. The sketch width doubles until the complement
+    bound ||M - (MQ) Q^T||_F (accumulated over row blocks) is within
+    RANGE_TOL ||M||_F. Once the width exceeds a third of N (a sketch breaks
+    even near 0.45 N), Q is the identity and this is the dense eigh. The
+    Ritz pairs carry explicit residuals; the other N - width eigenvalues are
+    exact zeros whose residual, the complement bound, covers ||M z|| for
+    every unit z orthogonal to the Ritz vectors. Each reported value is
+    within its residual of an eigenvalue of M. Nothing is deflated: on the
+    Hankel side even the smallest row is above the rounding budget, and the
+    A side solves its weight core in a_spectrum. A non-finite eigenvalue or
+    residual raises ConvergenceError.
     """
     m = op.matrix
-    n = m.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
         sym_defect, peak, row_sq = _row_scan(m)
         if sym_defect > 1e-12 * max(peak, 1e-300):
             raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
-        tol = RANGE_TOL * math.sqrt(float(np.sum(row_sq)))
-        keep, delta = _deflation(row_sq, tol)
         theta, residuals, width, complement = _rayleigh_ritz(
-            m if keep is None else m[np.ix_(keep, keep)], sketch_width(op.grid.L), tol - delta)
-    w = np.concatenate([theta, np.zeros(n - width)])
-    order = np.argsort(w, kind="stable")
-    residuals = np.concatenate([residuals + delta, np.full(n - width, complement + delta)])[order]
-    _require_finite(w, residuals)
-    return SpectrumReport(eigenvalues=w[order], residuals=residuals)
+            m, sketch_width(op.grid.L), RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
+    return _full_report(theta, residuals, m.shape[0], complement)
 
 
 def _carleman_matvec(grid: LogGrid):
@@ -595,34 +666,99 @@ class IdentityCheck:
     violation: bool  # gap above the discretization-adequacy threshold
 
 
+def _taylor_rows(p: RealPolynomial, x: np.ndarray) -> np.ndarray:
+    """Rows P^(k)(x) / k!, k = 0..deg P, on the nodes x: Horner's scheme
+    repeated on the coefficients (the Taylor shift to each node), in
+    O(deg^2 N)."""
+    rows = np.repeat(p.coeffs[:, None], x.size, axis=1)
+    top = rows.shape[0] - 1
+    for k in range(top):
+        for j in range(top - 1, k - 1, -1):
+            rows[j] += x * rows[j + 1]
+    return rows
+
+
+def _hankel_product(kernel: QuasiCarlemanKernel, grid: LogGrid, u: np.ndarray) -> np.ndarray:
+    """M u for the Nystrom matrix M of build_hankel_matrix, without forming M.
+
+    logaddexp(x_i, x_j) = max(x_i, x_j) + s_{|i-j|}, with the shift s_d of
+    _offset_factors in (0, ln 2]. Expanding each triangle's entries about its
+    larger node,
+
+        M u = sum_k [p_k o (T_k^low u) + T_k^up (p_k o u)],  p_k = P^(k)(x) / k!,
+
+    where T_k is the Toeplitz matrix of the column c_d s_d^k, split into its
+    lower triangle with the diagonal and its strict upper triangle. The
+    shift is small and positive, so the Taylor terms shrink with k and do not
+    cancel. Each product is one circulant embedding of size 2N (Chan & Ng
+    1996), whose strict upper part has the conjugate symbol less c_0 s_0^k,
+    and the upper terms share one inverse FFT: O(deg N log N) in all. dx > 1
+    raises DomainError (see _require_resolved); a non-finite p_k names its
+    node, and a non-finite product raises the same DiscretizationError.
+    """
+    if np.iscomplexobj(u):
+        return _hankel_product(kernel, grid, u.real) + 1j * _hankel_product(kernel, grid, u.imag)
+    _require_resolved(grid)
+    n, x = grid.N, grid.x_nodes
+    shift, column = _offset_factors(grid)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        taylor = _taylor_rows(kernel.profile, x)
+        bad = np.any(~np.isfinite(taylor), axis=0)
+        if np.any(bad):
+            raise DiscretizationError(
+                f"non-finite kernel entry at node x={x[int(np.argmax(bad))]:.6g}")
+        spectrum_u = np.fft.rfft(u, 2 * n)
+        out, upper = np.zeros(n), np.zeros(n + 1, dtype=complex)
+        for p_k in taylor:
+            lower = np.fft.rfft(column, 2 * n)
+            out += p_k * np.fft.irfft(lower * spectrum_u, 2 * n)[:n]
+            upper += np.conj(lower - column[0]) * np.fft.rfft(p_k * u, 2 * n)
+            column = column * shift
+        out += np.fft.irfft(upper, 2 * n)[:n]
+    if not np.all(np.isfinite(out)):
+        raise DiscretizationError("non-finite kernel entry in the product M u: "
+                                  "it overflows double precision")
+    return out
+
+
 def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityCheck:
     """Compare (H f1, f2) against (A F f1, F f2) on one grid.
 
-    lhs: double log-variable quadrature of the integral operator.
+    lhs: double log-variable quadrature of the integral operator, as
+    dx <u2, M u1> with the structured product _hankel_product.
     rhs: single quadrature of v * Q(D)(v * Ff1) * conj(Ff2) with the spectral
     derivative, evaluated on the 3-times zero-extended grid: the xi-sampling
     error of the weight decays like exp(-3 L), while the x-extension adds
-    nothing because the integrands already vanish at the window edge.
+    nothing because the integrands already vanish at the window edge. F is
+    f_transform's gamma-phase Mellin transform, with the phase computed once
+    for both test functions.
     A gap above 1e-3 flags discretization inadequacy (violation), not a math
-    failure.
+    failure; a form or gap beyond double range raises DiscretizationError.
     """
-    kernel = QuasiCarlemanKernel(p)
     u1 = u_map(f1, grid)
     u2 = u_map(f2, grid)
-    hm = build_hankel_matrix(kernel, grid).matrix
-    lhs = complex(grid.dx * np.vdot(u2.values, hm @ u1.values))
+    lhs = complex(grid.dx * np.vdot(u2.values,
+                                    _hankel_product(QuasiCarlemanKernel(p), grid, u1.values)))
 
     grid_p = LogGrid(L=3 * grid.L, N=3 * grid.N)
-    g1 = f_transform(f1, grid_p)
-    g2 = f_transform(f2, grid_p)
-    v = v_eval(g1.coords)
+    m1 = mellin(u_map(f1, grid_p))
+    m2 = mellin(u_map(f2, grid_p))
+    phase = gamma_half_phase(m1.coords)
+    g1, g2 = phase * m1.values, phase * m2.values
+    v = v_eval(m1.coords)
     q = p_to_q(p)
     x_dual = 2.0 * math.pi * np.fft.fftfreq(grid_p.N, d=grid_p.dxi)
-    qdw = np.fft.ifft(q(-x_dual) * np.fft.fft(v * g1.values))
-    rhs = complex(grid_p.dxi * np.sum(v * qdw * np.conj(g2.values)))
-
-    scale = max(abs(lhs), abs(rhs))
-    gap = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        qdw = np.fft.ifft(q(-x_dual) * np.fft.fft(v * g1))
+        rhs = complex(grid_p.dxi * np.sum(v * qdw * np.conj(g2)))
+    try:
+        scale = max(abs(lhs), abs(rhs))
+        gap = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    except OverflowError:   # a modulus beyond double range
+        gap = math.inf
+    if not (np.isfinite(lhs) and np.isfinite(rhs) and math.isfinite(gap)):
+        raise DiscretizationError("non-finite quadratic form: the identity check exceeds "
+                                  "double precision")
     return IdentityCheck(lhs=lhs, rhs=rhs, relative_gap=gap, violation=gap > 1e-3)
 
 

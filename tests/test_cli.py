@@ -402,6 +402,24 @@ class TestValidation:
         assert code == 2 and out == ""
         assert "non-finite kernel entry" in err and "Warning" not in err
 
+    def test_product_overflow_is_a_discretization_error(self, capsys):
+        # every entry of M is finite for P = 1e308, but M u is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "equiv-check", "--p", "1e308",
+                                     "--L", "12", "--N", "64")
+        assert code == 2 and out == ""
+        assert "non-finite kernel entry" in err and "Warning" not in err
+
+    def test_symbol_overflow_is_a_discretization_error(self, capsys):
+        # Q(x) = 1e308 x^2 overflows on the x-grid of the A side
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum-a", "--q", "0,0,1e308",
+                                     "--L", "8", "--N", "64")
+        assert code == 2 and out == ""
+        assert "non-finite symbol value" in err and "Warning" not in err
+
     @pytest.mark.parametrize("argv", [
         ("pq", "--p", "1e308,-1e308,1e308"),
         ("qp", "--q", "1e308,1e308,1e308"),
@@ -494,23 +512,39 @@ EXTREMES = FINITE_EXTREMES + ("nan", "inf", "-inf")
 QUOTED_NON_FINITE = re.compile(r'"-?(nan|inf)"')
 
 
-@given(st.sampled_from(("pq", "qp", "positivity")),
-       st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=14),
-                 st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=14)))
-@settings(max_examples=200, deadline=None)
-def test_symbol_commands_on_extreme_coefficients(command, coeffs):
-    flag = "--q" if command == "qp" else "--p"
+def _assert_clean_exit(argv):
+    """Warnings are errors; exit 0 prints no quoted non-finite value and
+    nothing on stderr, exit 2 or 3 prints one message and no output."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main([command, f"{flag}={','.join(coeffs)}"])
+        code = main(argv)
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert not QUOTED_NON_FINITE.search(out.getvalue())
         assert err.getvalue() == ""
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "convergence"))
+
+
+@given(st.sampled_from(("pq", "qp", "positivity")),
+       st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=14),
+                 st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=14)))
+@settings(max_examples=200, deadline=None)
+def test_symbol_commands_on_extreme_coefficients(command, coeffs):
+    flag = "--q" if command == "qp" else "--p"
+    _assert_clean_exit([command, f"{flag}={','.join(coeffs)}"])
+
+
+@given(st.sampled_from(("spectrum-a", "equiv-check")),
+       st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=14),
+                 st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=14)),
+       st.floats(0.25, 60.0), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_grid_commands_on_extreme_coefficients(command, coeffs, L, k):
+    flag = "--q" if command == "spectrum-a" else "--p"
+    _assert_clean_exit([command, f"{flag}={','.join(coeffs)}", "--L", repr(L), "--N", str(2 ** k)])
 
 
 @given(st.floats(0.25, 60.0), st.integers(0, 8))

@@ -4,6 +4,7 @@ module. Frozen eigenvalues were produced by this package and cross-checked
 against an independent Toeplitz construction of the same kernel."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,15 +13,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelscope import discretization
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
-from hankelscope.discretization import (RANGE_TOL, DiscreteOperator, _carleman_matvec,
-                                        _deflation, _lanczos_extremes, _offset_factors,
-                                        _toeplitz, build_a_matrix, build_hankel_matrix,
+from hankelscope.discretization import (RANGE_TOL, ROW_BLOCK, DiscreteOperator, _a_side,
+                                        _carleman_matvec, _deflation, _hankel_product,
+                                        _hartley_entries, _lanczos_extremes, _offset_factors,
+                                        _row_scan, _toeplitz, _weight_rows, a_spectrum,
+                                        build_a_matrix, build_hankel_matrix,
                                         carleman_extremes, eigen_sym, form_identity_check,
                                         sketch_width, spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
-from hankelscope.transforms import LogGrid, v_eval
+from hankelscope.transforms import LogGrid, u_map, v_eval
 from identity_ladder import identity_gap_ladder, observed_orders
 
 # converged finite-section values (L-truncation limited, stable in N)
@@ -45,8 +48,9 @@ def _one_shot_hankel(kernel, grid):
     on full N x N views, with N x N temporaries."""
     x, n = grid.x_nodes, grid.N
     half = x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
-    g, c = _offset_factors(grid)
-    entries = kernel.profile(sliding_window_view(half, n) + _toeplitz(g))
+    shift, c = _offset_factors(grid)
+    entries = kernel.profile(sliding_window_view(half, n)
+                             + _toeplitz(0.5 * grid.dx * np.arange(n) + shift))
     entries *= _toeplitz(c)
     return entries
 
@@ -250,9 +254,9 @@ class TestEigenSym:
         assert rep.residuals.max() <= 1e-8 * np.abs(rep.eigenvalues).max()
 
     def test_non_finite_residual_raises(self):
-        # entries near 1e300 overflow the residual product
+        # entries near 1e300 overflow the residual norms of the core
         with pytest.raises(ConvergenceError):
-            eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=64)))
+            a_spectrum(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=64))
 
 
 def _dense_eigen(m):
@@ -261,14 +265,21 @@ def _dense_eigen(m):
     return w, np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
 
 
-def _kept_rows(m):
-    """The rows eigen_sym keeps, from the row norms of m: the smallest are
-    dropped while sqrt(2 * sum of their squares) <= RANGE_TOL ||M||_F / 2,
-    and every row stays when more than N/2 would."""
-    n = m.shape[0]
-    tail = np.sqrt(2.0 * np.cumsum(np.sort(np.sum(m * m, axis=1))))
-    kept = n - int(np.sum(tail <= 0.5 * RANGE_TOL * np.linalg.norm(m)))
-    return kept if 2 * kept <= n else n
+def _kept_rows(q, grid):
+    """The number of rows a_spectrum keeps, by the convolution rule: the
+    squared row norms w_a (w * |c|^2)_a of the complex V C V (w = v^2,
+    c = ifft(Q(-x))), the smallest dropped while sqrt(2 * sum of their
+    squares) <= RANGE_TOL ||M||_F / 2, then the kept set closed under
+    J: a -> -a mod N. Complex FFTs and no scaling, unlike _weight_rows."""
+    n = grid.N
+    w = v_eval(grid.xi_nodes) ** 2
+    c = np.fft.ifft(q(-2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)))
+    row_sq = w * np.abs(np.fft.ifft(np.fft.fft(w) * np.fft.fft(np.abs(c) ** 2)))
+    order = np.argsort(row_sq, kind="stable")
+    tail = np.sqrt(2.0 * np.cumsum(row_sq[order]))
+    kept = np.zeros(n, dtype=bool)
+    kept[order[int(np.sum(tail <= 0.5 * RANGE_TOL * math.sqrt(row_sq.sum()))):]] = True
+    return int(np.sum(kept | kept[-np.arange(n) % n]))
 
 
 def _rank_deficient(n, rank, seed=5):
@@ -282,20 +293,24 @@ def _rank_deficient(n, rank, seed=5):
 
 
 class TestSketchedEigenSym:
-    """eigen_sym on a sketched range: Ritz pairs plus exact zeros whose
-    residual is the complement bound, against the dense eigh."""
+    """eigen_sym on a sketched range (Ritz pairs plus exact zeros whose
+    residual is the complement bound) and a_spectrum on its weight core,
+    against the dense eigh of the whole matrix."""
 
+    A_SYMBOLS = {"a": (0.5, 0.3, 1.0), "a-odd": (0.1, 1.0, 0.0, 0.4)}
     SIDES = {"hankel": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)), g),
              "hankel-odd": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(0.5, -1.0, 0.3, 0.2)), g),
-             "a": lambda g: build_a_matrix(poly(0.5, 0.3, 1.0), g),
-             "a-odd": lambda g: build_a_matrix(poly(0.1, 1.0, 0.0, 0.4), g)}
+             "a": lambda g: build_a_matrix(poly(*TestSketchedEigenSym.A_SYMBOLS["a"]), g),
+             "a-odd": lambda g: build_a_matrix(poly(*TestSketchedEigenSym.A_SYMBOLS["a-odd"]), g)}
 
     @pytest.mark.parametrize("n", [512, 1024])
     @pytest.mark.parametrize("L", [8.0, 20.0, 30.0])
     @pytest.mark.parametrize("side", sorted(SIDES))
     def test_matches_dense(self, side, L, n):
-        op = self.SIDES[side](LogGrid(L=L, N=n))
-        rep = eigen_sym(op)
+        grid = LogGrid(L=L, N=n)
+        op = self.SIDES[side](grid)
+        symbol = self.A_SYMBOLS.get(side)
+        rep = eigen_sym(op) if symbol is None else a_spectrum(poly(*symbol), grid)
         w, dense_res = _dense_eigen(op.matrix)
         scale = np.abs(w).max()
         dev = np.abs(rep.eigenvalues - w).max()
@@ -305,9 +320,9 @@ class TestSketchedEigenSym:
         assert rep.residuals.max() <= 1e-13 * scale
         assert np.all(np.diff(rep.eigenvalues) >= 0.0)
         zeros = rep.eigenvalues == 0.0
-        if side.startswith("a"):
+        if symbol is not None:
             # the weight core is solved dense, the other rows are deflated
-            assert n - int(zeros.sum()) == _kept_rows(op.matrix)
+            assert n - int(zeros.sum()) == _kept_rows(poly(*symbol), grid)
         else:
             # the phase-space width suffices, with no doubling; beyond N/3
             # columns the dense path runs
@@ -363,25 +378,53 @@ class TestSketchedEigenSym:
 
 
 class TestDeflatedEigenSym:
-    """The A side solves only its weight core: rows below rounding are
-    deflated, and the spectrum still matches the dense eigh of the whole
-    matrix."""
+    """The A side solves only its weight core: a_spectrum deflates the rows
+    below rounding by the convolution rule, fills the kept block alone, and
+    its spectrum still matches the dense eigh of the whole matrix."""
 
     SYMBOLS = {"even": (0.5, 0.3, 1.0), "odd": (0.1, 1.0, 0.0, 0.4)}
 
-    @pytest.mark.parametrize("n", [2048, 4096])
-    @pytest.mark.parametrize("parity", sorted(SYMBOLS))
-    def test_weight_core_matches_dense(self, parity, n):
-        op = build_a_matrix(poly(*self.SYMBOLS[parity]), LogGrid(L=12.0, N=n))
-        rep = eigen_sym(op)
-        w = np.linalg.eigvalsh(op.matrix)
+    def _check_core(self, q, grid):
+        rep = a_spectrum(q, grid)
+        m = build_a_matrix(q, grid).matrix
+        w = np.linalg.eigvalsh(m)
         scale = np.abs(w).max()
         assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * scale
         assert rep.residuals.max() <= 1e-13 * scale
         zeros = rep.eigenvalues == 0.0
-        kept = n - int(zeros.sum())
-        assert kept == _kept_rows(op.matrix) and kept <= n // 2
-        assert np.all(rep.residuals[zeros] <= RANGE_TOL * np.linalg.norm(op.matrix))
+        kept = grid.N - int(zeros.sum())
+        assert kept == _kept_rows(q, grid)
+        assert np.all(rep.residuals[zeros] <= RANGE_TOL * np.linalg.norm(m))
+        return kept
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    @pytest.mark.parametrize("parity", sorted(SYMBOLS))
+    def test_weight_core_matches_dense(self, parity, n):
+        kept = self._check_core(poly(*self.SYMBOLS[parity]), LogGrid(L=12.0, N=n))
+        assert kept <= n // 2
+
+    @pytest.mark.parametrize("parity", sorted(SYMBOLS))
+    def test_core_above_half_the_rows_deflates(self, parity):
+        # L = 30, N = 512: the core (281 and 335 rows) is more than N/2, where
+        # the earlier whole-matrix route kept every row
+        kept = self._check_core(poly(*self.SYMBOLS[parity]), LogGrid(L=30.0, N=512))
+        assert 512 // 2 < kept < 512
+
+    @pytest.mark.parametrize("L, n", [(8.0, 512), (12.0, 2048), (30.0, 512), (30.0, 2048)])
+    @pytest.mark.parametrize("parity", sorted(SYMBOLS))
+    def test_kept_set_is_j_invariant_and_the_norm_matches(self, parity, L, n):
+        grid = LogGrid(L=L, N=n)
+        q = poly(*self.SYMBOLS[parity])
+        v, even, odd = _a_side(q, grid)
+        row_sq, e = _weight_rows(v, even, odd)
+        m = build_a_matrix(q, grid).matrix
+        fro = math.ldexp(math.sqrt(float(np.sum(row_sq))), e)
+        assert abs(fro - np.linalg.norm(m)) <= 2e-15 * np.linalg.norm(m)
+        keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
+        assert np.array_equal(np.sort(-keep % n), keep)
+        assert 0.0 < delta <= 0.5 * RANGE_TOL * math.sqrt(float(np.sum(row_sq)))
+        # the core block holds build_a_matrix's entries bit for bit
+        assert np.array_equal(_hartley_entries(v, even, odd, keep, keep), m[np.ix_(keep, keep)])
 
     @pytest.mark.parametrize("L, n", [(8.0, 512), (12.0, 2048), (30.0, 2048)])
     @pytest.mark.parametrize("side", ["hankel", "hankel-odd"])
@@ -390,19 +433,82 @@ class TestDeflatedEigenSym:
         row_sq = np.sum(m * m, axis=1)
         # even the smallest row alone is above the deflation budget
         assert math.sqrt(2.0 * row_sq.min()) > 0.5 * RANGE_TOL * np.linalg.norm(m)
-        assert _deflation(row_sq, RANGE_TOL * np.linalg.norm(m)) == (None, 0.0)
+        keep, delta = _deflation(row_sq, RANGE_TOL * np.linalg.norm(m))
+        assert np.array_equal(keep, np.arange(n)) and delta == 0.0
 
     def test_huge_entries_still_raise_at_core_size(self):
-        # ||M||_F overflows to inf: no deflation, and the residuals are inf
+        # ||M||_F is about 1e301: the scaled row norms still deflate, and the
+        # residual norms of the core overflow
         with pytest.raises(ConvergenceError):
-            eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=2048)))
+            a_spectrum(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=2048))
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_no_deflation_on_a_non_finite_norm(self, tol):
-        row_sq = np.concatenate([np.full(8, 1e-300), np.ones(2)])
-        assert _deflation(row_sq, tol) == (None, 0.0)
-        keep, delta = _deflation(row_sq, 1.0)
-        assert keep.tolist() == [8, 9] and 0.0 < delta <= 0.5
+    def test_symbol_overflow_on_the_grid_is_a_discretization_error(self):
+        # Q(x) = 1e308 x^2 overflows at the x-nodes beyond |x| = 1.34
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match="non-finite symbol value"):
+                a_spectrum(poly(0.0, 0.0, 1e308), LogGrid(L=8.0, N=64))
+
+    @pytest.mark.parametrize("route", ["spectrum-a", "equiv-check"])
+    def test_no_n_by_n_allocation(self, route):
+        # one N x N double array at N = 4096 is 128 MiB; the traced peak of
+        # either route stays below a sixteenth of it
+        grid = LogGrid(L=12.0, N=4096)
+        if route == "spectrum-a":
+            call = lambda: a_spectrum(poly(0.5, 0.3, 1.0), grid)
+        else:
+            f1, f2 = make_test_function(11, grid), make_test_function(12, grid)
+            call = lambda: form_identity_check(poly(0.5, -1.0, 0.3, 0.2), f1, f2, grid)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.N ** 2 / 16
+
+
+def _row_block_scan(m):
+    """The earlier scan in ROW_BLOCK-row blocks: the defect of each block
+    row against the column strip below it, max|m| and the row norms."""
+    n = m.shape[0]
+    starts = range(0, n, ROW_BLOCK)
+    defect, peak, row_sq = np.empty(len(starts)), np.empty(len(starts)), np.empty(n)
+    for b, i in enumerate(starts):
+        rows = m[i:i + ROW_BLOCK]
+        defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].T))
+        peak[b] = np.max(np.abs(rows))
+        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows)
+    return float(np.max(defect)), float(np.max(peak)), row_sq
+
+
+class TestRowScan:
+    """The tiled symmetry scan gives the row-block scan's numbers bit for
+    bit, so every eigen_sym result stays the same."""
+
+    @pytest.mark.parametrize("n", [2, 18, 130, 300, 2048])
+    def test_matches_the_row_block_scan(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = m + m.T + 1e-12 * rng.standard_normal((n, n))
+        defect, peak, row_sq = _row_scan(m)
+        ref = _row_block_scan(m)
+        assert defect == ref[0] and peak == ref[1] and np.array_equal(row_sq, ref[2])
+
+    def test_hankel_matrix_is_exactly_symmetric(self):
+        m = build_hankel_matrix(QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)),
+                                LogGrid(L=12.0, N=1024)).matrix
+        defect, peak, _ = _row_scan(m)
+        assert defect == 0.0 and peak == np.abs(m).max()
+
+    @pytest.mark.parametrize("where", [(0, 0), (5, 200), (299, 3)])
+    def test_nan_propagates(self, where):
+        m = np.eye(300)
+        m[where] = np.nan
+        with np.errstate(invalid="ignore"):
+            defect, peak, _ = _row_scan(m)
+        assert math.isnan(defect) and math.isnan(peak)
 
 
 class TestFactory:
@@ -469,6 +575,73 @@ class TestFormIdentity:
         ladder = identity_gap_ladder(poly(1.0, -0.5, 0.25), 11, 12, 12.0, (32, 64, 128))
         orders, converged = observed_orders(ladder)
         assert converged or (orders and max(orders) >= 2.0)
+
+
+def _profile(degree, odd):
+    """Alternating coefficients (-1)^j (j + 1)/(j + 3); odd keeps only the
+    odd powers, an odd profile for an odd degree."""
+    return poly(*(0.0 if odd and j % 2 == 0 else (-1) ** j * (j + 1) / (j + 3)
+                  for j in range(degree + 1)))
+
+
+class TestHankelProduct:
+    """The structured product M u of form_identity_check against the dense
+    Nystrom matrix of build_hankel_matrix."""
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    @pytest.mark.parametrize("L", [12.0, 20.0, 30.0])
+    @pytest.mark.parametrize("degree, odd", [(k, False) for k in range(7)]
+                             + [(k, True) for k in (1, 3, 5)])
+    def test_form_matches_dense(self, degree, odd, L, n):
+        # measured over degrees 0-6, L = 12-30, N = 256-2048 and two seed
+        # pairs: at most 4.6e-16 of |u2|^T |M| |u1|; relative to the form
+        # itself up to 3e-14, where it is 0.2% of that magnitude
+        grid = LogGrid(L=L, N=n)
+        kern = QuasiCarlemanKernel(_profile(degree, odd))
+        u1 = u_map(make_test_function(11, grid), grid).values
+        u2 = u_map(make_test_function(12, grid), grid).values
+        m = build_hankel_matrix(kern, grid).matrix
+        dense = u2 @ (m @ u1)
+        fast = u2 @ _hankel_product(kern, grid, u1)
+        assert abs(fast - dense) <= 2e-15 * (np.abs(u2) @ (np.abs(m) @ np.abs(u1)))
+
+    def test_complex_vector_is_split(self):
+        grid = LogGrid(L=12.0, N=256)
+        kern = QuasiCarlemanKernel(poly(0.5, -1.0, 0.3))
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        m = build_hankel_matrix(kern, grid).matrix
+        fast = _hankel_product(kern, grid, u)
+        assert np.iscomplexobj(fast)
+        assert np.linalg.norm(fast - m @ u) <= 1e-14 * np.linalg.norm(np.abs(m) @ np.abs(u))
+
+    def test_lhs_is_the_dense_form(self):
+        grid = LogGrid(L=12.0, N=512)
+        p = poly(1.0, -0.5, 0.25)
+        f1, f2 = make_test_function(11, grid), make_test_function(12, grid)
+        u1, u2 = u_map(f1, grid).values, u_map(f2, grid).values
+        dense = grid.dx * (u2 @ (build_hankel_matrix(QuasiCarlemanKernel(p), grid).matrix @ u1))
+        assert abs(form_identity_check(p, f1, f2, grid).lhs - dense) <= 1e-14 * abs(dense)
+
+    def test_overflowing_taylor_row_names_its_node(self):
+        # P = 1e305 x^4 overflows at the first node x = -30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match=r"non-finite kernel entry at node x=-30"):
+                _hankel_product(QuasiCarlemanKernel(poly(0, 0, 0, 0, 1e305)),
+                                LogGrid(L=30.0, N=64), np.ones(64))
+
+    def test_overflowing_product_is_a_discretization_error(self):
+        # every p_k is finite, but P = 1e308 times a Toeplitz row sum above 2 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match="non-finite kernel entry in the product"):
+                _hankel_product(QuasiCarlemanKernel(poly(1e308)), LogGrid(L=12.0, N=64),
+                                np.ones(64))
+
+    def test_under_resolved_grid_rejected(self):
+        with pytest.raises(DomainError, match="dx"):
+            _hankel_product(QuasiCarlemanKernel(poly(1.0)), LogGrid(L=40.0, N=64), np.ones(64))
 
 
 def _hankel_eigenvalues(p, grid):
