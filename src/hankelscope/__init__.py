@@ -7,9 +7,9 @@ from their modules."""
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-from .discretization import (FactoryTestFunction, a_spectrum, build_hankel_matrix,
-                             carleman_extremes, eigen_sym, essential_spectrum,
-                             form_identity_check, spectral_rules)
+from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
+                             build_hankel_matrix, carleman_extremes, eigen_sym,
+                             essential_spectrum, form_identity_check, spectral_rules)
 from .errors import (ConvergenceError, DegeneratePolynomialError,
                      DiscretizationError, DomainError, HankelscopeError,
                      NotApplicableError, UnsupportedOrderError)
@@ -21,8 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "QuasiCarlemanKernel", "p_to_q", "q_to_p",
     "DeltaKernel", "branches", "delta_spectrum", "exact_delta_prime_eigs", "weyl_prediction",
-    "FactoryTestFunction", "a_spectrum", "build_hankel_matrix", "carleman_extremes",
-    "eigen_sym", "essential_spectrum", "form_identity_check", "spectral_rules",
+    "FactoryTestFunction", "a_spectrum", "build_a_matrix", "build_hankel_matrix",
+    "carleman_extremes", "eigen_sym", "essential_spectrum", "form_identity_check",
+    "spectral_rules",
     "ConvergenceError", "DegeneratePolynomialError", "DiscretizationError",
     "DomainError", "HankelscopeError", "NotApplicableError", "UnsupportedOrderError",
     "RealPolynomial", "is_nonnegative_on_reals", "LogGrid",

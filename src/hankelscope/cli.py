@@ -47,9 +47,11 @@ from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-from .discretization import (FactoryTestFunction, a_spectrum, build_hankel_matrix,
-                             carleman_extremes, eigen_sym, essential_spectrum,
-                             form_identity_check, spectral_rules)
+# build_a_matrix, the whole-matrix model that spectrum-a solves on its core,
+# stays in the package's public surface, which mirrors these imports
+from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
+                             build_hankel_matrix, carleman_extremes, eigen_sym,
+                             essential_spectrum, form_identity_check, spectral_rules)
 from .errors import ConvergenceError, HankelscopeError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
 from .transforms import LogGrid

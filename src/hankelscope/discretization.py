@@ -44,7 +44,9 @@ from .coeff_map import QuasiCarlemanKernel, p_to_q
 from .errors import ConvergenceError, DiscretizationError, DomainError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
 from .special_functions import gamma_half_phase
-from .transforms import LogGrid, mellin, u_map, v_eval
+# f_transform stays importable from here; form_identity_check applies its
+# phase once to both test functions instead of calling it twice
+from .transforms import LogGrid, f_transform, mellin, u_map, v_eval  # noqa: F401
 
 # essential-spectrum verdict labels
 ESS_REALLINE = "R"
@@ -229,15 +231,18 @@ def sketch_width(L: float) -> int:
 
 
 def _deflation(row_sq: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Rows to keep and delta >= ||M - PMP||_F, P the projection on them.
+    """Rows to keep and delta >= ||M - PMP||_F, P the projection on them,
+    given upper bounds row_sq on the squared row norms.
 
     The rows of smallest norm are dropped while sqrt(2 * sum of their
     squared norms) <= tol / 2: M - PMP holds the dropped rows and, by
     symmetry, the dropped columns. The kept set is then closed under
     J: a -> -a mod N, which keeps at most a few rows more and makes P commute
     with the Hartley unitary U = (I + iJ)/sqrt(2); delta sums the rows still
-    dropped."""
+    dropped. A non-finite tol keeps every row, with delta 0."""
     n = row_sq.size
+    if not math.isfinite(tol):
+        return np.arange(n), 0.0
     order = np.argsort(row_sq, kind="stable")
     drop = int(np.searchsorted(np.sqrt(2.0 * np.cumsum(row_sq[order])), 0.5 * tol,
                                side="right"))
@@ -247,19 +252,35 @@ def _deflation(row_sq: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     return np.flatnonzero(kept), math.sqrt(2.0 * float(np.sum(row_sq[~kept])))
 
 
-def _weight_rows(v: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, int]:
-    """Squared row norms w_a (w * |c|^2)_a of the complex V C V, w = v^2, by
-    one circular convolution, with c scaled by 2^-e so that |c| < sqrt(2):
-    returns (row norms of 2^-e V C V, e). The weight's exponential tail
-    enters as the exact factor w_a, and for a nonconstant Q the convolution
-    of the slowly decaying |c|^2 is accurate to 1e-9 relative to each row or
-    better; for a constant Q, |c|^2 is one spike and the tail rows carry an
-    error of rounding relative to the largest row (delta moves by up to about
-    2e-4 of itself)."""
+def _weight_rows(v: np.ndarray, even: np.ndarray,
+                 odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The squared row norms w_a (w * |c|^2)_a of the complex V C V, w = v^2,
+    from one circular convolution, with c scaled by 2^-e so that
+    |c| < sqrt(2): returns (those of 2^-e V C V, upper bounds on them, e).
+
+    The FFT convolution of the nonnegative w and |c|^2 errs in each entry by
+    at most (2 eps_F + eps)(|w|_1 |c^2|_2 + |w|_2 |c^2|_1), eps_F the
+    normwise error of one FFT, at most 4 eps per radix-2 stage with accurate
+    twiddles (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 24.2), and |F y|_inf = |y|_1 for y >= 0. The bounds add that
+    floor to every entry before the exact factor w_a, are raised by
+    (N + 16) eps relative for the roundings of the entries, the products and
+    any sum of at most N of them, and by the smallest normal number for
+    underflow. So the sum of the bounds over any rows, as computed, is at
+    least the true sum. The floor matters where |c|^2 is one spike (a
+    constant Q): the convolution is then off by up to 15% in the tail rows.
+    """
+    n = v.size
+    eps = np.finfo(float).eps
     e = math.frexp(float(max(np.max(np.abs(even)), np.max(np.abs(odd)))))[1]
     w = v * v
     c_sq = np.ldexp(even, -e) ** 2 + np.ldexp(odd, -e) ** 2
-    return w * np.abs(np.fft.irfft(np.fft.rfft(w) * np.fft.rfft(c_sq), v.size)), e
+    floor = (8.0 * math.log2(n) + 1.0) * eps * (
+        float(np.sum(w)) * float(np.linalg.norm(c_sq))
+        + float(np.linalg.norm(w)) * float(np.sum(c_sq)))
+    conv = np.abs(np.fft.irfft(np.fft.rfft(w) * np.fft.rfft(c_sq), n))
+    bounds = w * (conv + floor) * (1.0 + (n + 16) * eps) + np.finfo(float).tiny
+    return w * conv, bounds, e
 
 
 def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
@@ -267,19 +288,19 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
 
     Row a of the complex V C V has the squared norm w_a (w * |c|^2)_a with
     w = v^2: one circular convolution, whose sum is ||M||_F^2 of both forms
-    (they are unitarily similar). _deflation drops the rows below rounding
-    against the budget RANGE_TOL ||M||_F and keeps a J-invariant set K, about
-    10 L rows whatever N is. P on K commutes with U, so the real form
-    deflates like V C V, and its K x K block is build_a_matrix's entries
-    there: only that block is filled and solved by a dense eigh. Its
-    eigenvalues carry their explicit residuals plus delta >= ||M - PMP||_F;
-    the other N - |K| are exact zeros with residual delta, at most
-    RANGE_TOL ||M||_F / 2. |c| is scaled by a power of two for the row norms,
+    (they are unitarily similar). _deflation drops the rows below rounding against the budget
+    RANGE_TOL ||M||_F and keeps a J-invariant set K, about 10 L rows
+    whatever N is. P on K commutes with U, so the real form deflates like
+    V C V, and its K x K block is build_a_matrix's entries there: only that
+    block is filled and solved by a dense eigh. Its eigenvalues carry their
+    explicit residuals plus delta >= ||M - PMP||_F; the other N - |K| are
+    exact zeros with residual delta, at most RANGE_TOL / 2 times the bound
+    on ||M||_F. |c| is scaled by a power of two for the row norms,
     so ||M||_F may exceed double range; a non-finite eigenvalue or residual
     raises ConvergenceError (see _a_side for the input errors).
     """
     v, even, odd = _a_side(q, grid)
-    row_sq, e = _weight_rows(v, even, odd)
+    _, row_sq, e = _weight_rows(v, even, odd)   # upper bounds: delta is a bound
     keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
         delta = float(np.ldexp(delta, e))

@@ -265,16 +265,28 @@ def _dense_eigen(m):
     return w, np.linalg.norm(m @ vecs - vecs * w[None, :], axis=0)
 
 
-def _kept_rows(q, grid):
-    """The number of rows a_spectrum keeps, by the convolution rule: the
-    squared row norms w_a (w * |c|^2)_a of the complex V C V (w = v^2,
-    c = ifft(Q(-x))), the smallest dropped while sqrt(2 * sum of their
-    squares) <= RANGE_TOL ||M||_F / 2, then the kept set closed under
-    J: a -> -a mod N. Complex FFTs and no scaling, unlike _weight_rows."""
+def _exact_row_sq(q, grid):
+    """The squared row norms w_a sum_b w_b |c_(a-b)|^2 of the complex V C V
+    (w = v^2, c = ifft(Q(-x))) as O(N^2) sums of positive terms, 256 rows
+    at a time."""
     n = grid.N
     w = v_eval(grid.xi_nodes) ** 2
-    c = np.fft.ifft(q(-2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)))
-    row_sq = w * np.abs(np.fft.ifft(np.fft.fft(w) * np.fft.fft(np.abs(c) ** 2)))
+    c_sq = np.abs(np.fft.ifft(q(-2.0 * math.pi * np.fft.fftfreq(n, d=grid.dxi)))) ** 2
+    cols = np.arange(n)
+    row_sq = np.empty(n)
+    for i in range(0, n, 256):
+        rows = np.arange(i, min(n, i + 256))
+        row_sq[rows] = w[rows] * (c_sq[(rows[:, None] - cols) % n] @ w)
+    return row_sq
+
+
+def _kept_rows(q, grid):
+    """The number of rows the deflation rule keeps on the exact row norms:
+    the smallest dropped while sqrt(2 * sum of their squares) <=
+    RANGE_TOL ||M||_F / 2, then the kept set closed under J: a -> -a mod N.
+    a_spectrum keeps at least these, since it works on upper bounds."""
+    row_sq = _exact_row_sq(q, grid)
+    n = row_sq.size
     order = np.argsort(row_sq, kind="stable")
     tail = np.sqrt(2.0 * np.cumsum(row_sq[order]))
     kept = np.zeros(n, dtype=bool)
@@ -416,9 +428,9 @@ class TestDeflatedEigenSym:
         grid = LogGrid(L=L, N=n)
         q = poly(*self.SYMBOLS[parity])
         v, even, odd = _a_side(q, grid)
-        row_sq, e = _weight_rows(v, even, odd)
+        conv_sq, row_sq, e = _weight_rows(v, even, odd)
         m = build_a_matrix(q, grid).matrix
-        fro = math.ldexp(math.sqrt(float(np.sum(row_sq))), e)
+        fro = math.ldexp(math.sqrt(float(np.sum(conv_sq))), e)
         assert abs(fro - np.linalg.norm(m)) <= 2e-15 * np.linalg.norm(m)
         keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
         assert np.array_equal(np.sort(-keep % n), keep)
@@ -435,6 +447,42 @@ class TestDeflatedEigenSym:
         assert math.sqrt(2.0 * row_sq.min()) > 0.5 * RANGE_TOL * np.linalg.norm(m)
         keep, delta = _deflation(row_sq, RANGE_TOL * np.linalg.norm(m))
         assert np.array_equal(keep, np.arange(n)) and delta == 0.0
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_no_deflation_on_a_non_finite_norm(self, tol):
+        row_sq = np.concatenate([np.full(8, 1e-300), np.ones(2)])
+        keep, delta = _deflation(row_sq, tol)
+        assert keep.tolist() == list(range(10)) and delta == 0.0
+        # rows 8 and 9 carry the norm; closing under J: a -> -a mod 10 adds
+        # their mirrors 2 and 1, and delta sums the other six
+        keep, delta = _deflation(row_sq, 1.0)
+        assert keep.tolist() == [1, 2, 8, 9] and 0.0 < delta <= 0.5
+        assert delta == math.sqrt(2.0 * 6e-300)
+
+    @pytest.mark.parametrize("L, n", [(8.0, 512), (30.0, 512), (12.0, 2048)])
+    @pytest.mark.parametrize("symbol", [(1.0,), (0.5, 0.3, 1.0)], ids=["constant", "even"])
+    def test_delta_bounds_the_exact_dropped_norm(self, symbol, L, n):
+        # delta against sqrt(2 * sum of the dropped rows' squared norms) of
+        # build_a_matrix, summed entry by entry; the kept set is J-closed, so
+        # the real form's dropped rows carry the complex form's norm
+        grid = LogGrid(L=L, N=n)
+        q = poly(*symbol)
+        v, even, odd = _a_side(q, grid)
+        _, row_sq, e = _weight_rows(v, even, odd)
+        keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
+        delta = math.ldexp(delta, e)
+        m = build_a_matrix(q, grid).matrix
+        dropped = np.ones(n, dtype=bool)
+        dropped[keep] = False
+        exact = math.sqrt(2.0 * float(np.sum(m[dropped] ** 2)))
+        outside = m.copy()
+        outside[np.ix_(keep, keep)] = 0.0
+        assert np.linalg.norm(outside) <= exact
+        assert exact <= delta <= 0.5 * RANGE_TOL * np.linalg.norm(m) * (1.0 + 1e-12)
+        # every bound holds its exact row norm, and a_spectrum reports delta
+        assert np.all(row_sq >= np.ldexp(_exact_row_sq(q, grid), -2 * e))
+        rep = a_spectrum(q, grid)
+        assert np.all(rep.residuals[rep.eigenvalues == 0.0] == delta)
 
     def test_huge_entries_still_raise_at_core_size(self):
         # ||M||_F is about 1e301: the scaled row norms still deflate, and the
