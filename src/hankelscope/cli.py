@@ -16,12 +16,10 @@ non-finite eigenvalue or residual, and a spectrum-hankel or carleman
 eigenvalue of a constant profile P = p0 outside the Toeplitz band
 p0 [0, pi (1 + eps_alias)] by more than its residual).
 
-carleman computes only the two ends of its spectrum, by one Lanczos run on
-the Toeplitz matrix of the reciprocal kernel: its residual_max covers those
-two eigenpairs, and min_eigenvalue is the converged bottom Ritz value, at
-rounding level. The run's tridiagonal ends come from an O(m) Laguerre
-iteration and twisted factorization (Li & Zeng 1994; Parlett & Dhillon
-1997), so no command imports SciPy.
+carleman computes only the two ends of its spectrum, by one dense solve of
+the reciprocal kernel's Nystrom matrix on min(N, 6.2 L + 32) Gauss-Legendre
+nodes: its residual_max covers those two eigenpairs, and min_eigenvalue is
+the bottom of a cluster at rounding level. No command imports SciPy.
 
 spectrum-hankel and spectrum-a report every eigenvalue, and the ones below
 1e-13 of the matrix's Frobenius norm (a rounding-level cluster) come out as
@@ -144,7 +142,14 @@ def _require_in_band(report, p0: float, grid: LogGrid) -> None:
     and at most pi (1 + eps_alias), eps_alias = 2 sum_{k>=1} 1/cosh(2 pi^2 k
     / dx). Every eigenvalue must lie in p0 [0, pi (1 + eps_alias)] up to its
     residual and the rounding of the entries (4 eps of a row sum); one
-    outside raises ConvergenceError."""
+    outside raises ConvergenceError.
+
+    carleman's Gauss-Legendre S K S (p0 = 1) meets the band for other
+    reasons: it is a Gram matrix of k(d) = 1 / (2 cosh(d/2)), whose Fourier
+    transform pi / cosh(pi xi) is positive, so its bottom is 0 up to
+    rounding; its top stays 1e-5 below pi (measured) for N <= 2048 and
+    dx <= 1, and at N = 4096 exceeds it from about dx = 0.95 on, where so
+    few nodes under-resolve so wide a window."""
     a = 2.0 * math.pi ** 2 / grid.dx   # dx <= 1 here: terms beyond k = 3 are below 1e-25
     eps_alias = 2.0 * sum(2.0 * math.exp(-a * k) / (1.0 + math.exp(-2.0 * a * k))
                           for k in (1, 2, 3))
@@ -204,14 +209,16 @@ def _cmd_spectrum_hankel(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
     p = RealPolynomial(np.array(args.coefficients))
     grid = LogGrid(L=args.L, N=args.N)
-    report = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(p), grid))
+    kernel = QuasiCarlemanKernel(p)
+    q = p_to_q(p)   # before the assembly: an unmappable P exits 2 at once
+    report = eigen_sym(build_hankel_matrix(kernel, grid))
     if p.degree == 0:
         _require_in_band(report, p.leading, grid)
-    rules = spectral_rules(p, report.eigenvalues)
+    rules = spectral_rules(p, q, report.eigenvalues)
     cert = rules["certificate"]
     return {
         "input": {"p_coeffs": list(p.coeffs)},
-        "q_coeffs": list(p_to_q(p).coeffs),
+        "q_coeffs": list(q.coeffs),
         **_spectrum_payload(report, args),
         "positivity": {"verdict": None} if cert is None else
                       {"verdict": cert.nonnegative, "certificate": _certificate(cert)},
@@ -286,7 +293,7 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
 def _cmd_carleman(args: argparse.Namespace) -> dict:
     _require_pow2(args.N)
     grid = LogGrid(L=args.L, N=args.N)
-    report, _ = carleman_extremes(grid)
+    report = carleman_extremes(grid)
     _require_in_band(report, 1.0, grid)
     lam_max = float(report.eigenvalues[-1])
     return {
@@ -359,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
     sp = sub.add_parser("carleman", help="reference run for the reciprocal kernel")
     sp.add_argument("--L", type=float, default=14.0)
-    sp.add_argument("--N", type=int, default=2048)
+    sp.add_argument("--N", type=int, default=2048,
+                    help="cap on the Gauss-Legendre node count (power of two >= 2)")
 
     for action in sub.choices.values():
         action.add_argument("--output", default=None, help="write to file instead of stdout")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh as dense_eig
 
-from .discretization import SpectrumReport, _require_finite
+from .discretization import SpectrumReport, _legendre_pair, _require_finite
 from .errors import DiscretizationError, DomainError, NotApplicableError
 
 RELATIVE_IMAG_TOL = 1e-6
@@ -91,19 +91,6 @@ def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.fill_diagonal(d, 0.0)
     d[0, 0], d[-1, -1] = -m * n / 4.0, m * n / 4.0
     return nodes, 2.0 / (m * n * pm * pm), d
-
-
-def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P_m(x), P_{m-1}(x)) by the three-term recurrence, m >= 1, in place
-    on three buffers."""
-    p_prev, p, xp = np.ones_like(x), x.copy(), np.empty_like(x)
-    for k in range(1, m):
-        np.multiply(x, p, out=xp)
-        xp *= (2 * k + 1) / (k + 1)
-        p_prev *= k / (k + 1)
-        np.subtract(xp, p_prev, out=p_prev)
-        p, p_prev = p_prev, p
-    return p, p_prev
 
 
 def _require_resolution(kernel: DeltaKernel, n: int) -> None:

@@ -19,14 +19,11 @@ rows) is filled and solved. form_identity_check multiplies by the Nystrom
 matrix without forming it, by FFT products of Toeplitz triangles weighted
 with the profile's Taylor coefficients. Neither allocates an N x N array.
 
-For the reciprocal kernel (P = 1) the Nystrom matrix is symmetric Toeplitz,
-so carleman_extremes finds its two spectral ends matrix-free: circulant-
-embedding FFT matvecs inside one Lanczos run with DGKS reorthogonalisation
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976). The ends of its
-tridiagonal T_m take O(m) per sweep in pure Python: Laguerre's iteration on
-the LDL^T pivots (Li & Zeng, SIAM J. Sci. Comput. 15, 1994) and a twisted
-factorization for the eigenvectors (Parlett & Dhillon, Linear Algebra Appl.
-267, 1997), so nothing here needs SciPy.
+For the reciprocal kernel (P = 1) carleman_extremes solves on Gauss-Legendre
+nodes instead (Nystrom with M = S K S, S the square roots of the weights):
+the kernel is analytic in a strip, so the two spectral ends converge
+exponentially in the node count, and sketch_width(L) nodes (at most N)
+give them to rounding in one dense eigh.
 
 The x-grid and xi-grid form one FFT pairing, so the two discretizations share
 a single resolution budget (L, N).
@@ -399,251 +396,77 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
     return _full_report(theta, residuals, m.shape[0], complement)
 
 
-def _carleman_matvec(grid: LogGrid):
-    """x -> M x for the P = 1 Nystrom matrix, the symmetric Toeplitz
-    M_ij = c_{|i-j|}, c_k = dx / (2 cosh(k dx / 2)), as one 2N circulant
-    embedding [c_0 .. c_{N-1}, 0, c_{N-1} .. c_1] (Chan & Ng 1996)."""
+def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_m(x), P_{m-1}(x)) by the three-term recurrence, m >= 1, in place
+    on three buffers."""
+    p_prev, p, xp = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, m):
+        np.multiply(x, p, out=xp)
+        xp *= (2 * k + 1) / (k + 1)
+        p_prev *= k / (k + 1)
+        np.subtract(xp, p_prev, out=p_prev)
+        p, p_prev = p_prev, p
+    return p, p_prev
+
+
+def gauss_legendre(grid: LogGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Gauss-Legendre nodes on [-L, L] and their weights, n =
+    min(N, sketch_width(L)) of them: the phase-space count of the
+    eigenvalues above rounding, capped by the grid's sample count.
+
+    The nodes are L times the roots of P_n. On the left half the
+    Gatteschi-Pittaluga estimates -cos(tau + cot(tau) / (8 r^2)), with
+    tau = (j - 1/4) pi / r and r = n + 1/2, lie within 0.006 / n^2 of them;
+    three Newton steps with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1) take them
+    to rounding, and the right half mirrors the left, so the set is exactly
+    symmetric about 0. The weights are 2 L / ((1 - x^2) P_n'(x)^2) at the
+    rounded node. At a root, 2 L (1 - x^2) / (n P_{n-1})^2 is equal but has
+    an n + 1 times larger logarithmic derivative, so the rounding of x near
+    +-1 moves the chosen form n + 1 times less (relative error 2e-11 at
+    n = 1274).
+    """
+    n = min(grid.N, sketch_width(grid.L))
+    r = n + 0.5
+    tau = (np.arange(1, n // 2 + 1) - 0.25) * math.pi / r
+    x = -np.cos(tau + 1.0 / (8.0 * r * r * np.tan(tau)))
+    for _ in range(3):
+        p, p_prev = _legendre_pair(x, n)
+        x = x - p * (x * x - 1.0) / (n * (x * p - p_prev))
+    if n % 2:
+        x = np.append(x, 0.0)
+    p, p_prev = _legendre_pair(x, n)
+    w = 2.0 * (1.0 - x * x) / (n * (p_prev - x * p)) ** 2
+    half = n // 2
+    return (grid.L * np.concatenate([x, -x[:half][::-1]]),
+            grid.L * np.concatenate([w, w[:half][::-1]]))
+
+
+def carleman_extremes(grid: LogGrid) -> SpectrumReport:
+    """The two spectral ends of the reciprocal-kernel (P = 1) operator on
+    [-L, L]: Nystrom on the nodes and weights of gauss_legendre (Atkinson,
+    The Numerical Solution of Integral Equations of the Second Kind, 1997,
+    ch. 4; Bornemann, Math. Comp. 79, 2010), solved by one dense eigh.
+
+    M = S K S, K_ij = k(x_i - x_j), S = diag(sqrt(w)), is symmetric with the
+    spectrum of the weighted Nystrom matrix K W. k(d) = 1 / (2 cosh(d/2)),
+    taken as e^{-|d|/2} / (1 + e^{-|d|}) so it cannot overflow, is analytic
+    in the strip |Im d| < pi, so the ends converge exponentially in the node
+    count. Returns [lambda_min, lambda_max] with their explicit residuals
+    ||M y - theta y||; lambda_min is the bottom of a cluster at rounding
+    level. dx = 2L/N > 1 raises DomainError (see _require_resolved), and a
+    non-finite eigenvalue or residual ConvergenceError.
+    """
     _require_resolved(grid)
-    n = grid.N
-    column = _offset_factors(grid)[1]
-    symbol = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
-    return lambda v: np.fft.irfft(symbol * np.fft.rfft(v, 2 * n), 2 * n)[:n]
-
-
-# pivot floor of the scaled tridiagonal (entries below 1 in magnitude): a
-# smaller pivot is replaced by -/+_PIVMIN, so every quotient stays finite
-_PIVMIN = 2.0 ** -1000
-# room for about 55 halvings of the Gershgorin interval down to tol, plus the
-# Laguerre steps between them
-_MAX_SWEEPS = 200
-
-
-def _laguerre_sweep(a: list, b2: list, x: float) -> tuple[int, float, float]:
-    """One O(m) pass over the LDL^T pivots d_i of x I - T, with b2[i] the
-    squared coupling of row i to row i - 1 (b2[0] = 0).
-
-    Returns the number of negative pivots, which is the number of
-    eigenvalues above x (Sylvester), and G = p'/p, H = -(p'/p)' of
-    p(x) = det(x I - T) = prod d_i, from the recurrences for r_i = d_i'/d_i
-    and w_i = d_i''/d_i. A pivot within _PIVMIN of 0 counts as negative
-    (LAPACK's dstebz convention)."""
-    count = 0
-    g = h = r = w = 0.0
-    d = 1.0
-    for ai, bb in zip(a, b2):
-        e = bb / d
-        u = 1.0 + e * r
-        v = e * (w - 2.0 * r * r)
-        d = x - ai - e
-        if d < _PIVMIN:
-            count += 1
-            if d > -_PIVMIN:
-                d = -_PIVMIN
-        r = u / d
-        w = v / d
-        g += r
-        h += r * r - w
-    return count, g, h
-
-
-def _top_eigenvalue(a: list, b2: list, x: float, lo: float, hi: float, tol: float) -> float:
-    """Largest eigenvalue of the tridiagonal (a, b2), bracketed by lo (not
-    above it) and hi (above the spectrum), by Laguerre's iteration from the
-    start x (Li & Zeng, SIAM J. Sci. Comput. 15, 1994).
-
-    Laguerre's step for a polynomial with real roots never passes the
-    nearest root: from above the spectrum (no negative pivot) it moves down,
-    from between the top two eigenvalues (one negative pivot) it moves up,
-    and it converges cubically to lambda_max from either side. Each sweep's
-    pivot count tightens [lo, hi]. The iteration bisects the bracket instead
-    when no step can be formed (more than one eigenvalue above x, a
-    non-finite G or H), when the step leaves the bracket, and when a step is
-    more than half the one before: from far outside a cluster Laguerre
-    converges only linearly, and halving isolates the end first. A step
-    that lands on the root by rounding is converged, not halved: the
-    iteration stops when a step is at most tol or the bracket is. A start
-    with an eigenvalue above it is dropped for hi: near a multiple
-    eigenvalue below the top, G and the square root cancel to rounding, and
-    the step they give is tiny enough to pass for convergence."""
-    n = len(a)
-    last = math.inf
-    for sweep in range(_MAX_SWEEPS):
-        count, g, h = _laguerre_sweep(a, b2, x)
-        if count == 0:
-            hi = x
-        else:
-            lo = x
-            if sweep == 0:
-                x = hi
-                continue
-        step = math.nan
-        if count <= 1 and math.isfinite(g) and math.isfinite(h):
-            disc = (n - 1) * (n * h - g * g)
-            root = math.sqrt(disc) if disc > 0.0 else 0.0
-            denom = g + root if count == 0 else g - root
-            if denom != 0.0:
-                step = n / denom
-        if abs(step) <= tol:
-            return x - step
-        if abs(step) <= 0.5 * last and lo < x - step < hi:
-            x, last = x - step, abs(step)
-        else:
-            x, last = 0.5 * (lo + hi), math.inf
-        if hi - lo <= tol:
-            return x
-    raise ConvergenceError("Laguerre iteration on the Lanczos tridiagonal did not converge")
-
-
-def _pivots(shifted: list, b2: list) -> np.ndarray:
-    """LDL^T pivots of the tridiagonal with diagonal shifted and squared
-    couplings b2 (b2[0] = 0), top down; a pivot within _PIVMIN of 0 becomes
-    _PIVMIN."""
-    out = [0.0] * len(shifted)
-    d = 1.0
-    for i, (ai, bb) in enumerate(zip(shifted, b2)):
-        d = ai - bb / d
-        if -_PIVMIN < d < _PIVMIN:
-            d = _PIVMIN
-        out[i] = d
-    return np.array(out)
-
-
-def _twisted_vector(a: np.ndarray, b: np.ndarray, b2: list, lam: float) -> np.ndarray:
-    """Unit eigenvector of the tridiagonal (a, b) for the eigenvalue lam, by
-    a twisted factorization (Parlett & Dhillon, Linear Algebra Appl. 267,
-    1997): the top-down pivots D+ and bottom-up pivots D- of T - lam I meet
-    at the twist r minimising |gamma_r| = |D+_r + D-_r - (a_r - lam)|, and
-    N_r z = gamma_r e_r is solved outward from z_r = 1 as two cumulative
-    products of the multipliers -b / D. The residual is |gamma_r| / ||z||,
-    at rounding level for an eigenvalue accurate to rounding, however small
-    the last component is. ConvergenceError if z overflows."""
-    shifted = a - lam
-    plus = _pivots(shifted.tolist(), b2)
-    minus = _pivots(shifted[::-1].tolist(), [0.0] + b2[:0:-1])[::-1]
-    r = int(np.argmin(np.abs(plus + minus - shifted)))
-    z = np.ones(a.size)
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        z[:r] = np.cumprod((-b[:r] / plus[:r])[::-1])[::-1]
-        z[r + 1:] = np.cumprod(-b[r:] / minus[r + 1:])
-        z /= np.max(np.abs(z))   # |z_r| = 1, and the norm's squares cannot overflow
-    if not np.all(np.isfinite(z)):
-        raise ConvergenceError("twisted factorization of the Lanczos tridiagonal overflowed")
-    return z / np.linalg.norm(z)
-
-
-def _tridiagonal_ends(alpha: np.ndarray, beta: np.ndarray, starts=None):
-    """Smallest and largest eigenpairs of the symmetric tridiagonal T with
-    diagonal alpha (m) and off-diagonal beta (m - 1), in O(m) per sweep.
-
-    T is scaled by a power of two (exact) so its largest entry lies in
-    [1/2, 1). Each end comes from _top_eigenvalue (the bottom one as the
-    top of -T), started at starts = (below, above), points expected outside
-    the spectrum such as the previous test's extremes moved out by their
-    residual bounds, or else (also where a start proves to lie inside the
-    spectrum) at the Gershgorin bounds; the eigenvectors come from
-    _twisted_vector. Returns (theta, s): theta = [lambda_min, lambda_max]
-    and the unit eigenvectors as the columns of s (m x 2); the zero matrix
-    gives zeros and the first and last unit vectors. The entries must be
-    finite; ConvergenceError if an end does not converge in _MAX_SWEEPS
-    sweeps or overflows on unscaling."""
-    peak = float(max(np.max(np.abs(alpha)), np.max(np.abs(beta), initial=0.0)))
-    if peak == 0.0:
-        return np.zeros(2), np.eye(alpha.size)[:, [0, -1]]
-    shift = -math.frexp(peak)[1]
-    with np.errstate(over="ignore"):   # an overflowing start is not inside (lo, hi)
-        a, b = np.ldexp(alpha, shift), np.ldexp(beta, shift)
-        guess = (None, None) if starts is None else np.ldexp(np.asarray(starts, float), shift)
-    b2 = [0.0] + (b * b).tolist()
-    radius = np.abs(np.concatenate([[0.0], b])) + np.abs(np.concatenate([b, [0.0]]))
-    gl, gu = float(np.min(a - radius)), float(np.max(a + radius))
-    tol = 2.0 * math.ulp(1.0) * max(-gl, gu, _PIVMIN)
-    gl, gu = gl - 2.0 * tol, gu + 2.0 * tol
-    lams, vectors = np.empty(2), np.empty((alpha.size, 2))
-    for k, sign in enumerate((-1.0, 1.0)):
-        lo, hi = (-gu, -gl) if sign < 0 else (gl, gu)
-        x = hi if guess[k] is None else sign * float(guess[k])
-        lam = _top_eigenvalue((sign * a).tolist(), b2, x if lo < x < hi else hi, lo, hi, tol)
-        lams[k] = sign * lam
-        vectors[:, k] = _twisted_vector(sign * a, sign * b, b2, lam)
-    with np.errstate(over="ignore"):   # reported below
-        theta = np.ldexp(lams, -shift)
-    if not np.all(np.isfinite(theta)):
-        raise ConvergenceError("a tridiagonal end overflows double precision")
-    return theta, vectors
-
-
-def _lanczos_extremes(matvec, v0: np.ndarray):
-    """Smallest and largest eigenpairs of a symmetric operator from one
-    deterministic Lanczos run (Paige; Parlett, The Symmetric Eigenvalue
-    Problem) with full reorthogonalisation.
-
-    Each step subtracts alpha q_j + beta q_{j-1}, then makes one classical
-    Gram-Schmidt pass against the whole basis, and a second pass only when
-    that pass shrank the norm below 1/sqrt(2) of its value (the DGKS rule:
-    Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
-
-    Stops when both extreme Ritz residual bounds beta_m |s_m,i| are at most
-    1e-13 max|theta|, at breakdown (beta_m = 0 meets the same test), or at
-    m = N. The test finds the two ends of T_m by _tridiagonal_ends, O(m) per
-    sweep and warm-started from the previous test's extremes moved out by
-    their bounds; it runs only every 8 steps, at breakdown and at m = N, so
-    a run takes at most 7 matvecs more than a test after every step would.
-    Returns (theta, residuals, steps) with theta = [lambda_min, lambda_max]
-    and the explicit residuals ||M y - theta y|| of the Ritz vectors, one
-    matvec each.
-    """
-    n = v0.size
-    basis = np.empty((min(n, 64), n))
-    basis[0] = v0 / np.linalg.norm(v0)
-    alpha, beta = np.empty(n), np.empty(n)
-    starts = None
-    for m in range(1, n + 1):
-        w = matvec(basis[m - 1])
-        alpha[m - 1] = basis[m - 1] @ w
-        w -= alpha[m - 1] * basis[m - 1]
-        if m > 1:
-            w -= beta[m - 2] * basis[m - 2]
-        before = np.linalg.norm(w)
-        w -= basis[:m].T @ (basis[:m] @ w)
-        beta[m - 1] = np.linalg.norm(w)
-        if beta[m - 1] < before / math.sqrt(2.0):
-            w -= basis[:m].T @ (basis[:m] @ w)
-            beta[m - 1] = np.linalg.norm(w)
-        if not (math.isfinite(alpha[m - 1]) and math.isfinite(beta[m - 1])):
-            raise ConvergenceError("Lanczos recurrence produced a non-finite coefficient")
-        if m % 8 == 0 or m == n or beta[m - 1] == 0.0:
-            theta, s = _tridiagonal_ends(alpha[:m], beta[:m - 1], starts)
-            bounds = beta[m - 1] * np.abs(s[-1])
-            scale = float(np.max(np.abs(theta)))
-            if m == n or np.all(bounds <= 1e-13 * scale):
-                break
-            # moved out by the bound, the next test starts outside its spectrum and
-            # off T_m's own eigenvalue, where the pivot recurrence cancels
-            pad = bounds + 4.0 * np.finfo(float).eps * scale
-            starts = (theta[0] - pad[0], theta[1] + pad[1])
-        if m == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
-        basis[m] = w / beta[m - 1]
-    ritz = s.T @ basis[:m]
-    residuals = np.array([np.linalg.norm(matvec(y) - t * y) for t, y in zip(theta, ritz)])
-    _require_finite(theta, residuals)
-    return theta, residuals, m
-
-
-def carleman_extremes(grid: LogGrid) -> tuple[SpectrumReport, int]:
-    """The two spectral ends of the reciprocal-kernel (P = 1) Nystrom matrix,
-    matrix-free: Toeplitz FFT matvecs inside one Lanczos run.
-
-    Returns (report, steps): eigenvalues [lambda_min, lambda_max] with their
-    explicit residuals, and the number of Lanczos steps taken.
-    The start vector 1 + (-1)^j has components in both reflection classes
-    (j -> N-1-j); a reflection-even start such as ones sees only the even
-    eigenvectors and can miss an end. lambda_min is the converged bottom of
-    a cluster of rounding-level eigenvalues.
-    """
-    v0 = 1.0 + (-1.0) ** np.arange(grid.N)
-    theta, residuals, steps = _lanczos_extremes(_carleman_matvec(grid), v0)
-    return SpectrumReport(eigenvalues=theta, residuals=residuals), steps
+    x, w = gauss_legendre(grid)
+    m = np.exp(-0.5 * np.abs(np.subtract.outer(x, x)))
+    m /= 1.0 + m * m
+    s = np.sqrt(w)
+    m *= np.multiply.outer(s, s)
+    theta, vectors = _eigh(m)
+    ends, y = theta[[0, -1]], vectors[:, [0, -1]]
+    residuals = np.linalg.norm(m @ y - y * ends, axis=0)
+    _require_finite(ends, residuals)
+    return SpectrumReport(eigenvalues=ends, residuals=residuals)
 
 
 class FactoryTestFunction:
@@ -755,11 +578,13 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     for both test functions.
     A gap above 1e-3 flags discretization inadequacy (violation), not a math
     failure; a form or gap beyond double range raises DiscretizationError.
+    P is mapped to Q first, so an unmappable P raises before any assembly.
     """
+    kernel = QuasiCarlemanKernel(p)
+    q = p_to_q(p)
     u1 = u_map(f1, grid)
     u2 = u_map(f2, grid)
-    lhs = complex(grid.dx * np.vdot(u2.values,
-                                    _hankel_product(QuasiCarlemanKernel(p), grid, u1.values)))
+    lhs = complex(grid.dx * np.vdot(u2.values, _hankel_product(kernel, grid, u1.values)))
 
     grid_p = LogGrid(L=3 * grid.L, N=3 * grid.N)
     m1 = mellin(u_map(f1, grid_p))
@@ -767,7 +592,6 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     phase = gamma_half_phase(m1.coords)
     g1, g2 = phase * m1.values, phase * m2.values
     v = v_eval(m1.coords)
-    q = p_to_q(p)
     x_dual = 2.0 * math.pi * np.fft.fftfreq(grid_p.N, d=grid_p.dxi)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         qdw = np.fft.ifft(q(-x_dual) * np.fft.fft(v * g1))
@@ -797,20 +621,20 @@ def essential_spectrum(p: RealPolynomial) -> str:
     return ESS_UNKNOWN
 
 
-def spectral_rules(p: RealPolynomial, eigenvalues: np.ndarray) -> dict:
-    """What the theorems say about the profile P, beside the extremes and the
-    negative count of its finite-section spectrum (ascending).
+def spectral_rules(p: RealPolynomial, q: RealPolynomial, eigenvalues: np.ndarray) -> dict:
+    """What the theorems say about the profile P with symbol Q = p_to_q(P),
+    beside the extremes and the negative count of its finite-section
+    spectrum (ascending).
 
     essential_spectrum: see essential_spectrum. certificate: the nonnegativity
-    certificate of the symbol Q = p_to_q(P), whose `nonnegative` is the
-    positivity verdict; None whenever the essential-spectrum preconditions
-    are not met.
+    certificate of Q, whose `nonnegative` is the positivity verdict; None
+    whenever the essential-spectrum preconditions are not met.
     """
     ess = essential_spectrum(p)
     scale = float(np.max(np.abs(eigenvalues)))
     return {
         "essential_spectrum": ess,
-        "certificate": None if ess == ESS_UNKNOWN else is_nonnegative_on_reals(p_to_q(p)),
+        "certificate": None if ess == ESS_UNKNOWN else is_nonnegative_on_reals(q),
         "min_eigenvalue": float(eigenvalues[0]),
         "max_eigenvalue": float(eigenvalues[-1]),
         "negative_count": int(np.sum(eigenvalues < -1e-10 * max(scale, 1e-300))),

@@ -7,7 +7,7 @@ kept at their stated tolerances deliberately, failing honestly:
   - criterion 3: the finite-section top eigenvalue of the reciprocal kernel
     obeys pi - lambda_max ~ (pi^3/2)(pi/2L)^2 (window curvature), which is
     1.4e-1 at L=14 -- far above the 1e-3 target (reaching it needs L ~ 200,
-    which the test beside it checks on the matrix-free route);
+    which the test beside it checks on Gauss-Legendre nodes);
   - criterion 5 (second and third parts): below the positivity threshold the
     negative eigenvalues form a geometric cascade accumulating at 0- and are
     window-converged by L=10 (values -4.8e-5, -1.1e-10, ...), so no fixed
@@ -108,8 +108,8 @@ def test_criterion_3_carleman_reference_run():
 
 def test_carleman_wide_window_reaches_the_reference_gap():
     # criterion 3's 1e-3 target at the window the curvature law asks for,
-    # L = 200 (model gap 9.6e-4), on the matrix-free Lanczos route at dx ~ 0.2
-    rep, _ = carleman_extremes(LogGrid(L=200.0, N=2048))
+    # L = 200 (model gap 9.6e-4), on 1274 Gauss-Legendre nodes
+    rep = carleman_extremes(LogGrid(L=200.0, N=2048))
     lam_min, lam_max = (float(v) for v in rep.eigenvalues)
     gap = math.pi - lam_max
     ok = 0.0 < gap < 1e-3 and lam_min >= -1e-12 and rep.residuals.max() <= 1e-12

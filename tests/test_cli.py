@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelscope import cli
+from hankelscope import cli, discretization
 from hankelscope.cli import main
 from hankelscope.discretization import SpectrumReport
 
@@ -109,13 +109,13 @@ class TestSpectrumCommands:
         assert abs(doc["gap"] - (math.pi - doc["max_eigenvalue"])) < 1e-15
         assert doc["grid"] == {"L": 8, "N": 128}
 
-    def test_carleman_reports_two_lanczos_extremes(self, capsys):
+    def test_carleman_reports_two_gauss_legendre_extremes(self, capsys):
         code, out, _ = run_cli(capsys, "carleman", "--L", "14", "--N", "1024")
         assert code == 0
         doc = json.loads(out)
-        # the dense solve's top eigenvalue at this grid (CARLEMAN_MAX_L14 in
-        # test_discretization)
-        assert abs(doc["max_eigenvalue"] - 2.998851044375) < 1e-8
+        # the Gauss-Legendre top, which Richardson extrapolation of the
+        # uniform-grid tops at N = 1024 and 2048 meets to 3e-13
+        assert abs(doc["max_eigenvalue"] - 2.9988506487355) < 1e-12
         assert abs(doc["min_eigenvalue"]) < 1e-14
         assert doc["residual_max"] < 1e-12
 
@@ -220,7 +220,7 @@ class TestConstantProfileBand:
     @pytest.mark.parametrize("ends", [(-1e-9, 3.0), (0.0, math.pi + 1e-9)])
     def test_carleman_outside_the_band_exits_3(self, capsys, monkeypatch, ends):
         report = SpectrumReport(np.array(ends), np.full(2, 1e-16))
-        monkeypatch.setattr(cli, "carleman_extremes", lambda grid: (report, 8))
+        monkeypatch.setattr(cli, "carleman_extremes", lambda grid: report)
         code, out, err = run_cli(capsys, "carleman", "--L", "8", "--N", "256")
         assert code == 3 and out == ""
         assert "outside the constant-profile band" in err
@@ -341,6 +341,30 @@ class TestValidation:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "dx" in err
+
+    @pytest.mark.parametrize("command", ["spectrum-hankel", "equiv-check"])
+    def test_unmappable_profile_exits_before_assembly(self, capsys, monkeypatch, command):
+        # degree 13 is beyond p_to_q's jet budget: the exit code and message
+        # are those of pq, and no matrix, product or test function is built
+        built = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(cli, "build_hankel_matrix")
+        spy(discretization, "u_map")
+        spy(discretization, "_hankel_product")
+        p = ",".join(["1"] * 14)
+        _, _, expected = run_cli(capsys, "pq", "--p", p)
+        code, out, err = run_cli(capsys, command, "--p", p, "--L", "12", "--N", "2048")
+        assert code == 2 and out == "" and err == expected
+        assert "map order 13 > 12" in err
+        assert built == []
 
     def test_non_finite_spectrum_is_a_convergence_failure(self, capsys):
         code, out, err = run_cli(capsys, "spectrum-a", "--q", "1e300,0,1",

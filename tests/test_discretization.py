@@ -10,16 +10,17 @@ import warnings
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.legendre import legvander
+from scipy.special import roots_legendre
 
 from hankelscope import discretization
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
 from hankelscope.discretization import (RANGE_TOL, ROW_BLOCK, DiscreteOperator, _a_side,
-                                        _carleman_matvec, _deflation, _hankel_product,
-                                        _hartley_entries, _lanczos_extremes, _offset_factors,
-                                        _row_scan, _toeplitz, _weight_rows, a_spectrum,
-                                        build_a_matrix, build_hankel_matrix,
+                                        _deflation, _hankel_product, _hartley_entries,
+                                        _offset_factors, _row_scan, _toeplitz, _weight_rows,
+                                        a_spectrum, build_a_matrix, build_hankel_matrix,
                                         carleman_extremes, eigen_sym, form_identity_check,
-                                        sketch_width, spectral_rules)
+                                        gauss_legendre, sketch_width, spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
@@ -29,6 +30,7 @@ from identity_ladder import identity_gap_ladder, observed_orders
 # converged finite-section values (L-truncation limited, stable in N)
 CARLEMAN_MAX_L10 = 2.895012925305
 CARLEMAN_MAX_L14 = 2.998851044375
+EPS = np.finfo(float).eps
 
 
 def poly(*coeffs):
@@ -699,7 +701,8 @@ def _hankel_eigenvalues(p, grid):
 class TestSpectralRules:
     def test_odd_degree_real_line(self):
         grid = LogGrid(L=8.0, N=128)
-        rules = spectral_rules(poly(0.0, 1.0), _hankel_eigenvalues(poly(0.0, 1.0), grid))
+        p = poly(0.0, 1.0)
+        rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
         assert rules["essential_spectrum"] == "R"
         assert rules["certificate"].nonnegative is False  # odd-degree symbol
         assert set(rules) == {"essential_spectrum", "certificate", "min_eigenvalue",
@@ -708,7 +711,7 @@ class TestSpectralRules:
     def test_carleman_positive(self):
         grid = LogGrid(L=8.0, N=128)
         p = poly(2.0)  # constant profile: verdicts need degree >= 1
-        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
         assert rules["essential_spectrum"] == "unknown"
         assert rules["certificate"] is None
 
@@ -717,7 +720,7 @@ class TestSpectralRules:
         for p0, expected in ((math.pi**2 / 6.0 + 0.05, True),
                              (math.pi**2 / 6.0 - 0.05, False)):
             p = poly(p0, 0.0, 1.0)
-            rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+            rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
             assert rules["certificate"].nonnegative is expected
             assert rules["essential_spectrum"] == "[0,inf)"
 
@@ -732,13 +735,13 @@ class TestSpectralRules:
             if abs(margin) < 1e-9:
                 continue
             p = poly(p0, p1, p2)
-            rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+            rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
             assert rules["certificate"].nonnegative is bool(margin <= 0.0), (p0, p1, p2)
 
     def test_negative_leading_even_degree_unknown(self):
         grid = LogGrid(L=6.0, N=32)
         p = poly(1.0, 0.0, -1.0)
-        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
         assert rules["essential_spectrum"] == "unknown"
         assert rules["certificate"] is None
 
@@ -746,7 +749,7 @@ class TestSpectralRules:
         # forward direction of the positivity theorem, finite-section surrogate
         grid = LogGrid(L=14.0, N=512)
         p = poly(1.70, 0.0, 1.0)
-        rules = spectral_rules(p, _hankel_eigenvalues(p, grid))
+        rules = spectral_rules(p, p_to_q(p), _hankel_eigenvalues(p, grid))
         assert rules["certificate"].nonnegative is True
         assert rules["min_eigenvalue"] >= -1e-10
 
@@ -781,63 +784,86 @@ class TestCarlemanEigenform:
             assert abs(ray - target) < 0.03 * target
 
 
+def _scipy_gl_extremes(L, n):
+    """Both ends of the P = 1 Nystrom matrix on SciPy's n-point
+    Gauss-Legendre rule, with the kernel 1 / (2 cosh(d/2)) taken directly."""
+    t, w = roots_legendre(n)
+    x, s = L * t, np.sqrt(L * w)
+    return np.linalg.eigvalsh(s[:, None] * s / (2.0 * np.cosh(0.5 * (x[:, None] - x))))[[0, -1]]
+
+
 class TestCarlemanExtremes:
-    """The matrix-free reciprocal-kernel route against the dense Nystrom path."""
+    """The reciprocal-kernel route: Nystrom on Gauss-Legendre nodes."""
 
-    @pytest.mark.parametrize("L, n", [(8.0, 64), (14.0, 512), (1.0, 16), (30.0, 1024)])
-    def test_fft_matvec_matches_dense(self, L, n):
-        grid = LogGrid(L=L, N=n)
-        m = build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid).matrix
-        v = np.random.default_rng(7).standard_normal(n)
-        dense = m @ v
-        fast = _carleman_matvec(grid)(v)
-        assert np.linalg.norm(fast - dense) <= 1e-14 * np.linalg.norm(dense)
+    @pytest.mark.parametrize("L, n", [(0.5, 2), (1.5, 4), (8.0, 64), (14.0, 1024),
+                                      (100.0, 4096)])
+    def test_rule_matches_scipy(self, L, n):
+        x, w = gauss_legendre(LogGrid(L=L, N=n))
+        m = x.size
+        assert m == min(n, sketch_width(L))
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        t, ws = roots_legendre(m)
+        np.testing.assert_allclose(x / L, t, rtol=0.0, atol=4.0 * EPS)
+        # SciPy's weights nearest +-1 are good to about 3e-9
+        np.testing.assert_allclose(w / L, ws, rtol=1e-8)
+        # exact to degree 2m - 1: sum_i w_i P_j(t_i) = 2 delta_j0
+        moments = (w / L) @ legvander(x / L, 2 * m - 1)
+        moments[0] -= 2.0
+        assert np.max(np.abs(moments)) <= 1e-14
 
-    @pytest.mark.parametrize("L", [4.0, 8.0, 14.0])
-    @pytest.mark.parametrize("n", [2 ** j for j in range(1, 10)])
-    def test_extremes_match_dense(self, L, n):
+    # SciPy's nodes err by up to 1.5 ulp, which moves its top by 2e-14 pi at
+    # L = 30 and 9e-14 pi at L = 200, where the rule here agrees with an
+    # 80-bit Newton refinement to 4e-16 pi; wider windows are covered by the
+    # convergence test
+    @pytest.mark.parametrize("L", [1.0, 4.0, 8.0, 14.0])
+    @pytest.mark.parametrize("n", [2 ** j for j in range(1, 12)])
+    def test_extremes_match_scipy_rule(self, L, n):
         grid = LogGrid(L=L, N=n)
         if grid.dx > 1.0:
             with pytest.raises(DomainError):
                 carleman_extremes(grid)
             return
-        rep, _ = carleman_extremes(grid)
-        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
-        top = float(dense.eigenvalues[-1])
+        rep = carleman_extremes(grid)
         assert rep.eigenvalues.shape == (2,) and rep.residuals.shape == (2,)
-        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
-                                   rtol=0.0, atol=1e-12 * top)
-        assert rep.residuals.max() <= 1e-12 * top
-        assert rep.eigenvalues[0] >= -1e-14 * top
+        np.testing.assert_allclose(rep.eigenvalues,
+                                   _scipy_gl_extremes(L, min(n, sketch_width(L))),
+                                   rtol=0.0, atol=1e-14 * math.pi)
+        assert rep.residuals.max() <= 1e-13 * math.pi
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_small_grids_find_the_reflection_odd_end(self, n):
-        # a reflection-even start (ones) is an exact eigenvector at N = 2 and
-        # would report the top eigenvalue twice
-        grid = LogGrid(L=n / 8.0, N=n)   # dx = 1/4
-        rep, _ = carleman_extremes(grid)
-        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
-        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
-                                   rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
-        assert rep.eigenvalues[0] < 0.5 * rep.eigenvalues[1]
+    @pytest.mark.parametrize("L", [8.0, 14.0, 30.0, 100.0])
+    def test_top_converged_in_the_node_count(self, monkeypatch, L):
+        grid = LogGrid(L=L, N=4096)
+        rep = carleman_extremes(grid)
+        width = discretization.sketch_width
+        monkeypatch.setattr(discretization, "sketch_width", lambda L: round(1.25 * width(L)))
+        finer = carleman_extremes(grid)
+        assert abs(finer.eigenvalues[1] - rep.eigenvalues[1]) <= 1e-13
+        assert max(rep.residuals.max(), finer.residuals.max()) <= 1e-13 * math.pi
 
-    def test_stops_at_n_between_convergence_tests(self):
-        # N = 6 is not a multiple of the 8-step test cadence
-        grid = LogGrid(L=3.0, N=6)   # dx = 1
-        rep, steps = carleman_extremes(grid)
-        dense = eigen_sym(build_hankel_matrix(QuasiCarlemanKernel(poly(1.0)), grid))
-        assert steps == grid.N
-        np.testing.assert_allclose(rep.eigenvalues, dense.eigenvalues[[0, -1]],
-                                   rtol=0.0, atol=1e-14 * dense.eigenvalues[-1])
-        assert rep.residuals.max() <= 1e-14 * dense.eigenvalues[-1]
+    def test_richardson_on_the_uniform_grid_agrees(self):
+        # the uniform-grid tops are second order in dx (2.998851044375 at
+        # N = 1024, 2.998850747645 at 2048); their Richardson value meets the
+        # Gauss-Legendre top to 3e-13
+        kernel = QuasiCarlemanKernel(poly(1.0))
+        coarse, fine = (eigen_sym(build_hankel_matrix(kernel, LogGrid(L=14.0, N=n))).eigenvalues[-1]
+                        for n in (1024, 2048))
+        top = carleman_extremes(LogGrid(L=14.0, N=1024)).eigenvalues[1]
+        assert abs((4.0 * fine - coarse) / 3.0 - top) <= 1e-12
+        assert abs(top - 2.9988506487355) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2 ** j for j in range(1, 12)])
+    def test_band_on_admissible_grids(self, n):
+        # S K S is a Gram matrix of the positive-definite kernel k, whose
+        # Fourier transform pi / cosh(pi xi) is positive, so the bottom is 0
+        # up to rounding; the top stays at least 1e-5 below pi on this ladder
+        # (the closest is N = 2048 at dx = 1)
+        for dx in (1.0, 0.95, 0.5, 0.1):
+            rep = carleman_extremes(LogGrid(L=dx * n / 2.0, N=n))
+            assert 0.0 <= rep.eigenvalues[0] + 4.0 * EPS * math.pi
+            assert rep.eigenvalues[1] < math.pi
 
     def test_deterministic(self):
         grid = LogGrid(L=20.0, N=1024)
-        (first, steps1), (second, steps2) = carleman_extremes(grid), carleman_extremes(grid)
+        first, second = carleman_extremes(grid), carleman_extremes(grid)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.residuals, second.residuals)
-        assert steps1 == steps2
-
-    def test_non_finite_matvec_raises(self):
-        with pytest.raises(ConvergenceError):
-            _lanczos_extremes(lambda v: np.full_like(v, np.nan), np.ones(8))
