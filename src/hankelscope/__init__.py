@@ -9,7 +9,8 @@ from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_p
                             weyl_prediction)
 from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
                              build_hankel_matrix, carleman_extremes, eigen_sym,
-                             essential_spectrum, form_identity_check, spectral_rules)
+                             essential_spectrum, form_identity_check, hankel_spectrum,
+                             spectral_rules)
 from .errors import (ConvergenceError, DegeneratePolynomialError,
                      DiscretizationError, DomainError, HankelscopeError,
                      NotApplicableError, UnsupportedOrderError)
@@ -23,7 +24,7 @@ __all__ = [
     "DeltaKernel", "branches", "delta_spectrum", "exact_delta_prime_eigs", "weyl_prediction",
     "FactoryTestFunction", "a_spectrum", "build_a_matrix", "build_hankel_matrix",
     "carleman_extremes", "eigen_sym", "essential_spectrum", "form_identity_check",
-    "spectral_rules",
+    "hankel_spectrum", "spectral_rules",
     "ConvergenceError", "DegeneratePolynomialError", "DiscretizationError",
     "DomainError", "HankelscopeError", "NotApplicableError", "UnsupportedOrderError",
     "RealPolynomial", "is_nonnegative_on_reals", "LogGrid",

@@ -10,11 +10,13 @@ validation error (including a log grid with dx = 2L/N > 1, too coarse for
 the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
 small that the collocation derivative powers overflow, a coefficient list
 with an empty entry, --seeds that are not two integers >= 0, a kernel
-entry, symbol value or equiv-check form beyond double precision, and an
-unwritable --output), 3 numerical-convergence failure (including a
-non-finite eigenvalue or residual, and a spectrum-hankel or carleman
-eigenvalue of a constant profile P = p0 outside the Toeplitz band
-p0 [0, pi (1 + eps_alias)] by more than its residual).
+entry, symbol value, delta collocation entry or equiv-check form beyond
+double precision, delta weights that underflow to a zero spectrum, an
+unwritable --output, and an allocation that fails for lack of memory), 3
+numerical-convergence failure (including a non-finite eigenvalue, residual
+or Frobenius norm, and a spectrum-hankel or carleman eigenvalue of a
+constant profile P = p0 outside the Toeplitz band p0 [0, pi (1 +
+eps_alias)] by more than its residual).
 
 carleman computes only the two ends of its spectrum, by one dense solve of
 the reciprocal kernel's Nystrom matrix on min(N, 6.2 L + 32) Gauss-Legendre
@@ -24,9 +26,10 @@ the bottom of a cluster at rounding level. No command imports SciPy.
 spectrum-hankel and spectrum-a report every eigenvalue, and the ones below
 1e-13 of the matrix's Frobenius norm (a rounding-level cluster) come out as
 exact zeros; the others agree with a dense solve to rounding.
-spectrum-hankel takes one Rayleigh-Ritz step on a sketched range of about
-6.2 L + 32 columns, or the dense solve when N is less than three times
-that, and its zeros carry the complement bound ||M - (MQ) Q^T||_F.
+spectrum-hankel takes one Rayleigh-Ritz step on the range of about
+6.2 L + 32 kernel rows, with no N x N matrix, or the dense solve when N is
+less than three times that, and its zeros carry the complement bound
+||M - (MQ) Q^T||_F.
 spectrum-a solves only the A side's weight core, about 10 L rows whatever
 N is: the rows below rounding are deflated by their norms, one circular
 convolution, and its zeros carry the deflation bound. equiv-check forms no
@@ -45,11 +48,13 @@ from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-# build_a_matrix, the whole-matrix model that spectrum-a solves on its core,
-# stays in the package's public surface, which mirrors these imports
+# build_a_matrix, build_hankel_matrix and eigen_sym, the whole-matrix models
+# and solver that spectrum-a and spectrum-hankel no longer call, stay in the
+# package's public surface, which mirrors these imports
 from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
                              build_hankel_matrix, carleman_extremes, eigen_sym,
-                             essential_spectrum, form_identity_check, spectral_rules)
+                             essential_spectrum, form_identity_check, hankel_spectrum,
+                             spectral_rules)
 from .errors import ConvergenceError, HankelscopeError
 from .polynomials import RealPolynomial, is_nonnegative_on_reals
 from .transforms import LogGrid
@@ -211,7 +216,7 @@ def _cmd_spectrum_hankel(args: argparse.Namespace) -> dict:
     grid = LogGrid(L=args.L, N=args.N)
     kernel = QuasiCarlemanKernel(p)
     q = p_to_q(p)   # before the assembly: an unmappable P exits 2 at once
-    report = eigen_sym(build_hankel_matrix(kernel, grid))
+    report = hankel_spectrum(kernel, grid)
     if p.degree == 0:
         _require_in_band(report, p.leading, grid)
     rules = spectral_rules(p, q, report.eigenvalues)
@@ -327,6 +332,10 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_CONVERGENCE
     except HankelscopeError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:   # e.g. an N x N array at large N
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}; "
+                         f"lower N\n")
         return EXIT_VALIDATION
 
 

@@ -187,7 +187,8 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
     A = B^T S M S^-1 B is symmetric in exact arithmetic, and reduced is
     (A + A^T)/2 exactly. The discarded skew part E = (A - A^T)/2 is assembly
     rounding (about 2e-12 of ||A|| at N = 512); since v^T E v = 0 for every
-    real v, it moves the eigenvalues only at second order.
+    real v, it moves the eigenvalues only at second order. A non-finite
+    entry of the reduced matrix raises DiscretizationError.
     """
     _require_resolution(kernel, n)
     k_ord = kernel.order
@@ -196,13 +197,18 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
     _, w, d = legendre_lobatto(n)
     powers = _collocation_powers(d, kernel.t0, k_ord)
     m = np.zeros((n, n))
-    for k, hk in enumerate(kernel.h_coeffs):
-        if hk != 0.0:
-            m += (-1.0) ** k * hk * powers[k][::-1]
-    s = np.sqrt(w)
-    v, t = _null_space_reflectors(np.array([powers[k][0, :] / s for k in range(k_ord)]))
-    a = _restrict(s[:, None] * m / s, v, t)
-    return (v, t), 0.5 * (a + a.T)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        for k, hk in enumerate(kernel.h_coeffs):
+            if hk != 0.0:
+                m += (-1.0) ** k * hk * powers[k][::-1]
+        s = np.sqrt(w)
+        v, t = _null_space_reflectors(np.array([powers[k][0, :] / s for k in range(k_ord)]))
+        a = _restrict(s[:, None] * m / s, v, t)
+        reduced = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(reduced)):
+        raise DiscretizationError(f"non-finite collocation entry at N={n}: the weights "
+                                  f"h_k times D^k exceed double precision")
+    return (v, t), reduced
 
 
 def exact_delta_prime_eigs(t0: float, n: int) -> tuple[float, float]:
@@ -236,7 +242,9 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     copies of -|h0| and of +|h0| with zero residuals. Otherwise the reduced
     matrix is symmetric (see build_reflection_operator), so its eigenvalues
     are real; trusted eigenvalues and their residuals must be finite, or the
-    solve is reported as a convergence failure.
+    solve is reported as a convergence failure. A collocation matrix beyond
+    double range, or one whose eigenvalues all vanish because the weights
+    underflow, raises DiscretizationError.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -252,6 +260,9 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
     # w ascends: the negatives nearest zero end the negative run
     trusted = np.concatenate([np.flatnonzero(w < 0.0)[-n_max:],
                               np.flatnonzero(w > 0.0)[:n_max]])
+    if trusted.size == 0:
+        raise DiscretizationError(f"every collocation eigenvalue is zero at N={n}: the "
+                                  f"weights h_k times D^k underflow double precision")
     lam, cols = w[trusted], vecs[:, trusted]
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
         residuals = np.linalg.norm(reduced @ cols - cols * lam, axis=0)

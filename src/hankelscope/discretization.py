@@ -6,18 +6,20 @@ and J the reflection xi -> -xi, exact for real Q and even v; see
 build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
 Both sides have about 6.2 L eigenvalues above rounding level, whatever N
-is. eigen_sym solves the Hankel side whole, where no row lies below
-rounding: one Rayleigh-Ritz step on a sketched range of that width (or
-dense, when the width exceeds a third of N), with the other eigenvalues
-reported as exact zeros whose residual is the complement bound. Its
-symmetry scan runs over square tiles and the assembly and complement over
-cache-sized row blocks, so only the dense path (eigh and its residual
-product) allocates N x N temporaries. a_spectrum solves the A side on its
+is. hankel_spectrum solves the Hankel side whole, where no row lies below
+rounding, without forming its matrix: one Rayleigh-Ritz step on the range
+of about that many kernel rows, with the other eigenvalues reported as
+exact zeros whose residual is the complement bound. One pass over
+cache-sized row blocks, each filled into a reused buffer, forms M Q and
+the complement, so only the dense route (when the width exceeds a third of
+N) allocates N x N. eigen_sym keeps the same contract on a Gaussian sketch
+for any symmetric matrix it is given. a_spectrum solves the A side on its
 weight core alone: the row norms of V C V are one circular convolution,
 the rows below rounding are deflated, and only the kept block (about 10 L
 rows) is filled and solved. form_identity_check multiplies by the Nystrom
 matrix without forming it, by FFT products of Toeplitz triangles weighted
-with the profile's Taylor coefficients. Neither allocates an N x N array.
+with the profile's Taylor coefficients. None of the three allocates an
+N x N array.
 
 For the reciprocal kernel (P = 1) carleman_extremes solves on Gauss-Legendre
 nodes instead (Nystrom with M = S K S, S the square roots of the weights):
@@ -96,6 +98,35 @@ def _toeplitz(column: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([column[:0:-1], column]), column.size)[::-1]
 
 
+def _hankel_rows(kernel: QuasiCarlemanKernel, grid: LogGrid):
+    """The row filler of build_hankel_matrix: fill(rows, out) writes the
+    rows M[rows, :] (a slice or an index array) into out and returns it.
+
+    Each entry is P(half_{i+j} + g_{|i-j|}) c_{|i-j|} (see
+    build_hankel_matrix), the same floating-point operations whatever rows
+    are asked for, so M[J, :] equals M[:, J].T bit for bit. Grids with
+    dx > 1 raise DomainError (see _require_resolved); a non-finite entry
+    raises DiscretizationError naming its nodes.
+    """
+    _require_resolved(grid)
+    x, n = grid.x_nodes, grid.N
+    half = sliding_window_view(x[0] + 0.5 * grid.dx * np.arange(2 * n - 1), n)
+    shift, c = _offset_factors(grid)
+    toeplitz_g, toeplitz_c = _toeplitz(0.5 * grid.dx * np.arange(n) + shift), _toeplitz(c)
+
+    def fill(rows, out: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            np.add(half[rows], toeplitz_g[rows], out=out)   # P's argument, in place
+            block = np.multiply(kernel.profile(out), toeplitz_c[rows], out=out)
+        bad = ~np.isfinite(block)
+        if np.any(bad):
+            bi, j = np.unravel_index(int(np.argmax(bad)), block.shape)
+            raise DiscretizationError(
+                f"non-finite kernel entry at nodes (x={x[rows][bi]:.6g}, y={x[j]:.6g})")
+        return block
+    return fill
+
+
 def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteOperator:
     """Nystrom matrix M_ij = dx * e^{(x_i+x_j)/2} h(e^{x_i} + e^{x_j}).
 
@@ -108,28 +139,15 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
 
     No exponential can overflow, the matrix is exactly symmetric, and only
     the 2N values of g and c are transcendental: the N^2 entries are P on
-    strided views, filled ROW_BLOCK rows at a time (sum, Horner and the
-    factor c inside one cache-sized block, so nothing N x N but the result
-    is allocated). Grids with dx > 1 raise DomainError (see
-    _require_resolved); a non-finite entry raises DiscretizationError naming
-    its nodes.
+    strided views, filled ROW_BLOCK rows at a time by _hankel_rows (sum,
+    Horner and the factor c inside one cache-sized block, so nothing N x N
+    but the result is allocated). See _hankel_rows for the errors.
     """
-    _require_resolved(grid)
-    x, n = grid.x_nodes, grid.N
-    half = sliding_window_view(x[0] + 0.5 * grid.dx * np.arange(2 * n - 1), n)
-    shift, c = _offset_factors(grid)
-    toeplitz_g, toeplitz_c = _toeplitz(0.5 * grid.dx * np.arange(n) + shift), _toeplitz(c)
+    fill = _hankel_rows(kernel, grid)
+    n = grid.N
     entries = np.empty((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        for i in range(0, n, ROW_BLOCK):
-            rows = slice(i, i + ROW_BLOCK)
-            block = np.multiply(kernel.profile(half[rows] + toeplitz_g[rows]), toeplitz_c[rows],
-                                out=entries[rows])
-            bad = ~np.isfinite(block)
-            if np.any(bad):
-                bi, j = np.unravel_index(int(np.argmax(bad)), block.shape)
-                raise DiscretizationError(
-                    f"non-finite kernel entry at nodes (x={x[i + bi]:.6g}, y={x[j]:.6g})")
+    for i in range(0, n, ROW_BLOCK):
+        fill(slice(i, i + ROW_BLOCK), entries[i:i + ROW_BLOCK])
     return DiscreteOperator(matrix=entries, grid=grid)
 
 
@@ -307,15 +325,50 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
     return _full_report(theta, residuals, grid.N, delta)
 
 
-def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal Q (N x width) for the dominant range of m and the product
-    m Q: one pass of a fixed-seed Gaussian sketch, Q = qr(m Omega) (Halko,
-    Martinsson & Tropp, SIAM Review 2011, sections 4.3-4.5). The spectra
-    here decay like pi / cosh(pi xi), fast enough that a power iteration
-    buys nothing; eigen_sym's complement bound checks every range anyway."""
-    omega = np.random.default_rng(0).standard_normal((m.shape[0], width))
-    q = np.linalg.qr(m @ omega)[0]
-    return q, m @ q
+# rows per block of the range pass: 64 rows of N = 2048 doubles (1 MiB) are
+# enough for each GEMM to run at speed (128 rows are no faster)
+PASS_BLOCK = 4 * ROW_BLOCK
+
+
+def _ritz_on_range(blocks, q: np.ndarray) -> SpectrumReport | None:
+    """Rayleigh-Ritz on the range of the orthonormal q (N x w), in one pass
+    over the (rows, M[rows, :]) row blocks of a symmetric M: each block
+    gives Y[rows] = M[rows, :] Q and adds to ||M||_F^2 and to the complement
+    ||M - Y Q^T||_F^2 (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
+    section 4.3), with no N x N temporary.
+
+    Returns None when the complement exceeds RANGE_TOL ||M||_F. Otherwise
+    the Ritz pairs from eigh(Q^T Y) carry explicit residuals ||Y s - Q s
+    theta||, and the other N - w eigenvalues are exact zeros whose residual,
+    the complement, covers ||M z|| for every unit z orthogonal to Q. A
+    non-finite ||M||_F or complement raises ConvergenceError at once."""
+    y = np.empty_like(q)
+    fro_sq = complement_sq = 0.0
+    for rows, block in blocks:
+        np.matmul(block, q, out=y[rows])
+        d = y[rows] @ q.T
+        d -= block
+        fro_sq += float(np.vdot(block, block))
+        complement_sq += float(np.vdot(d, d))
+        del d   # freed before the next block is filled
+    fro, complement = math.sqrt(fro_sq), math.sqrt(complement_sq)
+    if not (math.isfinite(fro) and math.isfinite(complement)):
+        raise ConvergenceError("non-finite norm of the matrix or of its range complement: "
+                               "the matrix entries are too large for double precision")
+    if complement > RANGE_TOL * fro:
+        return None
+    theta, s = _eigh(q.T @ y)
+    y = y @ s   # M Q s, in place of M Q
+    ritz = q @ s
+    ritz *= theta
+    y -= ritz
+    return _full_report(theta, np.sqrt(np.einsum("ij,ij->j", y, y)), q.shape[0], complement)
+
+
+def _dense_spectrum(m: np.ndarray) -> SpectrumReport:
+    """Dense eigh with the explicit residuals of every pair."""
+    theta, s = _eigh(m)
+    return _full_report(theta, np.linalg.norm(m @ s - s * theta, axis=0), m.shape[0], 0.0)
 
 
 # side of the square tiles of the symmetry scan: a 128 x 128 tile of doubles
@@ -323,77 +376,92 @@ def _sketched_range(m: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 TILE = 128
 
 
-def _row_scan(m: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """The symmetry defect max|m - m^T|, max|m| and the squared row norms.
+def _symmetry_scan(m: np.ndarray) -> tuple[float, float]:
+    """The symmetry defect max|m - m^T| and max|m|.
 
     The defect compares each TILE x TILE tile on or above the diagonal with
     the transpose of its mirror tile, so no full transpose or N x N
-    temporary is formed; max|m| and the row norms are one pass each. np.max
-    over the partial maxima, so a NaN propagates."""
+    temporary is formed; max|m| is one pass. np.max over the partial
+    maxima, so a NaN propagates."""
     n = m.shape[0]
     defect = []
     for i in range(0, n, TILE):
         for j in range(i, n, TILE):
             diff = m[i:i + TILE, j:j + TILE] - m[j:j + TILE, i:i + TILE].T
             defect += [np.max(diff), -np.min(diff)]
-    return (float(np.max(defect)), float(np.max([np.max(m), -np.min(m)])),
-            np.einsum("ij,ij->i", m, m))
-
-
-def _complement(m: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
-    """||M - (MQ) Q^T||_F accumulated over blocks of 8 ROW_BLOCK rows, enough
-    for each GEMM to run at speed, instead of two N x N temporaries."""
-    qt, total, step = q.T, 0.0, 8 * ROW_BLOCK
-    for i in range(0, m.shape[0], step):
-        d = mq[i:i + step] @ qt
-        np.subtract(m[i:i + step], d, out=d)
-        total += float(np.vdot(d, d))
-    return math.sqrt(total)
-
-
-def _rayleigh_ritz(m: np.ndarray, width: int, budget: float):
-    """Ritz pairs of m on a sketched range of width columns, doubled until
-    the complement is at most budget; once 3 * width > N, the dense eigh.
-    Returns (theta, residuals, width, complement)."""
-    n = m.shape[0]
-    while 3 * width <= n:
-        q, mq = _sketched_range(m, width)
-        complement = _complement(m, q, mq)
-        if complement <= budget:
-            break
-        width *= 2
-    else:
-        q, mq, width, complement = None, m, n, 0.0
-    theta, s = _eigh(m if q is None else q.T @ mq)
-    vecs = s if q is None else q @ s
-    return theta, np.linalg.norm(mq @ s - vecs * theta, axis=0), width, complement
+    return float(np.max(defect)), float(np.max([np.max(m), -np.min(m)]))
 
 
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectrum of a real symmetric discrete operator from one
-    Rayleigh-Ritz step on a sketched range of about sketch_width(L) columns.
+    """Full spectrum of an arbitrary real symmetric discrete operator from
+    one Rayleigh-Ritz step on a Gaussian-sketched range of about
+    sketch_width(L) columns.
 
-    One scan gives the symmetry defect, max|m| and the squared row norms,
-    whose sum is ||M||_F^2. The sketch width doubles until the complement
-    bound ||M - (MQ) Q^T||_F (accumulated over row blocks) is within
+    A tiled scan checks symmetry. Q = qr(M Omega) for a fixed-seed Gaussian
+    Omega (Halko, Martinsson & Tropp, SIAM Review 53, 2011, sections
+    4.3-4.5); _ritz_on_range then reads M once more for M Q, ||M||_F and the
+    complement, and the width doubles until the complement is within
     RANGE_TOL ||M||_F. Once the width exceeds a third of N (a sketch breaks
-    even near 0.45 N), Q is the identity and this is the dense eigh. The
-    Ritz pairs carry explicit residuals; the other N - width eigenvalues are
-    exact zeros whose residual, the complement bound, covers ||M z|| for
-    every unit z orthogonal to the Ritz vectors. Each reported value is
-    within its residual of an eigenvalue of M. Nothing is deflated: on the
-    Hankel side even the smallest row is above the rounding budget, and the
-    A side solves its weight core in a_spectrum. A non-finite eigenvalue or
+    even near 0.45 N), this is the dense eigh. Each reported value is within
+    its residual of an eigenvalue of M. Nothing is deflated; the Hankel
+    side samples its range from kernel rows in hankel_spectrum, and the A
+    side solves its weight core in a_spectrum. A non-finite eigenvalue or
     residual raises ConvergenceError.
     """
     m = op.matrix
+    n = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
-        sym_defect, peak, row_sq = _row_scan(m)
+        sym_defect, peak = _symmetry_scan(m)
         if sym_defect > 1e-12 * max(peak, 1e-300):
             raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
-        theta, residuals, width, complement = _rayleigh_ritz(
-            m, sketch_width(op.grid.L), RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
-    return _full_report(theta, residuals, m.shape[0], complement)
+        width = sketch_width(op.grid.L)
+        while 3 * width <= n:
+            q = np.linalg.qr(m @ np.random.default_rng(0).standard_normal((n, width)))[0]
+            blocks = ((slice(i, i + PASS_BLOCK), m[i:i + PASS_BLOCK])
+                      for i in range(0, n, PASS_BLOCK))
+            report = _ritz_on_range(blocks, q)
+            if report is not None:
+                return report
+            width *= 2
+        return _dense_spectrum(m)
+
+
+# rows always sampled at each end of the window, beside the uniform ones
+EDGE_ROWS = 8
+
+
+def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumReport:
+    """Full spectrum of build_hankel_matrix's Nystrom matrix M, without
+    forming M.
+
+    The range basis is Q = qr(M[J, :].T): the rows J = round(linspace(0,
+    N - 1, w - 16)) plus the first and last EDGE_ROWS, w = sketch_width(L),
+    filled by _hankel_rows. M is symmetric bit for bit, so these are the
+    columns M[:, J], a column sample of the range as in an interpolative
+    decomposition (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci.
+    Comput. 26, 2005). One pass over PASS_BLOCK-row blocks, refilled into
+    one buffer, forms M Q and the complement (see _ritz_on_range). If the
+    complement exceeds RANGE_TOL ||M||_F, the uniform row count doubles;
+    once 3 w > N the solve is the dense eigh of build_hankel_matrix, the
+    only route that allocates N x N. See _hankel_rows for the input errors;
+    a non-finite eigenvalue, residual or norm raises ConvergenceError.
+    """
+    fill = _hankel_rows(kernel, grid)
+    n = grid.N
+    edges = np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]
+    count = sketch_width(grid.L) - 2 * EDGE_ROWS
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _ritz_on_range
+        while 3 * (count + 2 * EDGE_ROWS) <= n:
+            rows = np.union1d(np.rint(np.linspace(0, n - 1, count)).astype(np.intp), edges)
+            q = np.linalg.qr(fill(rows, np.empty((rows.size, n))).T)[0]
+            buffer = np.empty((PASS_BLOCK, n))
+            blocks = ((slice(i, i + PASS_BLOCK), fill(slice(i, i + PASS_BLOCK), buffer[:n - i]))
+                      for i in range(0, n, PASS_BLOCK))
+            report = _ritz_on_range(blocks, q)
+            if report is not None:
+                return report
+            count *= 2
+        return _dense_spectrum(build_hankel_matrix(kernel, grid).matrix)
 
 
 def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

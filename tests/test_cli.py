@@ -205,14 +205,14 @@ class TestConstantProfileBand:
         ("1", -1, math.pi + 1e-9), ("1", 0, -1e-9),
         ("-2.5", 0, -2.5 * math.pi - 1e-9), ("-2.5", -1, 1e-9)])
     def test_spectrum_hankel_outside_the_band_exits_3(self, capsys, monkeypatch, p, end, value):
-        solve = cli.eigen_sym
+        solve = cli.hankel_spectrum
 
-        def patched(op):
-            w = solve(op).eigenvalues.copy()
+        def patched(kernel, grid):
+            w = solve(kernel, grid).eigenvalues.copy()
             w[end] = value   # one end just past the band edge (dx = 1/16: eps_alias = 0)
             return SpectrumReport(w, np.full_like(w, 1e-16))
 
-        monkeypatch.setattr(cli, "eigen_sym", patched)
+        monkeypatch.setattr(cli, "hankel_spectrum", patched)
         code, out, err = run_cli(capsys, "spectrum-hankel", "--p", p, "--L", "8", "--N", "256")
         assert code == 3 and out == ""
         assert "outside the constant-profile band" in err
@@ -474,6 +474,36 @@ class TestValidation:
         assert code == 0 and err == ""
         assert out == SCAN_OVERFLOW_DOC
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576) "
+                    "and data type float64"),
+        MemoryError()], ids=["numpy", "bare"])
+    def test_allocation_failure_is_a_validation_error(self, capsys, monkeypatch, exc):
+        # an N x N array at N = 2^20 is 8 TiB; the solver raises instead of
+        # allocating anything here
+        def solve(kernel, grid):
+            raise exc
+        monkeypatch.setattr(cli, "hankel_spectrum", solve)
+        code, out, err = run_cli(capsys, "spectrum-hankel", "--p", "1,0.5",
+                                 "--L", "400000", "--N", "1048576")
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert str(exc) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--h", "1e308,1e308", "--t0", "1", "--N", "12"), "non-finite collocation entry"),
+        (("--h", "5e-324,5e-324", "--t0", "1e300", "--N", "14"), "underflow")],
+        ids=["overflow", "underflow"])
+    def test_delta_weights_beyond_double_range(self, capsys, argv, message):
+        # h_1 D overflows, or h_k D^k underflows so that no eigenvalue is
+        # nonzero (which used to end in a ValueError traceback)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "delta-eigs", *argv, "--n-max", "1",
+                                     "--format", "json")
+        assert code == 2 and out == ""
+        assert message in err and "Warning" not in err
+
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",
                              "--n-max", "50")
@@ -561,14 +591,26 @@ def test_symbol_commands_on_extreme_coefficients(command, coeffs):
     _assert_clean_exit([command, f"{flag}={','.join(coeffs)}"])
 
 
-@given(st.sampled_from(("spectrum-a", "equiv-check")),
+@given(st.sampled_from(("spectrum-a", "equiv-check", "spectrum-hankel")),
        st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=14),
                  st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=14)),
-       st.floats(0.25, 60.0), st.integers(1, 6))
+       st.floats(0.25, 60.0), st.integers(1, 8))
 @settings(max_examples=200, deadline=None)
 def test_grid_commands_on_extreme_coefficients(command, coeffs, L, k):
+    # N up to 256: spectrum-hankel takes its row-block route there for
+    # L below about 8.5, the dense route otherwise
     flag = "--q" if command == "spectrum-a" else "--p"
     _assert_clean_exit([command, f"{flag}={','.join(coeffs)}", "--L", repr(L), "--N", str(2 ** k)])
+
+
+@given(st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=5),
+                 st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=5)),
+       st.sampled_from(("1", "0.5", "2.5", "1e-300", "1e300", "5e-324", "0", "-1", "nan")),
+       st.integers(1, 64), st.integers(0, 20), st.sampled_from(("json", "csv")))
+@settings(max_examples=200, deadline=None)
+def test_delta_eigs_on_extreme_coefficients(coeffs, t0, n, n_max, fmt):
+    _assert_clean_exit(["delta-eigs", f"--h={','.join(coeffs)}", "--t0", t0, "--N", str(n),
+                        "--n-max", str(n_max), "--format", fmt])
 
 
 @given(st.floats(0.25, 60.0), st.integers(0, 8))

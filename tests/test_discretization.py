@@ -15,12 +15,13 @@ from scipy.special import roots_legendre
 
 from hankelscope import discretization
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
-from hankelscope.discretization import (RANGE_TOL, ROW_BLOCK, DiscreteOperator, _a_side,
-                                        _deflation, _hankel_product, _hartley_entries,
-                                        _offset_factors, _row_scan, _toeplitz, _weight_rows,
-                                        a_spectrum, build_a_matrix, build_hankel_matrix,
-                                        carleman_extremes, eigen_sym, form_identity_check,
-                                        gauss_legendre, sketch_width, spectral_rules)
+from hankelscope.discretization import (EDGE_ROWS, RANGE_TOL, ROW_BLOCK, DiscreteOperator,
+                                        _a_side, _deflation, _hankel_product, _hankel_rows,
+                                        _hartley_entries, _offset_factors, _symmetry_scan,
+                                        _toeplitz, _weight_rows, a_spectrum, build_a_matrix,
+                                        build_hankel_matrix, carleman_extremes, eigen_sym,
+                                        form_identity_check, gauss_legendre, hankel_spectrum,
+                                        sketch_width, spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
@@ -306,14 +307,25 @@ def _rank_deficient(n, rank, seed=5):
     return 0.5 * (m + m.T)
 
 
+def _sampled_rows(n, count):
+    """|J|, the kernel rows hankel_spectrum samples: round(linspace(0, N - 1,
+    count)) and the first and last 8 rows; count = sketch_width(L) - 16
+    first."""
+    uniform = np.rint(np.linspace(0, n - 1, count)).astype(int)
+    return np.union1d(uniform, np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]).size
+
+
 class TestSketchedEigenSym:
-    """eigen_sym on a sketched range (Ritz pairs plus exact zeros whose
-    residual is the complement bound) and a_spectrum on its weight core,
-    against the dense eigh of the whole matrix."""
+    """hankel_spectrum on the range of sampled kernel rows and eigen_sym on a
+    Gaussian-sketched range (Ritz pairs plus exact zeros whose residual is
+    the complement bound), and a_spectrum on its weight core, against the
+    dense eigh of the whole matrix."""
 
     A_SYMBOLS = {"a": (0.5, 0.3, 1.0), "a-odd": (0.1, 1.0, 0.0, 0.4)}
-    SIDES = {"hankel": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)), g),
-             "hankel-odd": lambda g: build_hankel_matrix(QuasiCarlemanKernel(poly(0.5, -1.0, 0.3, 0.2)), g),
+    KERNELS = {"hankel": QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)),
+               "hankel-odd": QuasiCarlemanKernel(poly(0.5, -1.0, 0.3, 0.2))}
+    SIDES = {"hankel": lambda g: build_hankel_matrix(TestSketchedEigenSym.KERNELS["hankel"], g),
+             "hankel-odd": lambda g: build_hankel_matrix(TestSketchedEigenSym.KERNELS["hankel-odd"], g),
              "a": lambda g: build_a_matrix(poly(*TestSketchedEigenSym.A_SYMBOLS["a"]), g),
              "a-odd": lambda g: build_a_matrix(poly(*TestSketchedEigenSym.A_SYMBOLS["a-odd"]), g)}
 
@@ -324,7 +336,10 @@ class TestSketchedEigenSym:
         grid = LogGrid(L=L, N=n)
         op = self.SIDES[side](grid)
         symbol = self.A_SYMBOLS.get(side)
-        rep = eigen_sym(op) if symbol is None else a_spectrum(poly(*symbol), grid)
+        if symbol is None:
+            rep = hankel_spectrum(self.KERNELS[side], grid)
+        else:
+            rep = a_spectrum(poly(*symbol), grid)
         w, dense_res = _dense_eigen(op.matrix)
         scale = np.abs(w).max()
         dev = np.abs(rep.eigenvalues - w).max()
@@ -338,17 +353,19 @@ class TestSketchedEigenSym:
             # the weight core is solved dense, the other rows are deflated
             assert n - int(zeros.sum()) == _kept_rows(poly(*symbol), grid)
         else:
-            # the phase-space width suffices, with no doubling; beyond N/3
-            # columns the dense path runs
-            first = sketch_width(L)
-            assert n - int(zeros.sum()) == (first if 3 * first <= n else n)
+            # the first row sample suffices, with no doubling; beyond N/3
+            # rows the dense path runs
+            first = _sampled_rows(n, sketch_width(L) - 2 * EDGE_ROWS)
+            assert n - int(zeros.sum()) == (first if 3 * sketch_width(L) <= n else n)
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
 
     def test_wide_window_at_large_n_needs_no_doubling(self):
-        op = self.SIDES["hankel"](LogGrid(L=30.0, N=2048))
-        rep = eigen_sym(op)
+        grid = LogGrid(L=30.0, N=2048)
+        op = self.SIDES["hankel"](grid)
+        rep = hankel_spectrum(self.KERNELS["hankel"], grid)
         zeros = rep.eigenvalues == 0.0
-        assert op.matrix.shape[0] - int(zeros.sum()) == sketch_width(30.0)
+        first = _sampled_rows(2048, sketch_width(30.0) - 2 * EDGE_ROWS)
+        assert op.matrix.shape[0] - int(zeros.sum()) == first
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
         assert rep.residuals.max() <= 1e-13 * np.abs(rep.eigenvalues).max()
 
@@ -373,9 +390,15 @@ class TestSketchedEigenSym:
         assert np.array_equal(rep.eigenvalues, w)
         assert np.array_equal(rep.residuals, res)
 
-    def test_repeated_calls_bit_identical(self):
-        op = self.SIDES["hankel"](LogGrid(L=8.0, N=512))
-        first, second = eigen_sym(op), eigen_sym(op)
+    @pytest.mark.parametrize("solver", ["hankel_spectrum", "eigen_sym"])
+    def test_repeated_calls_bit_identical(self, solver):
+        grid = LogGrid(L=8.0, N=512)
+        if solver == "hankel_spectrum":
+            solve = lambda: hankel_spectrum(self.KERNELS["hankel"], grid)
+        else:
+            op = self.SIDES["hankel"](grid)
+            solve = lambda: eigen_sym(op)
+        first, second = solve(), solve()
         assert np.sum(first.eigenvalues == 0.0) > 0
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.residuals, second.residuals)
@@ -389,6 +412,115 @@ class TestSketchedEigenSym:
     def test_non_finite_residual_raises_at_sketch_size(self):
         with pytest.raises(ConvergenceError):
             eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=512)))
+
+
+def _signed_profile(degree, sign):
+    """sign * (-1)^j (j + 1) / ((j + 3) j!), j = 0..degree: every degree up
+    to 12 stays within double range on the widest window tested."""
+    return poly(*(sign * (-1) ** j * (j + 1) / ((j + 3) * math.factorial(j))
+                  for j in range(degree + 1)))
+
+
+class TestHankelSpectrum:
+    """hankel_spectrum forms no N x N matrix: its range comes from kernel
+    rows, and one row-block pass gives M Q and the complement."""
+
+    # (L, N, degree, sign of the leading coefficient): every window, every
+    # size from 256 to 4096, degrees 0-12, both signs; (60, 1024) and
+    # (100, 512) are dense (3 w > N), the others take the row-block route
+    CASES = [(0.5, 256, 0, 1.0), (1.0, 256, 1, -1.0), (8.0, 256, 2, 1.0),
+             (8.0, 512, 3, -1.0), (14.0, 1024, 4, 1.0), (14.0, 512, 5, -1.0),
+             (30.0, 1024, 6, 1.0), (30.0, 2048, 7, -1.0), (60.0, 2048, 8, 1.0),
+             (60.0, 1024, 9, -1.0), (100.0, 2048, 10, 1.0), (100.0, 512, 11, -1.0),
+             (14.0, 4096, 12, 1.0), (1.0, 2048, 12, -1.0), (100.0, 2048, 0, 1.0)]
+
+    @pytest.mark.parametrize("L, n, degree, sign", CASES)
+    def test_matches_eigvalsh(self, L, n, degree, sign):
+        grid = LogGrid(L=L, N=n)
+        kernel = QuasiCarlemanKernel(_signed_profile(degree, sign))
+        rep = hankel_spectrum(kernel, grid)
+        m = build_hankel_matrix(kernel, grid).matrix
+        w = np.linalg.eigvalsh(m)
+        scale, budget = np.abs(w).max(), RANGE_TOL * np.linalg.norm(m)
+        dev = np.abs(rep.eigenvalues - w).max()
+        assert rep.eigenvalues.size == n and np.all(np.diff(rep.eigenvalues) >= 0.0)
+        # every reported value is within its residual of the spectrum, and
+        # no residual exceeds the complement budget
+        assert dev <= budget and rep.residuals.max() <= budget
+        if L <= 30.0:
+            assert dev <= 1e-14 * scale
+        zeros = rep.eigenvalues == 0.0
+        if 3 * sketch_width(L) <= n:
+            assert n - int(zeros.sum()) == _sampled_rows(n, sketch_width(L) - 2 * EDGE_ROWS)
+        else:
+            assert not np.any(zeros)
+
+    @pytest.mark.parametrize("L, n", [(8.0, 512), (12.0, 2048)])
+    def test_sampled_rows_are_columns_bit_for_bit(self, L, n):
+        grid = LogGrid(L=L, N=n)
+        rows = np.r_[0:EDGE_ROWS, 3:n:37, n - EDGE_ROWS:n]
+        m = build_hankel_matrix(TestSketchedEigenSym.KERNELS["hankel-odd"], grid).matrix
+        sample = _hankel_rows(TestSketchedEigenSym.KERNELS["hankel-odd"], grid)(
+            rows, np.empty((rows.size, n)))
+        assert np.array_equal(sample, m[rows]) and np.array_equal(sample, m[:, rows].T)
+
+    @pytest.mark.parametrize("L, n, count, passes", [
+        (4.0, 1024, 4, [None, None, None, "report"]),
+        (8.0, 256, 40, [None])])
+    def test_shortfall_of_the_row_rule_doubles_or_goes_dense(self, monkeypatch, L, n,
+                                                             count, passes):
+        # too few rows: the uniform count doubles until the complement is
+        # within budget (4 -> 32 at L = 4, N = 1024), or until 3 w > N (40 ->
+        # 80 at L = 8, N = 256), where the dense eigh runs
+        grid = LogGrid(L=L, N=n)
+        kernel = TestSketchedEigenSym.KERNELS["hankel"]
+        seen, ritz = [], discretization._ritz_on_range
+
+        def spy(*args):
+            report = ritz(*args)
+            seen.append(None if report is None else "report")
+            return report
+        monkeypatch.setattr(discretization, "sketch_width", lambda L: count + 2 * EDGE_ROWS)
+        monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+        rep = hankel_spectrum(kernel, grid)
+        assert seen == passes
+        m = build_hankel_matrix(kernel, grid).matrix
+        budget = RANGE_TOL * np.linalg.norm(m)
+        assert np.abs(rep.eigenvalues - np.linalg.eigvalsh(m)).max() <= budget
+        assert rep.residuals.max() <= budget
+        kept = n - int(np.sum(rep.eigenvalues == 0.0))
+        final = count * 2 ** (len(passes) - 1)
+        assert kept == (n if passes[-1] is None else _sampled_rows(n, final))
+
+    @pytest.mark.parametrize("p", [(1e300,), (0.0, 1e154)], ids=["constant", "linear"])
+    def test_non_finite_norm_raises_at_once(self, monkeypatch, p):
+        # finite entries whose squares overflow ||M||_F^2: ConvergenceError
+        # on the first pass, not a doubling towards the dense route
+        passes, ritz = [], discretization._ritz_on_range
+
+        def spy(*args):
+            passes.append(1)
+            return ritz(*args)
+        monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite norm"):
+                hankel_spectrum(QuasiCarlemanKernel(poly(*p)), LogGrid(L=8.0, N=512))
+        assert passes == [1]
+
+    def test_no_n_by_n_allocation(self):
+        # one N x N double array at N = 2048 is 32 MiB; the traced peak stays
+        # below a quarter of it
+        grid = LogGrid(L=12.0, N=2048)
+        call = lambda: hankel_spectrum(TestSketchedEigenSym.KERNELS["hankel-odd"], grid)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.N ** 2 / 4
 
 
 class TestDeflatedEigenSym:
@@ -521,19 +653,18 @@ class TestDeflatedEigenSym:
 
 def _row_block_scan(m):
     """The earlier scan in ROW_BLOCK-row blocks: the defect of each block
-    row against the column strip below it, max|m| and the row norms."""
+    row against the column strip below it, and max|m|."""
     n = m.shape[0]
     starts = range(0, n, ROW_BLOCK)
-    defect, peak, row_sq = np.empty(len(starts)), np.empty(len(starts)), np.empty(n)
+    defect, peak = np.empty(len(starts)), np.empty(len(starts))
     for b, i in enumerate(starts):
         rows = m[i:i + ROW_BLOCK]
         defect[b] = np.max(np.abs(rows[:, i:] - m[i:, i:i + ROW_BLOCK].T))
         peak[b] = np.max(np.abs(rows))
-        row_sq[i:i + ROW_BLOCK] = np.einsum("ij,ij->i", rows, rows)
-    return float(np.max(defect)), float(np.max(peak)), row_sq
+    return float(np.max(defect)), float(np.max(peak))
 
 
-class TestRowScan:
+class TestSymmetryScan:
     """The tiled symmetry scan gives the row-block scan's numbers bit for
     bit, so every eigen_sym result stays the same."""
 
@@ -542,14 +673,14 @@ class TestRowScan:
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
         m = m + m.T + 1e-12 * rng.standard_normal((n, n))
-        defect, peak, row_sq = _row_scan(m)
+        defect, peak = _symmetry_scan(m)
         ref = _row_block_scan(m)
-        assert defect == ref[0] and peak == ref[1] and np.array_equal(row_sq, ref[2])
+        assert defect == ref[0] and peak == ref[1]
 
     def test_hankel_matrix_is_exactly_symmetric(self):
         m = build_hankel_matrix(QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)),
                                 LogGrid(L=12.0, N=1024)).matrix
-        defect, peak, _ = _row_scan(m)
+        defect, peak = _symmetry_scan(m)
         assert defect == 0.0 and peak == np.abs(m).max()
 
     @pytest.mark.parametrize("where", [(0, 0), (5, 200), (299, 3)])
@@ -557,7 +688,7 @@ class TestRowScan:
         m = np.eye(300)
         m[where] = np.nan
         with np.errstate(invalid="ignore"):
-            defect, peak, _ = _row_scan(m)
+            defect, peak = _symmetry_scan(m)
         assert math.isnan(defect) and math.isnan(peak)
 
 
