@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Cold-start cost of each CLI command, one fresh interpreter per run.
 
-For each of the eight commands, at a small fixed argv, starts RUNS fresh
+For each of the eight commands, at a small fixed argv (and delta-eigs once
+more at K = 3, N = 512), starts RUNS fresh
 interpreters. Each one times ``from hankelscope import cli`` (import) and one
 ``cli.main(argv)`` call (run), and reports whether ``scipy`` was loaded by
 then; this script also times the whole process from the outside. Prints the
-medians, one line per command:
+medians, one line per argv, labelled with the command and its N:
 
     python3 scripts/cold_start.py
 
@@ -35,6 +36,9 @@ COMMANDS = (
     ["equiv-check", "--p", "1,0.5", "--L", "12", "--N", "64"],
     ["carleman", "--L", "8", "--N", "64"],
     ["delta-eigs", "--h", "0,1", "--t0", "1", "--N", "32", "--n-max", "4"],
+    # K = 3 at the largest benchmark size: a fresh process builds its LGL
+    # rule and every derivative power from scratch
+    ["delta-eigs", "--h", "0.1,0.2,-0.5,1", "--t0", "1.5", "--N", "512", "--n-max", "64"],
 )
 CHILD = """
 import contextlib, io, json, sys, time
@@ -62,7 +66,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    print(f"{'command':<16} {'import_s':>9} {'run_s':>9} {'process_s':>10}  scipy"
+    print(f"{'command':<22} {'import_s':>9} {'run_s':>9} {'process_s':>10}  scipy"
           f"   (medians of {RUNS} fresh interpreters)")
     for argv in COMMANDS:
         runs = [cold_run(argv, env) for _ in range(RUNS)]
@@ -72,7 +76,8 @@ def main() -> int:
         med = {key: statistics.median(r[key] for r in runs)
                for key in ("import_s", "run_s", "process_s")}
         scipy = {r["scipy"] for r in runs}
-        print(f"{argv[0]:<16} {med['import_s']:9.3f} {med['run_s']:9.4f} "
+        label = argv[0] + (f" N={argv[argv.index('--N') + 1]}" if "--N" in argv else "")
+        print(f"{label:<22} {med['import_s']:9.3f} {med['run_s']:9.4f} "
               f"{med['process_s']:10.3f}  {'yes' if scipy == {True} else 'no' if scipy == {False} else 'mixed'}")
     return 0
 

@@ -16,10 +16,17 @@ to that space in O(K N^2) without forming the basis, keeping the reduced
 eigenproblem square. The order-0 kernel h0 delta is h0 R, whose spectrum is
 +-|h0| in closed form. The factorizations and the eigensolves run on
 numpy.linalg, so delta-eigs starts without loading SciPy.
+
+The assembly is O(K N^2), so only the eigensolve is cubic: the derivative
+matrices D^(k), k >= 2, come from Welfert's recursion (see
+_collocation_powers), O(N^2) per order with no matrix product, and the O(N)
+data of the N-point LGL rule (nodes, weights and P_(N-1) at the nodes) is
+computed once per N and cached, read-only, by _lobatto_rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,20 +62,21 @@ class DeltaKernel:
         return self.h_coeffs.size - 1
 
 
-def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending Legendre-Gauss-Lobatto nodes on [-1, 1], their quadrature
-    weights and the spectral differentiation matrix acting on node values.
+# a ladder of up to 8 resolutions stays cached; an entry holds 3 N doubles
+@functools.lru_cache(maxsize=8)
+def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The O(N) data of the N-point Legendre-Gauss-Lobatto rule: ascending
+    nodes on [-1, 1], quadrature weights and P_m at the nodes, m = N - 1, as
+    read-only arrays shared by every caller at this N.
 
-    The nodes are -1, 1 and the roots of P_m', m = N - 1. On the left half
-    the second-order Gatteschi-Pittaluga estimates of those roots (the zeros
-    of the Jacobi polynomial P^(1,1)_(m-1)), -cos(tau - 3 cot(tau) / (8 r^2))
+    The nodes are -1, 1 and the roots of P_m'. On the left half the
+    second-order Gatteschi-Pittaluga estimates of those roots (the zeros of
+    the Jacobi polynomial P^(1,1)_(m-1)), -cos(tau - 3 cot(tau) / (8 r^2))
     with tau = (j + 1/4) pi / r and r = m + 1/2, lie within 3e-6 of them. Two
     Newton steps on x P_m - P_{m-1}, whose derivative N P_m is stationary at
     the roots (so the convergence is cubic), take them to rounding, and the
     right half mirrors the left, so the set is exactly symmetric about 0. The
-    weights are 2 / (m N P_m(x)^2). The quadrature is exact to degree
-    2N - 3, so the differentiation is summation-by-parts:
-    W D + D^T W = diag(-1, 0, ..., 0, 1).
+    weights are 2 / (m N P_m(x)^2).
     """
     if n < 2:
         raise DomainError("need at least 2 collocation nodes")
@@ -85,12 +93,37 @@ def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sign, left = (-1.0) ** m, n // 2 - 1
     nodes = np.concatenate([[-1.0], x, -x[:left][::-1], [1.0]])
     pm = np.concatenate([[sign], p, sign * p[:left][::-1], [1.0]])
+    rule = nodes, 2.0 / (m * n * pm * pm), pm
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _differentiation(nodes: np.ndarray, pm: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, C, X): the LGL differentiation matrix D on [-1, 1], D_ij = C_ij /
+    X_ij off the diagonal with C_ij = P_m(x_i) / P_m(x_j) and X_ij = x_i - x_j
+    (unit diagonal), and D_00 = -D_(N-1)(N-1) = -m N / 4."""
+    n = nodes.size
     dx = np.subtract.outer(nodes, nodes)
     np.fill_diagonal(dx, 1.0)
-    d = np.divide.outer(pm, pm) / dx
+    c = np.divide.outer(pm, pm)
+    d = c / dx
     np.fill_diagonal(d, 0.0)
-    d[0, 0], d[-1, -1] = -m * n / 4.0, m * n / 4.0
-    return nodes, 2.0 / (m * n * pm * pm), d
+    d[0, 0], d[-1, -1] = -(n - 1) * n / 4.0, (n - 1) * n / 4.0
+    return d, c, dx
+
+
+def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending Legendre-Gauss-Lobatto nodes on [-1, 1], their quadrature
+    weights and the spectral differentiation matrix acting on node values,
+    fresh arrays built from the cached rule _lobatto_rule(n).
+
+    The quadrature is exact to degree 2N - 3, so the differentiation is
+    summation-by-parts: W D + D^T W = diag(-1, 0, ..., 0, 1).
+    """
+    nodes, weights, pm = _lobatto_rule(n)
+    return nodes.copy(), weights.copy(), _differentiation(nodes, pm)[0]
 
 
 def _require_resolution(kernel: DeltaKernel, n: int) -> None:
@@ -98,21 +131,37 @@ def _require_resolution(kernel: DeltaKernel, n: int) -> None:
         raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * kernel.order + 8}")
 
 
-def _collocation_powers(d: np.ndarray, t0: float, order: int) -> list:
-    """[I, D, D^2, ..., D^order] on [0, t0], D the differentiation matrix d of
-    the reference interval [-1, 1] scaled by 2 / t0.
+def _collocation_powers(n: int, t0: float, order: int) -> list:
+    """[I, D, D^(2), ..., D^(order)] on [0, t0] at the N LGL nodes: D is the
+    differentiation matrix of [-1, 1] scaled by 2 / t0, and D^(l) the l-th
+    derivative of the interpolant, D^l in exact arithmetic.
 
-    The negative-sum trick is reapplied to every power (each derivative
-    annihilates constants exactly), which suppresses the rounding growth of
-    repeated matrix products. D scales like N^2 / t0, so a tiny t0 overflows
-    a power; that raises DomainError.
+    The orders l >= 2 come from Welfert's recursion (SIAM J. Numer. Anal. 34,
+    1997; poldif in Weideman & Reddy, ACM TOMS 26, 2000), O(N^2) per order
+    with no matrix product: off the diagonal
+    D^(l)_ij = l Z_ij (C_ij D^(l-1)_ii - D^(l-1)_ij), Z_ij = (2/t0) / (x_i - x_j),
+    C_ij = P_m(x_i) / P_m(x_j). Every order takes its diagonal by the
+    negative-sum trick (each derivative annihilates constants exactly), which
+    the recursion then reuses; Baltensperger & Trummer (SIAM J. Sci. Comput.
+    24, 2003) analyse its accuracy. The nodes, weights and P_m come from the
+    cached rule of this N. D scales like N^2 / t0, so a tiny t0 overflows a
+    power; that raises DomainError.
     """
-    n = d.shape[0]
+    nodes, _, pm = _lobatto_rule(n)
+    d, c, z = _differentiation(nodes, pm)
     powers = [np.eye(n)]
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         d = d * (2.0 / t0)
+        if order > 1:
+            np.divide(2.0 / t0, z, out=z)
         for k in range(order):
-            nxt = d @ powers[-1] if k else d.copy()
+            if k:
+                nxt = c * powers[-1].diagonal()[:, None]
+                nxt -= powers[-1]
+                nxt *= z
+                nxt *= k + 1
+            else:
+                nxt = d
             np.fill_diagonal(nxt, 0.0)
             np.fill_diagonal(nxt, -nxt.sum(axis=1))
             if not np.all(np.isfinite(nxt)):
@@ -194,8 +243,8 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
     k_ord = kernel.order
     if k_ord == 0:
         return (np.zeros((n, 0)), np.zeros((0, 0))), kernel.h_coeffs[0] * np.eye(n)[::-1]
-    _, w, d = legendre_lobatto(n)
-    powers = _collocation_powers(d, kernel.t0, k_ord)
+    w = _lobatto_rule(n)[1]
+    powers = _collocation_powers(n, kernel.t0, k_ord)
     m = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         for k, hk in enumerate(kernel.h_coeffs):
@@ -288,8 +337,7 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
     if k_ord < 1:
         raise NotApplicableError("squared-operator route needs K >= 1")
     _require_resolution(kernel, n)
-    _, _, d = legendre_lobatto(n)
-    powers = _collocation_powers(d, kernel.t0, 2 * k_ord)
+    powers = _collocation_powers(n, kernel.t0, 2 * k_ord)
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         for l, hl in enumerate(kernel.h_coeffs):

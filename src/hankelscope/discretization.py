@@ -98,21 +98,25 @@ def _toeplitz(column: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([column[:0:-1], column]), column.size)[::-1]
 
 
-def _hankel_rows(kernel: QuasiCarlemanKernel, grid: LogGrid):
+def _hankel_rows(kernel: QuasiCarlemanKernel, grid: LogGrid, scale: int = 0):
     """The row filler of build_hankel_matrix: fill(rows, out) writes the
-    rows M[rows, :] (a slice or an index array) into out and returns it.
+    rows (2^-scale M)[rows, :] (a slice or an index array) into out and
+    returns it.
 
     Each entry is P(half_{i+j} + g_{|i-j|}) c_{|i-j|} (see
     build_hankel_matrix), the same floating-point operations whatever rows
-    are asked for, so M[J, :] equals M[:, J].T bit for bit. Grids with
-    dx > 1 raise DomainError (see _require_resolved); a non-finite entry
-    raises DiscretizationError naming its nodes.
+    are asked for, so M[J, :] equals M[:, J].T bit for bit. The scale goes
+    into the N factors c, so P is evaluated unscaled. Grids with dx > 1
+    raise DomainError (see _require_resolved); a non-finite entry, which
+    arises exactly where P overflows since c <= 1/2, raises
+    DiscretizationError naming its nodes.
     """
     _require_resolved(grid)
     x, n = grid.x_nodes, grid.N
     half = sliding_window_view(x[0] + 0.5 * grid.dx * np.arange(2 * n - 1), n)
     shift, c = _offset_factors(grid)
-    toeplitz_g, toeplitz_c = _toeplitz(0.5 * grid.dx * np.arange(n) + shift), _toeplitz(c)
+    toeplitz_g = _toeplitz(0.5 * grid.dx * np.arange(n) + shift)
+    toeplitz_c = _toeplitz(np.ldexp(c, -scale))
 
     def fill(rows, out: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
@@ -330,7 +334,7 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
 PASS_BLOCK = 4 * ROW_BLOCK
 
 
-def _ritz_on_range(blocks, q: np.ndarray) -> SpectrumReport | None:
+def _ritz_on_range(blocks, q: np.ndarray, scale: int = 0) -> SpectrumReport | None:
     """Rayleigh-Ritz on the range of the orthonormal q (N x w), in one pass
     over the (rows, M[rows, :]) row blocks of a symmetric M: each block
     gives Y[rows] = M[rows, :] Q and adds to ||M||_F^2 and to the complement
@@ -340,8 +344,10 @@ def _ritz_on_range(blocks, q: np.ndarray) -> SpectrumReport | None:
     Returns None when the complement exceeds RANGE_TOL ||M||_F. Otherwise
     the Ritz pairs from eigh(Q^T Y) carry explicit residuals ||Y s - Q s
     theta||, and the other N - w eigenvalues are exact zeros whose residual,
-    the complement, covers ||M z|| for every unit z orthogonal to Q. A
-    non-finite ||M||_F or complement raises ConvergenceError at once."""
+    the complement, covers ||M z|| for every unit z orthogonal to Q. The
+    blocks may hold 2^-scale M (see hankel_spectrum): the eigenvalues and
+    residuals are then scaled back by 2^scale. A non-finite ||M||_F or
+    complement raises ConvergenceError at once."""
     y = np.empty_like(q)
     fro_sq = complement_sq = 0.0
     for rows, block in blocks:
@@ -362,7 +368,9 @@ def _ritz_on_range(blocks, q: np.ndarray) -> SpectrumReport | None:
     ritz = q @ s
     ritz *= theta
     y -= ritz
-    return _full_report(theta, np.sqrt(np.einsum("ij,ij->j", y, y)), q.shape[0], complement)
+    residuals = np.sqrt(np.einsum("ij,ij->j", y, y))
+    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), q.shape[0],
+                        float(np.ldexp(complement, scale)))
 
 
 def _dense_spectrum(m: np.ndarray) -> SpectrumReport:
@@ -430,6 +438,31 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
 EDGE_ROWS = 8
 
 
+# exponent of the bound on ||M||_F that hankel_spectrum keeps: squares and
+# sums of squares of entries below 2^511 stay a factor 4 below DBL_MAX
+NORM_EXPONENT = 511
+
+
+def _row_exponent(profile: RealPolynomial, grid: LogGrid) -> int:
+    """The e >= 0 of hankel_spectrum's 2^-e scaling of the Nystrom matrix M.
+
+    Every entry is P(a) c_|i-j| with a in [x_0, L + ln 2] (see
+    build_hankel_matrix), so |P(a)| <= B = sum |p_j| R^j, R = L + ln 2, and
+    ||M||_F^2 <= B^2 N (c_0^2 + 2 sum_{d>=1} c_d^2), about 2 L B^2. e is the
+    least power of two that brings this bound below 2^NORM_EXPONENT: 0
+    wherever the bound cannot overflow the sums of squares. B is summed on
+    the coefficients scaled by the exponent of the largest, so it does not
+    overflow itself.
+    """
+    coeffs = np.abs(profile.coeffs)
+    top = math.frexp(float(np.max(coeffs)))[1]
+    r = grid.L + math.log(2.0)
+    scaled = sum(float(p) * r ** j for j, p in enumerate(np.ldexp(coeffs, -top)))
+    c = _offset_factors(grid)[1]
+    c_sq = grid.N * (2.0 * float(np.dot(c, c)) - float(c[0]) ** 2)
+    return max(0, top + math.frexp(scaled * math.sqrt(c_sq))[1] - NORM_EXPONENT)
+
+
 def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumReport:
     """Full spectrum of build_hankel_matrix's Nystrom matrix M, without
     forming M.
@@ -445,8 +478,15 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
     once 3 w > N the solve is the dense eigh of build_hankel_matrix, the
     only route that allocates N x N. See _hankel_rows for the input errors;
     a non-finite eigenvalue, residual or norm raises ConvergenceError.
+
+    Where ||M||_F^2 could overflow, the row route runs on 2^-e M (e from
+    _row_exponent): the rows are filled already scaled, and _ritz_on_range
+    scales the eigenvalues and residuals back. e is 0, and nothing is
+    scaled, wherever that bound cannot overflow; the dense route forms no
+    ||M||_F^2 and is never scaled.
     """
-    fill = _hankel_rows(kernel, grid)
+    e = _row_exponent(kernel.profile, grid)
+    fill = _hankel_rows(kernel, grid, e)
     n = grid.N
     edges = np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]
     count = sketch_width(grid.L) - 2 * EDGE_ROWS
@@ -457,7 +497,7 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
             buffer = np.empty((PASS_BLOCK, n))
             blocks = ((slice(i, i + PASS_BLOCK), fill(slice(i, i + PASS_BLOCK), buffer[:n - i]))
                       for i in range(0, n, PASS_BLOCK))
-            report = _ritz_on_range(blocks, q)
+            report = _ritz_on_range(blocks, q, e)
             if report is not None:
                 return report
             count *= 2

@@ -137,6 +137,19 @@ class TestSpectrumCommands:
                 assert doc["positivity"]["verdict"] is verdict
                 assert "certificate" in doc["positivity"]
 
+    def test_spectrum_hankel_beyond_half_double_range(self, capsys):
+        # ||M||_F^2 of P = 1e154 x overflows unscaled; the solve runs on
+        # 2^-e M and reports 1e154 times the spectrum of P = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "spectrum-hankel", "--p", "0,1e154",
+                                   "--L", "8", "--N", "512")
+        assert code == 0
+        big = np.array(json.loads(out)["eigenvalues"])
+        _, out, _ = run_cli(capsys, "spectrum-hankel", "--p", "0,1", "--L", "8", "--N", "512")
+        unit = np.array(json.loads(out)["eigenvalues"])
+        assert np.abs(big - 1e154 * unit).max() <= 1e-13 * np.abs(big).max()
+
     def test_spectrum_a_diagonal_case(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum-a", "--q", "1",
                                "--L", "8", "--N", "64")
@@ -406,14 +419,17 @@ class TestValidation:
             assert code == 2 and out == ""
             assert err.startswith("error: cannot write --output") and str(target) in err
 
-    def test_tiny_t0_overflow_is_a_validation_error(self, capsys):
-        # K = 2 at t0 = 1e-300: D^2 overflows before any solve
+    @pytest.mark.parametrize("h, t0, power", [("0,0,1", "1e-300", 2),
+                                              ("0,0,0,1", "1e-100", 3)])
+    def test_tiny_t0_overflow_is_a_validation_error(self, capsys, h, t0, power):
+        # D^power overflows before any solve: D^2 at t0 = 1e-300, and the
+        # third power of Welfert's recursion at t0 = 1e-100
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "delta-eigs", "--h", "0,0,1", "--t0", "1e-300",
+            code, out, err = run_cli(capsys, "delta-eigs", "--h", h, "--t0", t0,
                                      "--N", "64", "--n-max", "2")
         assert code == 2 and out == ""
-        assert "t0" in err and "Warning" not in err
+        assert f"derivative power {power} overflows" in err and "Warning" not in err
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command", ["spectrum-hankel", "equiv-check"])

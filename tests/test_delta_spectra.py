@@ -11,7 +11,8 @@ from numpy.polynomial import legendre
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from hankelscope.delta_spectra import (DeltaKernel, _null_space_reflectors, branches,
+from hankelscope.delta_spectra import (DeltaKernel, _collocation_powers, _lobatto_rule,
+                                       _null_space_reflectors, branches,
                                        build_reflection_operator, delta_spectrum,
                                        exact_delta_prime_eigs, h_squared_spectrum,
                                        legendre_lobatto, weyl_prediction)
@@ -92,6 +93,52 @@ class TestNodesAndModel:
                 exact = k * nodes ** (k - 1) if k else np.zeros(n)
                 err = np.abs(d @ v - exact) / (np.abs(d) @ np.abs(v))
                 assert err.max() < 1e-12, (n, k, err.max())
+
+    def test_derivative_powers_exact_on_polynomials(self):
+        # D^(k) of Welfert's recursion, k = 1..3, is exact on x^j, j < N, to
+        # rounding relative to |D^(k)| |x^j| (t0 = 2: the interval [-1, 1])
+        for n in (8, 17, 64, 129):
+            nodes = legendre_lobatto(n)[0]
+            powers = _collocation_powers(n, 2.0, 3)
+            for j in range(n):
+                v = nodes ** j
+                for k in (1, 2, 3):
+                    exact = math.perm(j, k) * nodes ** max(j - k, 0)
+                    err = np.abs(powers[k] @ v - exact) / (np.abs(powers[k]) @ np.abs(v))
+                    assert err.max() < 1e-12, (n, j, k, err.max())
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_recursion_matches_matrix_products(self, n):
+        # bounds 10x the largest measured deviation over n (4.5e-12 and
+        # 1.6e-11 of max|D^k| at n = 512), and 10x the measured error on a
+        # Legendre series of degree n/4 (1.3e-9 at n = 512, k = 3, where the
+        # products err by 3.5e-8)
+        nodes, _, d = legendre_lobatto(n)
+        powers = _collocation_powers(n, 2.0, 3)
+        products = {2: d @ d, 3: d @ d @ d}
+        for k, bound in ((2, 5e-11), (3, 2e-10)):
+            dev = np.abs(powers[k] - products[k]).max() / np.abs(products[k]).max()
+            assert dev < bound, (k, dev)
+        coef = np.random.default_rng(1).standard_normal(n // 4 + 1)
+        f = legendre.legval(nodes, coef)
+        exact = legendre.legval(nodes, legendre.legder(coef, 3))
+        err = np.abs(powers[3] @ f - exact).max() / np.abs(exact).max()
+        assert err < 1.3e-8 and err <= np.abs(products[3] @ f - exact).max() / np.abs(exact).max()
+
+    def test_rule_cached_read_only(self):
+        rule = _lobatto_rule(96)
+        assert all(a is b for a, b in zip(rule, _lobatto_rule(96)))
+        for a in rule:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_returned_arrays_are_fresh(self):
+        first = [a.copy() for a in legendre_lobatto(33)]
+        for a in legendre_lobatto(33):
+            a[...] = np.nan
+        for a, b in zip(first, legendre_lobatto(33)):
+            assert np.array_equal(a, b)
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(DomainError):

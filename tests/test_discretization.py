@@ -413,6 +413,24 @@ class TestSketchedEigenSym:
         with pytest.raises(ConvergenceError):
             eigen_sym(build_a_matrix(poly(1e300, 0.0, 1.0), LogGrid(L=8.0, N=512)))
 
+    @pytest.mark.parametrize("p", [(1e300,), (0.0, 1e154)], ids=["constant", "linear"])
+    def test_non_finite_norm_raises_at_once(self, monkeypatch, p):
+        # eigen_sym sums the squares of the matrix it is given: finite
+        # entries whose squares overflow ||M||_F^2 raise ConvergenceError on
+        # the first pass, not a doubling towards the dense route
+        passes, ritz = [], discretization._ritz_on_range
+
+        def spy(*args):
+            passes.append(1)
+            return ritz(*args)
+        monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+        op = build_hankel_matrix(QuasiCarlemanKernel(poly(*p)), LogGrid(L=8.0, N=512))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite norm"):
+                eigen_sym(op)
+        assert passes == [1]
+
 
 def _signed_profile(degree, sign):
     """sign * (-1)^j (j + 1) / ((j + 3) j!), j = 0..degree: every degree up
@@ -493,20 +511,25 @@ class TestHankelSpectrum:
         assert kept == (n if passes[-1] is None else _sampled_rows(n, final))
 
     @pytest.mark.parametrize("p", [(1e300,), (0.0, 1e154)], ids=["constant", "linear"])
-    def test_non_finite_norm_raises_at_once(self, monkeypatch, p):
-        # finite entries whose squares overflow ||M||_F^2: ConvergenceError
-        # on the first pass, not a doubling towards the dense route
-        passes, ritz = [], discretization._ritz_on_range
-
-        def spy(*args):
-            passes.append(1)
-            return ritz(*args)
-        monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+    def test_entries_beyond_half_double_range_are_scaled(self, p):
+        # ||M||_F^2 overflows unscaled; the rows are filled scaled by 2^-e
+        # and the report is 10^k times that of the profile divided by 10^k
+        k = int(math.log10(max(p)))
+        grid = LogGrid(L=8.0, N=512)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="non-finite norm"):
-                hankel_spectrum(QuasiCarlemanKernel(poly(*p)), LogGrid(L=8.0, N=512))
-        assert passes == [1]
+            rep = hankel_spectrum(QuasiCarlemanKernel(poly(*p)), grid)
+        unit = hankel_spectrum(QuasiCarlemanKernel(poly(*(c / 10.0 ** k for c in p))), grid)
+        scale = np.abs(rep.eigenvalues).max()
+        assert np.abs(rep.eigenvalues - 10.0 ** k * unit.eigenvalues).max() <= 1e-13 * scale
+        assert np.all(np.isfinite(rep.residuals)) and rep.residuals.max() <= 1e-13 * scale
+
+    def test_row_scale_only_where_the_bound_can_overflow(self):
+        # e = 0 below the bound, so those profiles solve unscaled, bit for bit
+        grid = LogGrid(L=8.0, N=512)
+        assert discretization._row_exponent(poly(1.7, 0.0, 1.0), grid) == 0
+        assert discretization._row_exponent(poly(0.0, 1e150), grid) == 0
+        assert discretization._row_exponent(poly(0.0, 1e154), grid) > 0
 
     def test_no_n_by_n_allocation(self):
         # one N x N double array at N = 2048 is 32 MiB; the traced peak stays
