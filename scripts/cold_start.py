@@ -5,8 +5,10 @@ For each of the eight commands, at a small fixed argv (and delta-eigs once
 more at K = 3, N = 512), starts RUNS fresh
 interpreters. Each one times ``from hankelscope import cli`` (import) and one
 ``cli.main(argv)`` call (run), and reports whether ``scipy`` was loaded by
-then; this script also times the whole process from the outside. Prints the
-medians, one line per argv, labelled with the command and its N:
+then and its peak resident set size (``ru_maxrss``, in MB of 2^20 bytes, as
+perfbench reports ``peak_rss_mb``) after the run; this script also times the
+whole process from the outside. Prints the medians, one line per argv,
+labelled with the command and its N:
 
     python3 scripts/cold_start.py
 
@@ -41,15 +43,19 @@ COMMANDS = (
     ["delta-eigs", "--h", "0.1,0.2,-0.5,1", "--t0", "1.5", "--N", "512", "--n-max", "64"],
 )
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 start = time.perf_counter()
 from hankelscope import cli
 import_s = time.perf_counter() - start
 start = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps({"import_s": import_s, "run_s": time.perf_counter() - start,
-                  "code": code, "scipy": "scipy" in sys.modules}))
+run_s = time.perf_counter() - start
+# ru_maxrss is in KiB on Linux, in bytes on macOS
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"import_s": import_s, "run_s": run_s, "code": code,
+                  "scipy": "scipy" in sys.modules,
+                  "peak_rss_mb": rss / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)}))
 """
 
 
@@ -66,19 +72,19 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    print(f"{'command':<22} {'import_s':>9} {'run_s':>9} {'process_s':>10}  scipy"
-          f"   (medians of {RUNS} fresh interpreters)")
+    print(f"{'command':<22} {'import_s':>9} {'run_s':>9} {'process_s':>10} "
+          f"{'peak_rss_mb':>12}  scipy   (medians of {RUNS} fresh interpreters)")
     for argv in COMMANDS:
         runs = [cold_run(argv, env) for _ in range(RUNS)]
         if any(r["code"] != 0 for r in runs):
             print(f"{argv[0]}: exit codes {[r['code'] for r in runs]}", file=sys.stderr)
             return 1
         med = {key: statistics.median(r[key] for r in runs)
-               for key in ("import_s", "run_s", "process_s")}
+               for key in ("import_s", "run_s", "process_s", "peak_rss_mb")}
         scipy = {r["scipy"] for r in runs}
         label = argv[0] + (f" N={argv[argv.index('--N') + 1]}" if "--N" in argv else "")
         print(f"{label:<22} {med['import_s']:9.3f} {med['run_s']:9.4f} "
-              f"{med['process_s']:10.3f}  {'yes' if scipy == {True} else 'no' if scipy == {False} else 'mixed'}")
+              f"{med['process_s']:10.3f} {med['peak_rss_mb']:12.2f}  {'yes' if scipy == {True} else 'no' if scipy == {False} else 'mixed'}")
     return 0
 
 

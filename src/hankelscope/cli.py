@@ -28,7 +28,7 @@ spectrum-hankel and spectrum-a report every eigenvalue, and the ones below
 exact zeros; the others agree with a dense solve to rounding.
 spectrum-hankel takes one Rayleigh-Ritz step on the range of about
 6.2 L + 32 kernel rows, with no N x N matrix, or the dense solve when N is
-less than three times that, and its zeros carry the complement bound
+less than twice that, and its zeros carry the complement bound
 ||M - (MQ) Q^T||_F.
 spectrum-a solves only the A side's weight core, about 10 L rows whatever
 N is: the rows below rounding are deflated by their norms, one circular

@@ -22,6 +22,12 @@ matrices D^(k), k >= 2, come from Welfert's recursion (see
 _collocation_powers), O(N^2) per order with no matrix product, and the O(N)
 data of the N-point LGL rule (nodes, weights and P_(N-1) at the nodes) is
 computed once per N and cached, read-only, by _lobatto_rule.
+
+Memory is the eigensolver's: the orders stream out of _collocation_powers
+into one accumulator, so the reflection route holds at most C, Z, two
+consecutive orders and the accumulator, five N x N arrays whatever K is,
+about the 5 N^2 that eigh needs for its input, its copy, its workspace and
+the eigenvectors.
 """
 
 from __future__ import annotations
@@ -131,10 +137,13 @@ def _require_resolution(kernel: DeltaKernel, n: int) -> None:
         raise DomainError(f"N={n} too small: need N >= 4K+8 = {4 * kernel.order + 8}")
 
 
-def _collocation_powers(n: int, t0: float, order: int) -> list:
-    """[I, D, D^(2), ..., D^(order)] on [0, t0] at the N LGL nodes: D is the
-    differentiation matrix of [-1, 1] scaled by 2 / t0, and D^(l) the l-th
-    derivative of the interpolant, D^l in exact arithmetic.
+def _collocation_powers(n: int, t0: float, order: int):
+    """Yields D, D^(2), ..., D^(order) on [0, t0] at the N LGL nodes, one
+    fresh array per order: D is the differentiation matrix of [-1, 1] scaled
+    by 2 / t0, and D^(l) the l-th derivative of the interpolant, D^l in exact
+    arithmetic. Between orders the generator holds only C, Z and the last
+    order, so a consumer that keeps nothing of an order holds three N x N
+    arrays besides its own; [np.eye(n)] + list(...) gives every order.
 
     The orders l >= 2 come from Welfert's recursion (SIAM J. Numer. Anal. 34,
     1997; poldif in Weideman & Reddy, ACM TOMS 26, 2000), O(N^2) per order
@@ -145,30 +154,31 @@ def _collocation_powers(n: int, t0: float, order: int) -> list:
     the recursion then reuses; Baltensperger & Trummer (SIAM J. Sci. Comput.
     24, 2003) analyse its accuracy. The nodes, weights and P_m come from the
     cached rule of this N. D scales like N^2 / t0, so a tiny t0 overflows a
-    power; that raises DomainError.
+    power; that raises DomainError. A row sum is finite exactly when every
+    entry of the row is, so the finiteness of the diagonal checks the order.
     """
     nodes, _, pm = _lobatto_rule(n)
-    d, c, z = _differentiation(nodes, pm)
-    powers = [np.eye(n)]
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        d = d * (2.0 / t0)
-        if order > 1:
-            np.divide(2.0 / t0, z, out=z)
-        for k in range(order):
+    nxt, c, z = _differentiation(nodes, pm)
+    if order < 2:
+        c = z = None   # only the recursion reads them
+    for k in range(order):
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
             if k:
-                nxt = c * powers[-1].diagonal()[:, None]
-                nxt -= powers[-1]
+                prev, nxt = nxt, c * nxt.diagonal()[:, None]
+                nxt -= prev
+                del prev   # the consumer may still hold it; this generator does not
                 nxt *= z
                 nxt *= k + 1
             else:
-                nxt = d
+                nxt *= 2.0 / t0
+                if z is not None:
+                    np.divide(2.0 / t0, z, out=z)
             np.fill_diagonal(nxt, 0.0)
             np.fill_diagonal(nxt, -nxt.sum(axis=1))
-            if not np.all(np.isfinite(nxt)):
-                raise DomainError(f"t0 = {t0:.6g} is too small: derivative "
-                                  f"power {k + 1} overflows double precision at N={n}")
-            powers.append(nxt)
-    return powers
+        if not np.all(np.isfinite(nxt.diagonal())):
+            raise DomainError(f"t0 = {t0:.6g} is too small: derivative "
+                              f"power {k + 1} overflows double precision at N={n}")
+        yield nxt
 
 
 def _null_space_reflectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,22 +248,38 @@ def build_reflection_operator(kernel: DeltaKernel, n: int
     rounding (about 2e-12 of ||A|| at N = 512); since v^T E v = 0 for every
     real v, it moves the eigenvalues only at second order. A non-finite
     entry of the reduced matrix raises DiscretizationError.
+
+    The orders are consumed as _collocation_powers yields them: each adds
+    into one accumulator M and gives up its row 0, so at most five N x N
+    arrays are alive: M, the generator's C and Z, and either two
+    consecutive orders (while the next is formed) or one order and its term
+    (while that is added). The order-0 term h0 R is written onto M's
+    anti-diagonal, and S M S^-1 is formed in place.
     """
     _require_resolution(kernel, n)
-    k_ord = kernel.order
+    h, k_ord = kernel.h_coeffs, kernel.order
     if k_ord == 0:
-        return (np.zeros((n, 0)), np.zeros((0, 0))), kernel.h_coeffs[0] * np.eye(n)[::-1]
-    w = _lobatto_rule(n)[1]
-    powers = _collocation_powers(n, kernel.t0, k_ord)
+        return (np.zeros((n, 0)), np.zeros((0, 0))), h[0] * np.eye(n)[::-1]
+    s = np.sqrt(_lobatto_rule(n)[1])
+    rows = [np.eye(1, n)[0] / s]
     m = np.zeros((n, n))
+    if h[0] != 0.0:
+        i = np.arange(n)
+        m[i, i[::-1]] = h[0]   # 0 + h0 R, entry for entry
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        for k, hk in enumerate(kernel.h_coeffs):
-            if hk != 0.0:
-                m += (-1.0) ** k * hk * powers[k][::-1]
-        s = np.sqrt(w)
-        v, t = _null_space_reflectors(np.array([powers[k][0, :] / s for k in range(k_ord)]))
-        a = _restrict(s[:, None] * m / s, v, t)
-        reduced = 0.5 * (a + a.T)
+        for k, dk in enumerate(_collocation_powers(n, kernel.t0, k_ord), 1):
+            if h[k] != 0.0:
+                m += (-1.0) ** k * h[k] * dk[::-1]
+            if k < k_ord:
+                rows.append(dk[0, :] / s)
+        del dk
+        v, t = _null_space_reflectors(np.array(rows))
+        m *= s[:, None]
+        m /= s
+        a = _restrict(m, v, t)
+        del m
+        reduced = a + a.T
+        reduced *= 0.5
     if not np.all(np.isfinite(reduced)):
         raise DiscretizationError(f"non-finite collocation entry at N={n}: the weights "
                                   f"h_k times D^k exceed double precision")
@@ -337,7 +363,7 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
     if k_ord < 1:
         raise NotApplicableError("squared-operator route needs K >= 1")
     _require_resolution(kernel, n)
-    powers = _collocation_powers(n, kernel.t0, 2 * k_ord)
+    powers = [np.eye(n)] + list(_collocation_powers(n, kernel.t0, 2 * k_ord))
     m = np.zeros((n, n))
     for k, hk in enumerate(kernel.h_coeffs):
         for l, hl in enumerate(kernel.h_coeffs):

@@ -147,12 +147,16 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
     Horner and the factor c inside one cache-sized block, so nothing N x N
     but the result is allocated). See _hankel_rows for the errors.
     """
-    fill = _hankel_rows(kernel, grid)
-    n = grid.N
+    return DiscreteOperator(matrix=_filled(_hankel_rows(kernel, grid), grid.N), grid=grid)
+
+
+def _filled(fill, n: int) -> np.ndarray:
+    """The N x N matrix of a row filler of _hankel_rows, ROW_BLOCK rows at a
+    time."""
     entries = np.empty((n, n))
     for i in range(0, n, ROW_BLOCK):
         fill(slice(i, i + ROW_BLOCK), entries[i:i + ROW_BLOCK])
-    return DiscreteOperator(matrix=entries, grid=grid)
+    return entries
 
 
 def _a_side(q: RealPolynomial, grid: LogGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,10 +377,13 @@ def _ritz_on_range(blocks, q: np.ndarray, scale: int = 0) -> SpectrumReport | No
                         float(np.ldexp(complement, scale)))
 
 
-def _dense_spectrum(m: np.ndarray) -> SpectrumReport:
-    """Dense eigh with the explicit residuals of every pair."""
+def _dense_spectrum(m: np.ndarray, scale: int = 0) -> SpectrumReport:
+    """Dense eigh with the explicit residuals of every pair; m may hold
+    2^-scale times the matrix, whose eigenvalues and residuals are then
+    scaled back by 2^scale."""
     theta, s = _eigh(m)
-    return _full_report(theta, np.linalg.norm(m @ s - s * theta, axis=0), m.shape[0], 0.0)
+    residuals = np.linalg.norm(m @ s - s * theta, axis=0)
+    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), m.shape[0], 0.0)
 
 
 # side of the square tiles of the symmetry scan: a 128 x 128 tile of doubles
@@ -475,15 +482,16 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
     Comput. 26, 2005). One pass over PASS_BLOCK-row blocks, refilled into
     one buffer, forms M Q and the complement (see _ritz_on_range). If the
     complement exceeds RANGE_TOL ||M||_F, the uniform row count doubles;
-    once 3 w > N the solve is the dense eigh of build_hankel_matrix, the
-    only route that allocates N x N. See _hankel_rows for the input errors;
+    once 2 w > N the solve is the dense eigh of the whole matrix, the only
+    route that allocates N x N (with one BLAS thread the row route is
+    faster up to about w = 0.6 N). See _hankel_rows for the input errors;
     a non-finite eigenvalue, residual or norm raises ConvergenceError.
 
-    Where ||M||_F^2 could overflow, the row route runs on 2^-e M (e from
+    Where ||M||_F^2 could overflow, both routes run on 2^-e M (e from
     _row_exponent): the rows are filled already scaled, and _ritz_on_range
-    scales the eigenvalues and residuals back. e is 0, and nothing is
-    scaled, wherever that bound cannot overflow; the dense route forms no
-    ||M||_F^2 and is never scaled.
+    or _dense_spectrum scales the eigenvalues and residuals back, since
+    both sum squares of the entries. e is 0, and nothing is scaled,
+    wherever that bound cannot overflow.
     """
     e = _row_exponent(kernel.profile, grid)
     fill = _hankel_rows(kernel, grid, e)
@@ -491,7 +499,7 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
     edges = np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]
     count = sketch_width(grid.L) - 2 * EDGE_ROWS
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _ritz_on_range
-        while 3 * (count + 2 * EDGE_ROWS) <= n:
+        while 2 * (count + 2 * EDGE_ROWS) <= n:
             rows = np.union1d(np.rint(np.linspace(0, n - 1, count)).astype(np.intp), edges)
             q = np.linalg.qr(fill(rows, np.empty((rows.size, n))).T)[0]
             buffer = np.empty((PASS_BLOCK, n))
@@ -501,7 +509,7 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
             if report is not None:
                 return report
             count *= 2
-        return _dense_spectrum(build_hankel_matrix(kernel, grid).matrix)
+        return _dense_spectrum(_filled(fill, n), e)
 
 
 def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -150,6 +150,22 @@ class TestSpectrumCommands:
         unit = np.array(json.loads(out)["eigenvalues"])
         assert np.abs(big - 1e154 * unit).max() <= 1e-13 * np.abs(big).max()
 
+    @pytest.mark.parametrize("p, unit_p, factor", [("1e300", "1", 1e300),
+                                                    ("0,1e200", "0,1", 1e200)],
+                             ids=["constant", "linear"])
+    def test_dense_route_beyond_half_double_range(self, capsys, p, unit_p, factor):
+        # 2 w > N at L = 30, N = 256: the dense eigh runs on 2^-e M, whose
+        # residual components square without overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum-hankel", "--p", p,
+                                     "--L", "30", "--N", "256")
+        assert code == 0 and err == ""
+        big = np.array(json.loads(out)["eigenvalues"])
+        _, out, _ = run_cli(capsys, "spectrum-hankel", "--p", unit_p, "--L", "30", "--N", "256")
+        unit = np.array(json.loads(out)["eigenvalues"])
+        assert np.abs(big - factor * unit).max() <= 1e-13 * np.abs(big).max()
+
     def test_spectrum_a_diagonal_case(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum-a", "--q", "1",
                                "--L", "8", "--N", "64")

@@ -4,6 +4,7 @@ algebra relating them. The clamped-free beam roots (cos b cosh b = -1) serve
 as an independent oracle for the second-derivative kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestNodesAndModel:
         # rounding relative to |D^(k)| |x^j| (t0 = 2: the interval [-1, 1])
         for n in (8, 17, 64, 129):
             nodes = legendre_lobatto(n)[0]
-            powers = _collocation_powers(n, 2.0, 3)
+            powers = [np.eye(n)] + list(_collocation_powers(n, 2.0, 3))
             for j in range(n):
                 v = nodes ** j
                 for k in (1, 2, 3):
@@ -114,7 +115,7 @@ class TestNodesAndModel:
         # Legendre series of degree n/4 (1.3e-9 at n = 512, k = 3, where the
         # products err by 3.5e-8)
         nodes, _, d = legendre_lobatto(n)
-        powers = _collocation_powers(n, 2.0, 3)
+        powers = [np.eye(n)] + list(_collocation_powers(n, 2.0, 3))
         products = {2: d @ d, 3: d @ d @ d}
         for k, bound in ((2, 5e-11), (3, 2e-10)):
             dev = np.abs(powers[k] - products[k]).max() / np.abs(products[k]).max()
@@ -259,6 +260,27 @@ class TestReflectionAssembly:
         ref = null_space(rows / np.linalg.norm(rows, axis=1, keepdims=True))
         np.testing.assert_allclose(basis.T @ basis, np.eye(n - k), rtol=0, atol=1e-14)
         np.testing.assert_allclose(basis @ basis.T, ref @ ref.T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("route", ["build_reflection_operator", "delta_spectrum"])
+    @pytest.mark.parametrize("h", MIXED_WEIGHTS[1:], ids=["K1", "K2", "K3"])
+    def test_peak_memory_at_the_eigensolver_floor(self, h, route):
+        # the orders stream into one accumulator, so the traced peak stays
+        # near the five N x N arrays of eigh, whatever K is (it grew as
+        # (K + 5) N^2 while every order was kept)
+        n = 512
+        kernel = DeltaKernel(h, 1.5)
+        if route == "build_reflection_operator":
+            call = lambda: build_reflection_operator(kernel, n)
+        else:
+            call = lambda: delta_spectrum(kernel, n, n // 4)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * n ** 2
 
     @pytest.mark.parametrize("rows", [[[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]],
                                       [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]],

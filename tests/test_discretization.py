@@ -353,10 +353,10 @@ class TestSketchedEigenSym:
             # the weight core is solved dense, the other rows are deflated
             assert n - int(zeros.sum()) == _kept_rows(poly(*symbol), grid)
         else:
-            # the first row sample suffices, with no doubling; beyond N/3
+            # the first row sample suffices, with no doubling; beyond N/2
             # rows the dense path runs
             first = _sampled_rows(n, sketch_width(L) - 2 * EDGE_ROWS)
-            assert n - int(zeros.sum()) == (first if 3 * sketch_width(L) <= n else n)
+            assert n - int(zeros.sum()) == (first if 2 * sketch_width(L) <= n else n)
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
 
     def test_wide_window_at_large_n_needs_no_doubling(self):
@@ -444,8 +444,8 @@ class TestHankelSpectrum:
     rows, and one row-block pass gives M Q and the complement."""
 
     # (L, N, degree, sign of the leading coefficient): every window, every
-    # size from 256 to 4096, degrees 0-12, both signs; (60, 1024) and
-    # (100, 512) are dense (3 w > N), the others take the row-block route
+    # size from 256 to 4096, degrees 0-12, both signs; (100, 512) is dense
+    # (2 w > N), the others take the row-block route
     CASES = [(0.5, 256, 0, 1.0), (1.0, 256, 1, -1.0), (8.0, 256, 2, 1.0),
              (8.0, 512, 3, -1.0), (14.0, 1024, 4, 1.0), (14.0, 512, 5, -1.0),
              (30.0, 1024, 6, 1.0), (30.0, 2048, 7, -1.0), (60.0, 2048, 8, 1.0),
@@ -468,7 +468,7 @@ class TestHankelSpectrum:
         if L <= 30.0:
             assert dev <= 1e-14 * scale
         zeros = rep.eigenvalues == 0.0
-        if 3 * sketch_width(L) <= n:
+        if 2 * sketch_width(L) <= n:
             assert n - int(zeros.sum()) == _sampled_rows(n, sketch_width(L) - 2 * EDGE_ROWS)
         else:
             assert not np.any(zeros)
@@ -484,12 +484,14 @@ class TestHankelSpectrum:
 
     @pytest.mark.parametrize("L, n, count, passes", [
         (4.0, 1024, 4, [None, None, None, "report"]),
-        (8.0, 256, 40, [None])])
+        (8.0, 256, 40, [None, "report"]),
+        (12.0, 256, 60, [None])])
     def test_shortfall_of_the_row_rule_doubles_or_goes_dense(self, monkeypatch, L, n,
                                                              count, passes):
         # too few rows: the uniform count doubles until the complement is
-        # within budget (4 -> 32 at L = 4, N = 1024), or until 3 w > N (40 ->
-        # 80 at L = 8, N = 256), where the dense eigh runs
+        # within budget (4 -> 32 at L = 4, N = 1024; 40 -> 80 at L = 8,
+        # N = 256), or until 2 w > N (60 -> 120 at L = 12, N = 256), where the
+        # dense eigh runs
         grid = LogGrid(L=L, N=n)
         kernel = TestSketchedEigenSym.KERNELS["hankel"]
         seen, ritz = [], discretization._ritz_on_range
