@@ -6,7 +6,9 @@ each run's exit code, stdout and stderr, covering all eight commands; it also
 hashes the bytes of ``h_squared_spectrum``, of the Householder reflectors
 (V, then T) and the reduced collocation matrix returned by
 ``build_reflection_operator`` (the reflectors only for K >= 1; at K = 0 there
-are none) and of the A-side matrix returned by ``build_a_matrix``. Imports the package from
+are none), of the A-side matrix returned by ``build_a_matrix`` and of the
+spectra and residuals that ``eigen_sym`` gives for a Hankel-side and an
+A-side matrix on a row-sampled and a dense grid. Imports the package from
 the ``src/`` next to this script, so running it in two checkouts and diffing
 the listings shows whether a change moved any output by a single bit:
 
@@ -35,7 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hankelscope.cli import main  # noqa: E402
 from hankelscope.delta_spectra import (DeltaKernel, build_reflection_operator,  # noqa: E402
                                        h_squared_spectrum)
-from hankelscope.discretization import build_a_matrix  # noqa: E402
+from hankelscope.coeff_map import QuasiCarlemanKernel  # noqa: E402
+from hankelscope.discretization import (build_a_matrix, build_hankel_matrix,  # noqa: E402
+                                        eigen_sym)
 from hankelscope.polynomials import RealPolynomial  # noqa: E402
 from hankelscope.transforms import LogGrid  # noqa: E402
 
@@ -44,6 +48,10 @@ DELTA_N = (64, 256, 512)
 LOG_N = (64, 256)
 A_SYMBOLS = ("0.5,0.3,1", "0.1,1,0,0.4")
 A_N = (64, 256, 1024)
+# (L, N) of the eigen_sym hashes: sampled rows (2 w <= N) at L = 12, N = 512
+# for the Hankel side, where the A side doubles to the dense eigh; dense on
+# both sides at L = 8, N = 64
+EIGEN_SYM_GRIDS = ((12.0, 512), (8.0, 64))
 PI26 = math.pi ** 2 / 6.0
 # positivity profiles, one or more per verdict path of the oracle
 POSITIVITY = (
@@ -131,6 +139,17 @@ def main_listing() -> None:
         for n in A_N:
             matrix = build_a_matrix(symbol, LogGrid(L=12.0, N=n)).matrix
             print(_digest(matrix.tobytes()), f"build_a_matrix q={q} L=12 N={n}")
+    profile, symbol = "0.5,-1,0.3,0.2", A_SYMBOLS[0]
+    for L, n in EIGEN_SYM_GRIDS:
+        grid = LogGrid(L=L, N=n)
+        kernel = QuasiCarlemanKernel(RealPolynomial([float(t) for t in profile.split(",")]))
+        for name, op in (
+                (f"build_hankel_matrix p={profile}", build_hankel_matrix(kernel, grid)),
+                (f"build_a_matrix q={symbol}",
+                 build_a_matrix(RealPolynomial([float(t) for t in symbol.split(",")]), grid))):
+            report = eigen_sym(op)
+            print(_digest(report.eigenvalues.tobytes() + report.residuals.tobytes()),
+                  f"eigen_sym {name} L={L:g} N={n}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from their modules."""
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
+from .discretization import (ADEQUACY_GAP, FactoryTestFunction, a_spectrum, build_a_matrix,
                              build_hankel_matrix, carleman_extremes, eigen_sym,
                              essential_spectrum, form_identity_check, hankel_spectrum,
                              spectral_rules)
@@ -24,7 +24,7 @@ __all__ = [
     "DeltaKernel", "branches", "delta_spectrum", "exact_delta_prime_eigs", "weyl_prediction",
     "FactoryTestFunction", "a_spectrum", "build_a_matrix", "build_hankel_matrix",
     "carleman_extremes", "eigen_sym", "essential_spectrum", "form_identity_check",
-    "hankel_spectrum", "spectral_rules",
+    "hankel_spectrum", "spectral_rules", "ADEQUACY_GAP",
     "ConvergenceError", "DegeneratePolynomialError", "DiscretizationError",
     "DomainError", "HankelscopeError", "NotApplicableError", "UnsupportedOrderError",
     "RealPolynomial", "is_nonnegative_on_reals", "LogGrid",

@@ -5,18 +5,20 @@ JSON is the machine interface (run heads every document with "schema":
 "hankelscope/1" and "command"; reals carry 17 significant digits); CSV is
 emitted only by delta-eigs (--format csv, its default) as an
 eigenvalue,residual list. Identical configurations produce bit-identical
-output (fixed seeds, fixed solver order). Exit codes: 0 success, 2
-validation error (including a log grid with dx = 2L/N > 1, too coarse for
-the Nystrom kernel, an L or t0 that is not finite and positive, a t0 so
-small that the collocation derivative powers overflow, a coefficient list
-with an empty entry, --seeds that are not two integers >= 0, a kernel
-entry, symbol value, delta collocation entry or equiv-check form beyond
-double precision, delta weights that underflow to a zero spectrum, an
-unwritable --output, and an allocation that fails for lack of memory), 3
-numerical-convergence failure (including a non-finite eigenvalue, residual
-or Frobenius norm, and a spectrum-hankel or carleman eigenvalue of a
-constant profile P = p0 outside the Toeplitz band p0 [0, pi (1 +
-eps_alias)] by more than its residual).
+output (fixed seeds, fixed solver order) at a fixed BLAS thread count;
+between 1 and 2 threads spectrum-hankel, carleman and delta-eigs differ in
+the last bits. Exit codes: 0 success, 2 validation error (including a log
+grid with dx = 2L/N > 1, too coarse for the Nystrom kernel, an L or t0
+that is not finite and positive, a t0 so small that the collocation
+derivative powers overflow, a coefficient list with an empty entry,
+--seeds that are not two integers >= 0, a kernel entry, symbol value,
+delta collocation entry or equiv-check form beyond double precision, delta
+weights that underflow to a zero spectrum, equiv-check forms that are both
+exactly 0, an unwritable --output, and an allocation that fails for lack
+of memory), 3 numerical-convergence failure (including a non-finite
+eigenvalue, residual or Frobenius norm, and a spectrum-hankel or carleman
+eigenvalue of a constant profile P = p0 outside the Toeplitz band p0 [0,
+pi (1 + eps_alias)] by more than its residual).
 
 carleman computes only the two ends of its spectrum, by one dense solve of
 the reciprocal kernel's Nystrom matrix on min(N, 6.2 L + 32) Gauss-Legendre
@@ -25,15 +27,9 @@ the bottom of a cluster at rounding level. No command imports SciPy.
 
 spectrum-hankel and spectrum-a report every eigenvalue, and the ones below
 1e-13 of the matrix's Frobenius norm (a rounding-level cluster) come out as
-exact zeros; the others agree with a dense solve to rounding.
-spectrum-hankel takes one Rayleigh-Ritz step on the range of about
-6.2 L + 32 kernel rows, with no N x N matrix, or the dense solve when N is
-less than twice that, and its zeros carry the complement bound
-||M - (MQ) Q^T||_F.
-spectrum-a solves only the A side's weight core, about 10 L rows whatever
-N is: the rows below rounding are deflated by their norms, one circular
-convolution, and its zeros carry the deflation bound. equiv-check forms no
-matrix: its left side multiplies by FFT products of Toeplitz triangles.
+exact zeros whose residual bounds them; the others agree with a dense solve
+to rounding. spectrum-hankel forms no N x N matrix unless N < 2 (6.2 L +
+32), spectrum-a and equiv-check none at all (see discretization).
 """
 
 from __future__ import annotations
@@ -48,10 +44,9 @@ from . import __version__
 from .coeff_map import QuasiCarlemanKernel, p_to_q, q_to_p
 from .delta_spectra import (DeltaKernel, branches, delta_spectrum, exact_delta_prime_eigs,
                             weyl_prediction)
-# build_a_matrix, build_hankel_matrix and eigen_sym, the whole-matrix models
-# and solver that spectrum-a and spectrum-hankel no longer call, stay in the
-# package's public surface, which mirrors these imports
-from .discretization import (FactoryTestFunction, a_spectrum, build_a_matrix,
+# build_a_matrix, build_hankel_matrix and eigen_sym, which no command calls,
+# stay in the package's public surface, which mirrors these imports
+from .discretization import (ADEQUACY_GAP, FactoryTestFunction, a_spectrum, build_a_matrix,
                              build_hankel_matrix, carleman_extremes, eigen_sym,
                              essential_spectrum, form_identity_check, hankel_spectrum,
                              spectral_rules)
@@ -146,8 +141,12 @@ def _require_in_band(report, p0: float, grid: LogGrid) -> None:
     the symbol sum_k pi / cosh(pi (theta + 2 pi k) / dx), which is positive
     and at most pi (1 + eps_alias), eps_alias = 2 sum_{k>=1} 1/cosh(2 pi^2 k
     / dx). Every eigenvalue must lie in p0 [0, pi (1 + eps_alias)] up to its
-    residual and the rounding of the entries (4 eps of a row sum); one
-    outside raises ConvergenceError.
+    residual, the rounding of the entries (4 eps of a row sum) and N 2^-1074
+    for underflow: below the normal range a product errs by up to half the
+    smallest subnormal 2^-1074 absolutely, not relatively (sums of
+    subnormals are exact), so an eigenvalue, an inner product of N such
+    products with unit vectors, may move by N 2^-1074 more; one outside
+    raises ConvergenceError.
 
     carleman's Gauss-Legendre S K S (p0 = 1) meets the band for other
     reasons: it is a Gram matrix of k(d) = 1 / (2 cosh(d/2)), whose Fourier
@@ -160,7 +159,7 @@ def _require_in_band(report, p0: float, grid: LogGrid) -> None:
                           for k in (1, 2, 3))
     top = p0 * math.pi * (1.0 + eps_alias)
     lo, hi = min(0.0, top), max(0.0, top)
-    slack = report.residuals + 4.0 * np.finfo(float).eps * abs(top)
+    slack = report.residuals + 4.0 * np.finfo(float).eps * abs(top) + grid.N * 2.0 ** -1074
     outside = (report.eigenvalues < lo - slack) | (report.eigenvalues > hi + slack)
     if np.any(outside):
         lam = float(report.eigenvalues[np.argmax(outside)])
@@ -256,9 +255,13 @@ def _cmd_equiv_check(args: argparse.Namespace) -> dict:
     f1 = FactoryTestFunction(args.seeds[0], grid)
     f2 = FactoryTestFunction(args.seeds[1], grid)
     chk = form_identity_check(p, f1, f2, grid)
+    if chk.lhs == 0.0 and chk.rhs == 0.0:
+        raise HankelscopeError("both quadratic forms are exactly 0 (the seeded test functions "
+                               "underflow on this grid), so the check compares nothing")
     if chk.violation:
+        threshold = np.format_float_scientific(ADEQUACY_GAP, trim="-", exp_digits=1)
         raise ConvergenceError(
-            f"identity gap {chk.relative_gap:.3e} above the adequacy threshold 1e-3")
+            f"identity gap {chk.relative_gap:.3e} above the adequacy threshold {threshold}")
     return {
         "input": {"p_coeffs": list(p.coeffs), "seeds": list(args.seeds)},
         "lhs": {"re": chk.lhs.real, "im": chk.lhs.imag},

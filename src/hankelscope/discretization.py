@@ -7,19 +7,18 @@ build_a_matrix), plus the quadratic-form evaluator that compares the two.
 
 Both sides have about 6.2 L eigenvalues above rounding level, whatever N
 is. hankel_spectrum solves the Hankel side whole, where no row lies below
-rounding, without forming its matrix: one Rayleigh-Ritz step on the range
-of about that many kernel rows, with the other eigenvalues reported as
-exact zeros whose residual is the complement bound. One pass over
-cache-sized row blocks, each filled into a reused buffer, forms M Q and
-the complement, so only the dense route (when the width exceeds a third of
-N) allocates N x N. eigen_sym keeps the same contract on a Gaussian sketch
-for any symmetric matrix it is given. a_spectrum solves the A side on its
-weight core alone: the row norms of V C V are one circular convolution,
-the rows below rounding are deflated, and only the kept block (about 10 L
-rows) is filled and solved. form_identity_check multiplies by the Nystrom
-matrix without forming it, by FFT products of Toeplitz triangles weighted
-with the profile's Taylor coefficients. None of the three allocates an
-N x N array.
+rounding, without forming its matrix: _sampled_spectrum takes one
+Rayleigh-Ritz step on the range of about that many kernel rows, with the
+other eigenvalues reported as exact zeros whose residual is the complement
+bound, and only the dense route (when the rows would exceed half of N)
+allocates N x N. eigen_sym runs the same solver on rows copied from any
+symmetric matrix it is given. a_spectrum solves the A side on its weight
+core alone: the row norms of V C V are one circular convolution, the rows
+below rounding are deflated, and only the kept block (about 10 L rows) is
+filled and solved. form_identity_check multiplies by the Nystrom matrix
+without forming it, by FFT products of Toeplitz triangles weighted with
+the profile's Taylor coefficients. None of the three allocates an N x N
+array.
 
 For the reciprocal kernel (P = 1) carleman_extremes solves on Gauss-Legendre
 nodes instead (Nystrom with M = S K S, S the square roots of the weights):
@@ -151,8 +150,8 @@ def build_hankel_matrix(kernel: QuasiCarlemanKernel, grid: LogGrid) -> DiscreteO
 
 
 def _filled(fill, n: int) -> np.ndarray:
-    """The N x N matrix of a row filler of _hankel_rows, ROW_BLOCK rows at a
-    time."""
+    """The N x N matrix of a row filler fill(rows, out) (see _hankel_rows),
+    ROW_BLOCK rows at a time."""
     entries = np.empty((n, n))
     for i in range(0, n, ROW_BLOCK):
         fill(slice(i, i + ROW_BLOCK), entries[i:i + ROW_BLOCK])
@@ -201,17 +200,17 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid) -> DiscreteOperator:
 
         (U* V C V U)_ab = v_a v_b [Re c_{(a-b) mod N} - Im c_{(a+b) mod N}]
 
-    with the spectrum, trace and Frobenius norm of V C V, filled ROW_BLOCK
-    rows at a time by _hartley_entries. Taking the even part of Re c makes
+    with the spectrum, trace and Frobenius norm of V C V, filled by _filled
+    from _hartley_entries. Taking the even part of Re c makes
     the result exactly symmetric. See _a_side for the errors.
     """
     v, even, odd = _a_side(q, grid)
-    n = grid.N
-    nodes = np.arange(n)
-    m = np.empty((n, n))
-    for i in range(0, n, ROW_BLOCK):
-        m[i:i + ROW_BLOCK] = _hartley_entries(v, even, odd, nodes[i:i + ROW_BLOCK], nodes)
-    return DiscreteOperator(matrix=m, grid=grid)
+    nodes = np.arange(grid.N)
+
+    def fill(rows, out: np.ndarray) -> np.ndarray:
+        out[...] = _hartley_entries(v, even, odd, nodes[rows], nodes)
+        return out
+    return DiscreteOperator(matrix=_filled(fill, grid.N), grid=grid)
 
 
 def _require_finite(eigenvalues: np.ndarray, residuals: np.ndarray) -> None:
@@ -238,8 +237,8 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-# complement bound ||M - (MQ) Q^T||_F accepted for the sketched range Q,
-# relative to ||M||_F; sketch columns beyond the phase-space count
+# complement bound ||M - (MQ) Q^T||_F accepted for the sampled range Q,
+# relative to ||M||_F; sampled rows beyond the phase-space count
 RANGE_TOL = 1e-13
 OVERSAMPLING = 32
 
@@ -326,11 +325,8 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
     _, row_sq, e = _weight_rows(v, even, odd)   # upper bounds: delta is a bound
     keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
-        delta = float(np.ldexp(delta, e))
-        block = _hartley_entries(v, even, odd, keep, keep)
-        theta, s = _eigh(block)
-        residuals = np.linalg.norm(block @ s - s * theta, axis=0) + delta
-    return _full_report(theta, residuals, grid.N, delta)
+        return _dense_spectrum(_hartley_entries(v, even, odd, keep, keep), grid.N,
+                               floor=float(np.ldexp(delta, e)))
 
 
 # rows per block of the range pass: 64 rows of N = 2048 doubles (1 MiB) are
@@ -338,23 +334,26 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
 PASS_BLOCK = 4 * ROW_BLOCK
 
 
-def _ritz_on_range(blocks, q: np.ndarray, scale: int = 0) -> SpectrumReport | None:
+def _ritz_on_range(fill, q: np.ndarray, scale: int = 0) -> SpectrumReport | None:
     """Rayleigh-Ritz on the range of the orthonormal q (N x w), in one pass
-    over the (rows, M[rows, :]) row blocks of a symmetric M: each block
-    gives Y[rows] = M[rows, :] Q and adds to ||M||_F^2 and to the complement
-    ||M - Y Q^T||_F^2 (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
-    section 4.3), with no N x N temporary.
+    over PASS_BLOCK-row blocks of a symmetric M, each written by the row
+    filler fill into one reused buffer: a block gives Y[rows] = M[rows, :] Q
+    and adds to ||M||_F^2 and to the complement ||M - Y Q^T||_F^2 (Halko,
+    Martinsson & Tropp, SIAM Review 53, 2011, section 4.3).
 
-    Returns None when the complement exceeds RANGE_TOL ||M||_F. Otherwise
-    the Ritz pairs from eigh(Q^T Y) carry explicit residuals ||Y s - Q s
-    theta||, and the other N - w eigenvalues are exact zeros whose residual,
-    the complement, covers ||M z|| for every unit z orthogonal to Q. The
-    blocks may hold 2^-scale M (see hankel_spectrum): the eigenvalues and
-    residuals are then scaled back by 2^scale. A non-finite ||M||_F or
-    complement raises ConvergenceError at once."""
+    None when the complement exceeds RANGE_TOL ||M||_F. Otherwise the Ritz
+    pairs from eigh(Q^T Y) carry explicit residuals ||Y s - Q s theta||,
+    and the other N - w eigenvalues are exact zeros whose residual, the
+    complement, covers ||M z|| for every unit z orthogonal to Q. A filler
+    of 2^-scale M has its eigenvalues and residuals scaled back by 2^scale.
+    A non-finite ||M||_F or complement raises ConvergenceError at once."""
+    n = q.shape[0]
     y = np.empty_like(q)
+    buffer = np.empty((PASS_BLOCK, n))
     fro_sq = complement_sq = 0.0
-    for rows, block in blocks:
+    for i in range(0, n, PASS_BLOCK):
+        rows = slice(i, i + PASS_BLOCK)
+        block = fill(rows, buffer[:n - i])
         np.matmul(block, q, out=y[rows])
         d = y[rows] @ q.T
         d -= block
@@ -373,17 +372,47 @@ def _ritz_on_range(blocks, q: np.ndarray, scale: int = 0) -> SpectrumReport | No
     ritz *= theta
     y -= ritz
     residuals = np.sqrt(np.einsum("ij,ij->j", y, y))
-    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), q.shape[0],
+    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), n,
                         float(np.ldexp(complement, scale)))
 
 
-def _dense_spectrum(m: np.ndarray, scale: int = 0) -> SpectrumReport:
-    """Dense eigh with the explicit residuals of every pair; m may hold
-    2^-scale times the matrix, whose eigenvalues and residuals are then
-    scaled back by 2^scale."""
+# rows always sampled at each end of the window, beside the uniform ones
+EDGE_ROWS = 8
+
+
+def _sampled_spectrum(fill, n: int, L: float, scale: int = 0) -> SpectrumReport | None:
+    """Full spectrum of the symmetric N x N matrix M whose rows fill writes
+    (see _hankel_rows), from one Rayleigh-Ritz step on the range of sampled
+    rows (_ritz_on_range); None once they would exceed N / 2, for the
+    caller's dense eigh (with one BLAS thread, rows are faster to 0.6 N).
+
+    Q = qr(M[J, :].T) for the rows J = round(linspace(0, N - 1, w - 16))
+    plus the first and last EDGE_ROWS, w = sketch_width(L): by symmetry the
+    columns M[:, J], a column sample of the range as in an interpolative
+    decomposition (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci.
+    Comput. 26, 2005). While the complement exceeds RANGE_TOL ||M||_F, the
+    uniform row count doubles.
+    """
+    edges = np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]
+    count = sketch_width(L) - 2 * EDGE_ROWS
+    while 2 * (count + 2 * EDGE_ROWS) <= n:
+        rows = np.union1d(np.rint(np.linspace(0, n - 1, count)).astype(np.intp), edges)
+        q = np.linalg.qr(fill(rows, np.empty((rows.size, n))).T)[0]
+        report = _ritz_on_range(fill, q, scale)
+        if report is not None:
+            return report
+        count *= 2
+    return None
+
+
+def _dense_spectrum(m: np.ndarray, n: int, scale: int = 0, floor: float = 0.0) -> SpectrumReport:
+    """Dense eigh of m with the explicit residual of every pair plus floor,
+    and n - len(m) exact zeros with residual floor (see _full_report); m may
+    hold 2^-scale times the matrix, whose eigenvalues and explicit residuals
+    are then scaled back by 2^scale."""
     theta, s = _eigh(m)
     residuals = np.linalg.norm(m @ s - s * theta, axis=0)
-    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), m.shape[0], 0.0)
+    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale) + floor, n, floor)
 
 
 # side of the square tiles of the symmetry scan: a 128 x 128 tile of doubles
@@ -408,41 +437,25 @@ def _symmetry_scan(m: np.ndarray) -> tuple[float, float]:
 
 
 def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
-    """Full spectrum of an arbitrary real symmetric discrete operator from
-    one Rayleigh-Ritz step on a Gaussian-sketched range of about
-    sketch_width(L) columns.
-
-    A tiled scan checks symmetry. Q = qr(M Omega) for a fixed-seed Gaussian
-    Omega (Halko, Martinsson & Tropp, SIAM Review 53, 2011, sections
-    4.3-4.5); _ritz_on_range then reads M once more for M Q, ||M||_F and the
-    complement, and the width doubles until the complement is within
-    RANGE_TOL ||M||_F. Once the width exceeds a third of N (a sketch breaks
-    even near 0.45 N), this is the dense eigh. Each reported value is within
-    its residual of an eigenvalue of M. Nothing is deflated; the Hankel
-    side samples its range from kernel rows in hankel_spectrum, and the A
-    side solves its weight core in a_spectrum. A non-finite eigenvalue or
-    residual raises ConvergenceError.
-    """
+    """Full spectrum of an arbitrary real symmetric discrete operator: after
+    a tiled symmetry scan, hankel_spectrum's solve (_sampled_spectrum, or
+    the dense eigh once 2 w > N) on rows copied from the matrix, so on the
+    Hankel side the result is hankel_spectrum's bit for bit. Nothing is
+    deflated: where the uniform rows miss the A side's weight core, the rows
+    double up to the dense eigh (a_spectrum solves that core alone). A
+    non-finite eigenvalue, residual or norm raises ConvergenceError."""
     m = op.matrix
     n = m.shape[0]
+
+    def fill(rows, out: np.ndarray) -> np.ndarray:
+        out[...] = m[rows]
+        return out
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
         sym_defect, peak = _symmetry_scan(m)
         if sym_defect > 1e-12 * max(peak, 1e-300):
             raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
-        width = sketch_width(op.grid.L)
-        while 3 * width <= n:
-            q = np.linalg.qr(m @ np.random.default_rng(0).standard_normal((n, width)))[0]
-            blocks = ((slice(i, i + PASS_BLOCK), m[i:i + PASS_BLOCK])
-                      for i in range(0, n, PASS_BLOCK))
-            report = _ritz_on_range(blocks, q)
-            if report is not None:
-                return report
-            width *= 2
-        return _dense_spectrum(m)
-
-
-# rows always sampled at each end of the window, beside the uniform ones
-EDGE_ROWS = 8
+        report = _sampled_spectrum(fill, n, op.grid.L)
+        return report if report is not None else _dense_spectrum(m, n)
 
 
 # exponent of the bound on ||M||_F that hankel_spectrum keeps: squares and
@@ -472,44 +485,22 @@ def _row_exponent(profile: RealPolynomial, grid: LogGrid) -> int:
 
 def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumReport:
     """Full spectrum of build_hankel_matrix's Nystrom matrix M, without
-    forming M.
+    forming M: _sampled_spectrum on the kernel rows of _hankel_rows, or,
+    once 2 w > N, the dense eigh of the whole matrix, the only route that
+    allocates N x N. Each entry depends only on i + j and |i - j|, so
+    M[J, :] equals M[:, J].T bit for bit. See _hankel_rows for the input
+    errors; a non-finite eigenvalue, residual or norm raises
+    ConvergenceError.
 
-    The range basis is Q = qr(M[J, :].T): the rows J = round(linspace(0,
-    N - 1, w - 16)) plus the first and last EDGE_ROWS, w = sketch_width(L),
-    filled by _hankel_rows. M is symmetric bit for bit, so these are the
-    columns M[:, J], a column sample of the range as in an interpolative
-    decomposition (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci.
-    Comput. 26, 2005). One pass over PASS_BLOCK-row blocks, refilled into
-    one buffer, forms M Q and the complement (see _ritz_on_range). If the
-    complement exceeds RANGE_TOL ||M||_F, the uniform row count doubles;
-    once 2 w > N the solve is the dense eigh of the whole matrix, the only
-    route that allocates N x N (with one BLAS thread the row route is
-    faster up to about w = 0.6 N). See _hankel_rows for the input errors;
-    a non-finite eigenvalue, residual or norm raises ConvergenceError.
-
-    Where ||M||_F^2 could overflow, both routes run on 2^-e M (e from
-    _row_exponent): the rows are filled already scaled, and _ritz_on_range
-    or _dense_spectrum scales the eigenvalues and residuals back, since
-    both sum squares of the entries. e is 0, and nothing is scaled,
-    wherever that bound cannot overflow.
+    Where ||M||_F^2 could overflow, both routes solve 2^-e M, filled already
+    scaled, and scale the result back (e from _row_exponent; 0, and nothing
+    scaled, wherever that bound cannot overflow).
     """
     e = _row_exponent(kernel.profile, grid)
     fill = _hankel_rows(kernel, grid, e)
-    n = grid.N
-    edges = np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]
-    count = sketch_width(grid.L) - 2 * EDGE_ROWS
     with np.errstate(over="ignore", invalid="ignore"):   # reported by _ritz_on_range
-        while 2 * (count + 2 * EDGE_ROWS) <= n:
-            rows = np.union1d(np.rint(np.linspace(0, n - 1, count)).astype(np.intp), edges)
-            q = np.linalg.qr(fill(rows, np.empty((rows.size, n))).T)[0]
-            buffer = np.empty((PASS_BLOCK, n))
-            blocks = ((slice(i, i + PASS_BLOCK), fill(slice(i, i + PASS_BLOCK), buffer[:n - i]))
-                      for i in range(0, n, PASS_BLOCK))
-            report = _ritz_on_range(blocks, q, e)
-            if report is not None:
-                return report
-            count *= 2
-        return _dense_spectrum(_filled(fill, n), e)
+        report = _sampled_spectrum(fill, grid.N, grid.L, e)
+        return report if report is not None else _dense_spectrum(_filled(fill, grid.N), grid.N, e)
 
 
 def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -616,6 +607,10 @@ class FactoryTestFunction:
         return np.exp(-0.5 * lt) * self.log_profile(lt)
 
 
+# relative gap of the identity check above which the grid is inadequate
+ADEQUACY_GAP = 1e-3
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """Both sides of the quadratic-form identity and their relative gap."""
@@ -692,8 +687,8 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     nothing because the integrands already vanish at the window edge. F is
     f_transform's gamma-phase Mellin transform, with the phase computed once
     for both test functions.
-    A gap above 1e-3 flags discretization inadequacy (violation), not a math
-    failure; a form or gap beyond double range raises DiscretizationError.
+    A gap above ADEQUACY_GAP flags discretization inadequacy (violation), not
+    a math failure; a form or gap beyond double range raises DiscretizationError.
     P is mapped to Q first, so an unmappable P raises before any assembly.
     """
     kernel = QuasiCarlemanKernel(p)
@@ -720,7 +715,7 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     if not (np.isfinite(lhs) and np.isfinite(rhs) and math.isfinite(gap)):
         raise DiscretizationError("non-finite quadratic form: the identity check exceeds "
                                   "double precision")
-    return IdentityCheck(lhs=lhs, rhs=rhs, relative_gap=gap, violation=gap > 1e-3)
+    return IdentityCheck(lhs=lhs, rhs=rhs, relative_gap=gap, violation=gap > ADEQUACY_GAP)
 
 
 def essential_spectrum(p: RealPolynomial) -> str:

@@ -88,7 +88,8 @@ class GridFunction:
 def u_map(f, grid: LogGrid) -> GridFunction:
     """Substitution (Uf)(x) = e^{x/2} f(e^x) sampled on the x-nodes."""
     x = grid.x_nodes
-    vals = np.asarray(np.exp(x / 2.0) * f(np.exp(x)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # reported below
+        vals = np.asarray(np.exp(x / 2.0) * f(np.exp(x)))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         j = int(np.argmax(bad))

@@ -246,6 +246,21 @@ class TestConstantProfileBand:
         assert code == 3 and out == ""
         assert "outside the constant-profile band" in err
 
+    @pytest.mark.parametrize("p, L, n", [("1e-310", "8", "64"), ("-1e-310", "8", "64"),
+                                         ("1e-320", "12", "1024")],
+                             ids=["dense", "dense-negative", "rows"])
+    def test_subnormal_constant_profile_lies_in_the_band(self, capsys, p, L, n):
+        # entries below the normal range round absolutely, so eigenvalues of
+        # a few subnormal units (-4.9e-324 dense, -1.5e-321 on the rows) sit
+        # outside p0 [0, pi] by more than any relative slack; the band takes
+        # N 2^-1074 for them
+        code, out, err = run_cli(capsys, "spectrum-hankel", "--p", p, "--L", L, "--N", n)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        lo, hi = sorted((0.0, float(p) * math.pi * (1.0 + 1e-12)))
+        tol = doc["residual_max"] + int(n) * 2.0 ** -1074
+        assert lo - tol <= doc["min_eigenvalue"] <= doc["max_eigenvalue"] <= hi + tol
+
     @pytest.mark.parametrize("ends", [(-1e-9, 3.0), (0.0, math.pi + 1e-9)])
     def test_carleman_outside_the_band_exits_3(self, capsys, monkeypatch, ends):
         report = SpectrumReport(np.array(ends), np.full(2, 1e-16))
@@ -600,7 +615,8 @@ QUOTED_NON_FINITE = re.compile(r'"-?(nan|inf)"')
 
 def _assert_clean_exit(argv):
     """Warnings are errors; exit 0 prints no quoted non-finite value and
-    nothing on stderr, exit 2 or 3 prints one message and no output."""
+    nothing on stderr, exit 2 or 3 prints one message and no output.
+    Returns the exit code and the message."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -612,6 +628,7 @@ def _assert_clean_exit(argv):
         assert err.getvalue() == ""
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "convergence"))
+    return code, err.getvalue()
 
 
 @given(st.sampled_from(("pq", "qp", "positivity")),
@@ -633,6 +650,19 @@ def test_grid_commands_on_extreme_coefficients(command, coeffs, L, k):
     # L below about 8.5, the dense route otherwise
     flag = "--q" if command == "spectrum-a" else "--p"
     _assert_clean_exit([command, f"{flag}={','.join(coeffs)}", "--L", repr(L), "--N", str(2 ** k)])
+
+
+@pytest.mark.parametrize("L, n, message", [
+    ("700", "2048", "non-finite sample at node x=-2100"),
+    ("1e-300", "64", "both quadratic forms are exactly 0"),
+    ("1e-3", "64", "both quadratic forms are exactly 0")])
+def test_equiv_check_on_extreme_windows(L, n, message):
+    # beyond the fuzzed windows: e^x overflows on the 3L grid at L = 700;
+    # the test functions' window, L/8 wide, underflows at every node at
+    # L = 1e-300 and 1e-3, so lhs = rhs = 0 and the check would compare
+    # nothing. Each exits 2 without a numpy warning
+    code, err = _assert_clean_exit(["equiv-check", "--p", "1", "--L", L, "--N", n])
+    assert code == 2 and message in err
 
 
 @given(st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=5),

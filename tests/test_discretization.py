@@ -315,11 +315,24 @@ def _sampled_rows(n, count):
     return np.union1d(uniform, np.r_[0:EDGE_ROWS, n - EDGE_ROWS:n]).size
 
 
+def _ritz_passes(monkeypatch):
+    """The list that records each _ritz_on_range pass from now on: None for
+    a complement over budget, "report" for a result."""
+    seen, ritz = [], discretization._ritz_on_range
+
+    def spy(*args):
+        report = ritz(*args)
+        seen.append(None if report is None else "report")
+        return report
+    monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+    return seen
+
+
 class TestSketchedEigenSym:
-    """hankel_spectrum on the range of sampled kernel rows and eigen_sym on a
-    Gaussian-sketched range (Ritz pairs plus exact zeros whose residual is
-    the complement bound), and a_spectrum on its weight core, against the
-    dense eigh of the whole matrix."""
+    """hankel_spectrum on the range of sampled kernel rows and eigen_sym on
+    sampled rows of the matrix it is given (Ritz pairs plus exact zeros
+    whose residual is the complement bound), and a_spectrum on its weight
+    core, against the dense eigh of the whole matrix."""
 
     A_SYMBOLS = {"a": (0.5, 0.3, 1.0), "a-odd": (0.1, 1.0, 0.0, 0.4)}
     KERNELS = {"hankel": QuasiCarlemanKernel(poly(1.7, 0.0, 1.0)),
@@ -369,16 +382,33 @@ class TestSketchedEigenSym:
         assert np.all(rep.residuals[zeros] <= 1e-13 * np.linalg.norm(op.matrix))
         assert rep.residuals.max() <= 1e-13 * np.abs(rep.eigenvalues).max()
 
-    def test_rank_between_first_width_and_a_third_doubles(self):
+    def test_rank_above_the_first_row_sample_doubles(self, monkeypatch):
+        # rank w + 20 exceeds the first sample of w rows, so its complement
+        # fails and the doubled sample, still below N/2, passes
         grid = LogGrid(L=4.0, N=512)
-        first = sketch_width(grid.L)
-        assert 3 * 2 * first <= grid.N
-        m = _rank_deficient(grid.N, first + 20)
+        count = sketch_width(grid.L) - 2 * EDGE_ROWS
+        assert 2 * (2 * count + 2 * EDGE_ROWS) <= grid.N
+        m = _rank_deficient(grid.N, sketch_width(grid.L) + 20)
+        seen = _ritz_passes(monkeypatch)
         rep = eigen_sym(DiscreteOperator(m, grid))
         w, _ = _dense_eigen(m)
-        assert np.sum(rep.eigenvalues == 0.0) == grid.N - 2 * first
+        assert seen == [None, "report"]
+        assert np.sum(rep.eigenvalues == 0.0) == grid.N - _sampled_rows(grid.N, 2 * count)
         assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * np.abs(w).max()
         assert rep.residuals.max() <= 1e-13 * np.linalg.norm(m)
+
+    def test_a_side_rows_miss_the_core_and_go_dense(self, monkeypatch):
+        # the uniform rows of an A-side matrix miss its weight core: both
+        # row samples (91 and 182 uniform rows) fail, and the dense eigh runs
+        grid = LogGrid(L=12.0, N=512)
+        m = self.SIDES["a"](grid).matrix
+        seen = _ritz_passes(monkeypatch)
+        rep = eigen_sym(DiscreteOperator(m, grid))
+        w = np.linalg.eigvalsh(m)
+        assert seen == [None, None]
+        assert not np.any(rep.eigenvalues == 0.0)
+        assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * np.abs(w).max()
+        assert rep.residuals.max() <= 1e-13 * np.abs(w).max()
 
     @pytest.mark.parametrize("make", [np.eye, lambda n: _rank_deficient(n, n)],
                              ids=["identity", "random-symmetric"])
@@ -482,6 +512,18 @@ class TestHankelSpectrum:
             rows, np.empty((rows.size, n)))
         assert np.array_equal(sample, m[rows]) and np.array_equal(sample, m[:, rows].T)
 
+    @pytest.mark.parametrize("L, n", [(12.0, 1024), (8.0, 64)], ids=["rows", "dense"])
+    def test_eigen_sym_of_the_matrix_is_hankel_spectrum_bitwise(self, L, n):
+        # one solver for both: eigen_sym reads the rows that hankel_spectrum
+        # fills, on the row route (2 w <= N) and on the dense one
+        grid = LogGrid(L=L, N=n)
+        kernel = TestSketchedEigenSym.KERNELS["hankel-odd"]
+        rep = hankel_spectrum(kernel, grid)
+        whole = eigen_sym(build_hankel_matrix(kernel, grid))
+        assert np.array_equal(whole.eigenvalues, rep.eigenvalues)
+        assert np.array_equal(whole.residuals, rep.residuals)
+        assert np.any(rep.eigenvalues == 0.0) == (2 * sketch_width(L) <= n)
+
     @pytest.mark.parametrize("L, n, count, passes", [
         (4.0, 1024, 4, [None, None, None, "report"]),
         (8.0, 256, 40, [None, "report"]),
@@ -494,14 +536,8 @@ class TestHankelSpectrum:
         # dense eigh runs
         grid = LogGrid(L=L, N=n)
         kernel = TestSketchedEigenSym.KERNELS["hankel"]
-        seen, ritz = [], discretization._ritz_on_range
-
-        def spy(*args):
-            report = ritz(*args)
-            seen.append(None if report is None else "report")
-            return report
         monkeypatch.setattr(discretization, "sketch_width", lambda L: count + 2 * EDGE_ROWS)
-        monkeypatch.setattr(discretization, "_ritz_on_range", spy)
+        seen = _ritz_passes(monkeypatch)
         rep = hankel_spectrum(kernel, grid)
         assert seen == passes
         m = build_hankel_matrix(kernel, grid).matrix
