@@ -74,6 +74,21 @@ POSITIVITY = (
     "44498504.93839437,44493889.88337403,22242339.632493075,7411031.996399784,"
     "1851269.147021981,369600.0303770628,61442.18079386835,8692.63564825408,"
     "1087.2549292394374,112.12037132499239,12.363070522633395,0.6426587978818394,0.1",
+    # Q near DBL_MAX, where Horner's bound overflows at a critical point and
+    # the rule decides on power-of-two scaled coefficients: Q's derivative
+    # overflows too; a witness moved to a finite value (degrees 2, 4, 6); a
+    # verdict "nonnegative" from 3 scaled critical values; and exit 2, where
+    # no negative value is representable
+    "1e308,1.1544313298030657e308,1e308",
+    "1.2250441905137596e+305,2.1223335819880116e+305,6.431817956381441e+295",
+    "-7.884380000202475e+307,-4.601344782474904e+307,-3.985810731369675e+307,"
+    "1.38201595849776e+297,5.9857001573818945e+296",
+    "1.3748909008301571e+308,1.3736550840785376e+308,6.378126224520274e+307,"
+    "2.295710427764217e+307,3.501074635416662e+306,1.1380962338835012e+306,1.1e+304",
+    "1.7900000002407175e+308,2.2251180731369334e+298,1.2125714126947812e+298,"
+    "2.3588661562992568e+297,1.0216571983981306e+297",
+    "-5.616020036179547e+295,-6.120866511558431e+295,-1.7860768499220137e+295,"
+    "-1.0314324198367415e+295,1.6412045856356207e+284",
 )
 
 

@@ -92,10 +92,11 @@ def _dumps(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _serialize(result) -> str:
-    """JSON for a payload dict; an eigenvalue,residual CSV for a row list."""
+def _serialize(command: str, result) -> str:
+    """JSON for a payload dict, under the schema header; an
+    eigenvalue,residual CSV for a row list."""
     if isinstance(result, dict):
-        return _dumps(result) + "\n"
+        return _dumps({"schema": SCHEMA, "command": command, **result}) + "\n"
     lines = ["eigenvalue,residual"] + [f"{_format_real(lam)},{_format_real(res)}"
                                        for lam, res in result]
     return "\n".join(lines) + "\n"
@@ -326,9 +327,7 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch one validated invocation; returns the process exit code."""
     try:
         result = _HANDLERS[args.command](args)
-        if isinstance(result, dict):
-            result = {"schema": SCHEMA, "command": args.command, **result}
-        _write(_serialize(result), args)
+        _write(_serialize(args.command, result), args)
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")

@@ -6,10 +6,17 @@ M[k][l] = binom(l, k) * w^(l-k)(0) with w(z) = 1/Gamma(1-z); the inverse is
 back-substitution on the same matrix (an exact triangular solve, used instead
 of the equivalent Laplace-integral representation, which the test suite keeps
 as an independent quadrature oracle).
+
+The binomials binom(l, k) and the jet index l - k of each entry depend only
+on the degree K: _binomial_table builds them once per degree, on first use,
+and caches them read-only. build_map_matrix, which p_to_q and q_to_p call,
+forms a fresh matrix from them and the jet as one product binom * jet[l - k],
+with the same bits as the entry-by-entry loop and no Python loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,24 +44,38 @@ class QuasiCarlemanKernel:
         return self.profile(np.log(t)) / t
 
 
+# one entry per degree 0..MAX_MAP_ORDER, filled on first use
+@functools.lru_cache(maxsize=MAX_MAP_ORDER + 1)
+def _binomial_table(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom(l, k) at [k, l] (zero below the diagonal) and the jet index
+    l - k (zero below the diagonal) for degree K, as read-only arrays shared
+    by every caller at this degree."""
+    k = np.arange(K + 1)
+    binom = np.array([[math.comb(l, r) for l in range(K + 1)] for r in range(K + 1)],
+                     dtype=float)
+    index = np.maximum(k[None, :] - k[:, None], 0)
+    binom.flags.writeable = index.flags.writeable = False
+    return binom, index
+
+
 def build_map_matrix(K: int) -> np.ndarray:
     """Unit-upper-triangular (K+1) x (K+1) matrix of the P -> Q coefficient
-    map for degree K (0 <= K <= 12): M[k, l] = binom(l, k) w^(l-k)(0)."""
+    map for degree K (0 <= K <= 12): M[k, l] = binom(l, k) w^(l-k)(0).
+
+    Returns a fresh writable array on every call (one vectorized product of
+    the cached binomial table and the jet). Raises DomainError for K < 0
+    and UnsupportedOrderError for K > 12."""
     if K < 0:
         raise DomainError("K must be >= 0")
     if K > MAX_MAP_ORDER:
         raise UnsupportedOrderError(
             f"map order {K} > {MAX_MAP_ORDER}: outside the jet accuracy budget")
-    jet = build_gamma_jet(K)
-    m = np.zeros((K + 1, K + 1))
-    for k in range(K + 1):
-        for l in range(k, K + 1):
-            m[k, l] = math.comb(l, k) * jet[l - k]
-    return m
+    binom, index = _binomial_table(K)
+    return binom * build_gamma_jet(K)[index]
 
 
 def _finite(c: np.ndarray) -> RealPolynomial:
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise DomainError("coefficient map overflows double precision for these coefficients")
     return RealPolynomial(c)
 

@@ -33,6 +33,7 @@ a single resolution budget (L, N).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -609,6 +610,8 @@ class FactoryTestFunction:
 
 # relative gap of the identity check above which the grid is inadequate
 ADEQUACY_GAP = 1e-3
+# beyond |x| = ln(DBL_MAX) a sample of e^x, or of e^-x, is outside double range
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -689,6 +692,10 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     for both test functions.
     A gap above ADEQUACY_GAP flags discretization inadequacy (violation), not
     a math failure; a form or gap beyond double range raises DiscretizationError.
+    A non-finite sample on the 3L grid raises DomainError naming that grid:
+    for the seeded test functions that happens only at nodes with
+    |x| > ln(DBL_MAX), so L <= ln(DBL_MAX)/3 = 236.594... keeps every node
+    in range.
     P is mapped to Q first, so an unmappable P raises before any assembly.
     """
     kernel = QuasiCarlemanKernel(p)
@@ -698,8 +705,16 @@ def form_identity_check(p: RealPolynomial, f1, f2, grid: LogGrid) -> IdentityChe
     lhs = complex(grid.dx * np.vdot(u2.values, _hankel_product(kernel, grid, u1.values)))
 
     grid_p = LogGrid(L=3 * grid.L, N=3 * grid.N)
-    m1 = mellin(u_map(f1, grid_p))
-    m2 = mellin(u_map(f2, grid_p))
+    try:
+        m1 = mellin(u_map(f1, grid_p))
+        m2 = mellin(u_map(f2, grid_p))
+    except DomainError as exc:   # name the grid, which the caller never chose
+        reason = f"{exc} on the right side's [-3L, 3L] grid"
+        if grid_p.L > _LOG_DBL_MAX:
+            limit = math.floor(100.0 * _LOG_DBL_MAX / 3.0) / 100.0   # rounded down
+            reason += (f", where e^|x| overflows beyond ln(DBL_MAX) = {_LOG_DBL_MAX:.2f}; "
+                       f"L <= {limit:.2f} keeps every node in range")
+        raise DomainError(reason) from exc
     phase = gamma_half_phase(m1.coords)
     g1, g2 = phase * m1.values, phase * m2.values
     v = v_eval(m1.coords)

@@ -8,6 +8,13 @@ when it is at a critical point (the real parts of the companion roots of its
 derivative). On both paths each value comes with Horner's running error
 bound, and only a value negative beyond its bound is a witness. A touch
 within rounding, such as an exact double root, counts as nonnegative.
+
+Both paths apply that one rule through _certified_sign: where the bound
+overflows, near DBL_MAX, it decides on the coefficients scaled by an exact
+power of two instead, computed only there. The values are Python floats in
+eval_poly's operation order, so they equal eval_poly's bit for bit; a
+verdict evaluates a dozen points at most, where numpy's per-call cost would
+dominate.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class RealPolynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise DomainError("coefficient vector must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("coefficients must be finite reals")
         # trim exact zeros only; keep one coefficient for the zero polynomial
         nz = np.nonzero(c)[0]
@@ -82,9 +89,9 @@ class NonnegativityCertificate:
     detail: str = ""
 
 
-def _cauchy_bound(coeffs: np.ndarray) -> float:
+def _cauchy_bound(coeffs) -> float:
     """All real roots lie in [-B, B] with B = 1 + max|c_k|/|c_K|."""
-    return 1.0 + float(np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])) if coeffs.size > 1 else 1.0
+    return 1.0 + float(max(map(abs, coeffs[:-1])) / abs(coeffs[-1])) if len(coeffs) > 1 else 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -119,23 +126,49 @@ def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float
 
 
 def _first_witness(poly: RealPolynomial, xs: list[float]) -> tuple[float, float] | None:
-    """The first x in xs where poly is negative beyond Horner's rounding bound
-    and its value is finite, with that value. Where Higham's running sum
-    overflows, the rule is applied to the coefficients scaled by an exact
-    power of two, as in _critical_verdict. Python floats: a scan stops after
-    a sample or two, where numpy's per-call cost would dominate."""
+    """The first x in xs where poly is negative beyond its rounding bound
+    (_certified_sign) and its unscaled value is finite and negative, with
+    that value."""
     coeffs = poly.coeffs.tolist()
     for x in xs:
-        value, bound = _horner_with_bound(coeffs, x)
-        if math.isfinite(bound):
-            negative = value + bound < 0.0
-        else:
-            exponent = math.frexp(max(map(abs, coeffs)))[1]
-            scaled, bound = _horner_with_bound([math.ldexp(c, -exponent) for c in coeffs], x)
-            negative = scaled + bound < 0.0 and value < 0.0
-        if negative and math.isfinite(value):
+        negative, value, _ = _certified_sign(coeffs, x)
+        if negative and -math.inf < value < 0.0:
             return x, value
     return None
+
+
+def _scaled(coeffs: list[float]) -> tuple[list[float], int]:
+    """The coefficients times 2^-e, e the binary exponent of the largest
+    |c_k|, and e: the scaling is exact and keeps every sign, except that a
+    coefficient below 2^-1074 of the largest flushes to zero."""
+    exponent = math.frexp(max(map(abs, coeffs)))[1]
+    return [math.ldexp(c, -exponent) for c in coeffs], exponent
+
+
+def _unscaled(value: float, exponent: int) -> float:
+    """value * 2^exponent, rounded once; +-inf beyond DBL_MAX, where
+    math.ldexp raises."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _certified_sign(coeffs: list[float], x: float
+                    ) -> tuple[bool, float, tuple[float, float, int] | None]:
+    """(negative, value, rescaled) for the polynomial with these coefficients
+    at x: Horner's value, and whether it is negative beyond its running
+    bound, the oracle's one rule. Where the bound overflows, near DBL_MAX,
+    the rule is applied to the _scaled coefficients instead, and rescaled
+    holds their value, its bound and the exponent e (value ~ scaled value *
+    2^e); otherwise rescaled is None. Scaling only there keeps tiny
+    coefficients from flushing to zero."""
+    value, bound = _horner_with_bound(coeffs, x)
+    if math.isfinite(bound):
+        return value + bound < 0.0, value, None
+    scaled, exponent = _scaled(coeffs)
+    scaled_value, scaled_bound = _horner_with_bound(scaled, x)
+    return scaled_value + scaled_bound < 0.0, value, (scaled_value, scaled_bound, exponent)
 
 
 def _horner_with_bound(coeffs, x):
@@ -155,59 +188,56 @@ def _horner_with_bound(coeffs, x):
     return y, _UNIT_ROUNDOFF * (2.0 * mu - abs(y)) + tiny
 
 
-def _finite_witness(scaled: np.ndarray, exponent: int, x: float) -> tuple[float, float]:
+def _finite_witness(scaled: list[float], exponent: int, x: float) -> tuple[float, float]:
     """x and its unscaled value (scaled value * 2**exponent) when that is
     finite and negative; otherwise bisect toward 2 B (B the Cauchy bound, so
     the value there is positive) until it is, keeping only points whose
     scaled value is negative beyond its rounding bound."""
     lo, hi = x, math.copysign(2.0 * _cauchy_bound(scaled), x)
-    val = np.ldexp(_horner_with_bound(scaled, lo)[0], exponent)
-    while not (val < 0.0 and np.isfinite(val)):
+    val = _unscaled(_horner_with_bound(scaled, lo)[0], exponent)
+    while not (val < 0.0 and math.isfinite(val)):
         mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
             raise DomainError("negative critical value not representable in double precision")
         y, bound = _horner_with_bound(scaled, mid)
         if y + bound < 0.0:
-            lo, val = mid, np.ldexp(y, exponent)
+            lo, val = mid, _unscaled(y, exponent)
         else:
             hi = mid
-    return lo, float(val)
+    return lo, val
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _critical_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
     """Even degree, positive leading coefficient: poly >= 0 unless its value
-    at some critical point is negative beyond Horner's error bound.
+    at some critical point (a real part of a companion root of its
+    derivative) is negative beyond its rounding bound (_certified_sign).
 
-    The rule is _first_witness's: the critical points and their values come
-    from the coefficients as given wherever Horner's running bound is finite.
-    Only where that bound (or the derivative) overflows, near DBL_MAX, is the
-    rule applied to the coefficients scaled by an exact power of two, which
-    keeps every sign; scaling them all would flush tiny coefficients to zero.
+    The deepest such value is the witness; where the bound overflowed, the
+    depth is the scaled value times 2^e, and _finite_witness moves the
+    witness to a point with a finite unscaled value. The derivative is
+    formed from the _scaled coefficients only where it overflows.
     """
-    coeffs = poly.coeffs
-    exponent = int(np.frexp(np.max(np.abs(coeffs)))[1])
-    scaled = np.ldexp(coeffs, -exponent)
-    deriv = coeffs[1:] * np.arange(1, coeffs.size)
-    if not np.isfinite(deriv).all():
-        deriv = scaled[1:] * np.arange(1, coeffs.size)
-    crit = np.roots(deriv[::-1]).real
-    values, bounds = _horner_with_bound(coeffs, crit)
-    negative = values + bounds < 0.0
-    over = ~np.isfinite(bounds)
-    if over.any():
-        scaled_values, scaled_bounds = _horner_with_bound(scaled, crit[over])
-        negative[over] = scaled_values + scaled_bounds < 0.0
-        values[over] = np.ldexp(scaled_values, exponent)   # the depths, maybe -inf
-    if negative.any():
-        deepest = int(np.argmin(np.where(negative, values, np.inf)))
-        x, val = float(crit[deepest]), float(values[deepest])
-        if over[deepest]:
-            x, val = _finite_witness(scaled, exponent, x)
+    coeffs = poly.coeffs.tolist()
+    deriv = [k * c for k, c in enumerate(coeffs[1:], 1)]
+    if not all(map(math.isfinite, deriv)):
+        deriv = [k * c for k, c in enumerate(_scaled(coeffs)[0][1:], 1)]
+    deepest, unbounded = None, False
+    for x in np.roots(deriv[::-1]).real.tolist():
+        negative, value, rescaled = _certified_sign(coeffs, x)
+        if rescaled is not None:
+            scaled_value, scaled_bound, exponent = rescaled
+            value = _unscaled(scaled_value, exponent)   # the depth, maybe -inf
+            unbounded = unbounded or not math.isfinite(scaled_bound)
+        if negative and (deepest is None or value < deepest[1]):
+            deepest = x, value, rescaled is not None
+    if deepest is not None:
+        x, val, over = deepest
+        if over:
+            x, val = _finite_witness(*_scaled(coeffs), x)
         return NonnegativityCertificate(False, witness=x, witness_value=val,
                                         method="critical-points",
                                         detail="critical value negative beyond its rounding bound")
-    if over.any() and not np.isfinite(scaled_bounds).all():
+    if unbounded:
         raise DomainError("critical values overflow double precision")
     return NonnegativityCertificate(True, method="critical-points",
                                     detail="no critical value negative beyond its rounding bound")

@@ -665,6 +665,23 @@ def test_equiv_check_on_extreme_windows(L, n, message):
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("L", ["237", "700"])
+def test_equiv_check_names_the_right_side_grid(L):
+    # the failing node lies on the 3L grid of the right side, which the user
+    # never chose: the message names that grid and the window limit
+    code, err = _assert_clean_exit(["equiv-check", "--p", "1", "--L", L, "--N", "2048"])
+    assert code == 2 and err.startswith("error: non-finite sample at node x=")
+    assert "on the right side's [-3L, 3L] grid" in err
+    assert "ln(DBL_MAX) = 709.78; L <= 236.59 keeps every node in range" in err
+
+
+@pytest.mark.parametrize("L", ["236", "236.59"])
+def test_equiv_check_answers_below_the_window_limit(L):
+    # 3L <= 709.77 < ln(DBL_MAX): every sample of the 3L grid is finite
+    code, _ = _assert_clean_exit(["equiv-check", "--p", "1", "--L", L, "--N", "2048"])
+    assert code == 0
+
+
 @given(st.one_of(st.lists(st.sampled_from(FINITE_EXTREMES), min_size=1, max_size=5),
                  st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=5)),
        st.sampled_from(("1", "0.5", "2.5", "1e-300", "1e300", "5e-324", "0", "-1", "nan")),

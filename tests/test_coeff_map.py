@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from hankelscope.coeff_map import (QuasiCarlemanKernel, build_map_matrix,
+from hankelscope.coeff_map import (QuasiCarlemanKernel, _binomial_table, build_map_matrix,
                                    p_to_q, q_to_p)
 from hankelscope.errors import DomainError, UnsupportedOrderError
 from hankelscope.polynomials import RealPolynomial, eval_poly
+from hankelscope.special_functions import build_gamma_jet
 
 GAMMA = np.euler_gamma
 PI26 = math.pi**2 / 6.0
@@ -42,6 +43,52 @@ class TestMapMatrix:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             build_map_matrix(13)
+
+
+class TestMapCache:
+    """One read-only binomial table per degree; build_map_matrix, which
+    p_to_q and q_to_p call, hands out a fresh writable matrix."""
+
+    @pytest.mark.parametrize("K", range(13))
+    def test_matrix_is_bitwise_the_entry_loop(self, K):
+        jet = build_gamma_jet(K)
+        loop = np.zeros((K + 1, K + 1))
+        for k in range(K + 1):
+            for l in range(k, K + 1):
+                loop[k, l] = math.comb(l, k) * jet[l - k]
+        m = build_map_matrix(K)
+        assert m.tobytes() == loop.tobytes()
+
+    def test_public_matrix_is_a_fresh_writable_array(self):
+        first, second = build_map_matrix(6), build_map_matrix(6)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        assert not any(np.shares_memory(first, t) for t in _binomial_table(6))
+        np.testing.assert_array_equal(first, second)
+
+    def test_mutating_the_matrix_leaves_the_maps_unchanged(self):
+        p, q = poly(0.7, -1.3, 2.1, 0.4), poly(1.0, 0.5, -0.2, 0.3)
+        forward, inverse = p_to_q(p).coeffs, q_to_p(q).coeffs
+        build_map_matrix(3)[:] = 7.0
+        build_map_matrix(3)[0, 1] = np.nan
+        np.testing.assert_array_equal(p_to_q(p).coeffs, forward)
+        np.testing.assert_array_equal(q_to_p(q).coeffs, inverse)
+
+    def test_cached_table_is_read_only(self):
+        binom, index = _binomial_table(4)
+        assert _binomial_table(4)[0] is binom
+        with pytest.raises(ValueError, match="read-only"):
+            binom[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 1] = 0
+
+    @pytest.mark.parametrize("K, error", [(13, UnsupportedOrderError), (-1, DomainError)])
+    def test_rejected_degrees_raise_on_every_call(self, K, error):
+        cached = _binomial_table.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                build_map_matrix(K)
+        assert _binomial_table.cache_info().currsize == cached
 
 
 class TestForwardMap:

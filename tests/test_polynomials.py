@@ -1,14 +1,15 @@
+import math
 import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hankelscope.errors import DomainError
-from hankelscope.polynomials import (RealPolynomial, _horner_with_bound, eval_poly,
-                                     is_nonnegative_on_reals)
+from hankelscope.polynomials import (NonnegativityCertificate, RealPolynomial,
+                                     _horner_with_bound, eval_poly, is_nonnegative_on_reals)
 
 
 def poly(*coeffs):
@@ -286,3 +287,122 @@ def test_running_bound_covers_underflow():
     with mpmath.workdps(80):
         error = abs(mpmath.mpf(float(value)) - exact)
     assert error > 2.0 ** -53 * abs(value) and error <= bound
+
+
+# ------------------------------------- the scalar rule against the array one
+
+def _reference_cauchy_bound(coeffs):
+    return 1.0 + float(np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])) if coeffs.size > 1 else 1.0
+
+
+def _reference_finite_witness(scaled, exponent, x):
+    lo, hi = x, math.copysign(2.0 * _reference_cauchy_bound(scaled), x)
+    val = np.ldexp(_horner_with_bound(scaled, lo)[0], exponent)
+    while not (val < 0.0 and np.isfinite(val)):
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            raise DomainError("negative critical value not representable in double precision")
+        y, bound = _horner_with_bound(scaled, mid)
+        if y + bound < 0.0:
+            lo, val = mid, np.ldexp(y, exponent)
+        else:
+            hi = mid
+    return lo, float(val)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_critical_verdict(poly):
+    """The critical-point rule evaluated on numpy arrays of all critical
+    points at once, kept as it was before the oracle moved to Python floats:
+    the scalar rule must reproduce it bit for bit."""
+    coeffs = poly.coeffs
+    exponent = int(np.frexp(np.max(np.abs(coeffs)))[1])
+    scaled = np.ldexp(coeffs, -exponent)
+    deriv = coeffs[1:] * np.arange(1, coeffs.size)
+    if not np.isfinite(deriv).all():
+        deriv = scaled[1:] * np.arange(1, coeffs.size)
+    crit = np.roots(deriv[::-1]).real
+    values, bounds = _horner_with_bound(coeffs, crit)
+    negative = values + bounds < 0.0
+    over = ~np.isfinite(bounds)
+    if over.any():
+        scaled_values, scaled_bounds = _horner_with_bound(scaled, crit[over])
+        negative[over] = scaled_values + scaled_bounds < 0.0
+        values[over] = np.ldexp(scaled_values, exponent)
+    if negative.any():
+        deepest = int(np.argmin(np.where(negative, values, np.inf)))
+        x, val = float(crit[deepest]), float(values[deepest])
+        if over[deepest]:
+            x, val = _reference_finite_witness(scaled, exponent, x)
+        return NonnegativityCertificate(False, witness=x, witness_value=val,
+                                        method="critical-points",
+                                        detail="critical value negative beyond its rounding bound")
+    if over.any() and not np.isfinite(scaled_bounds).all():
+        raise DomainError("critical values overflow double precision")
+    return NonnegativityCertificate(True, method="critical-points",
+                                    detail="no critical value negative beyond its rounding bound")
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+def _outcome(decide, q):
+    """Every field of the certificate, floats as their bytes, or the
+    DomainError message."""
+    try:
+        cert = decide(q)
+    except DomainError as exc:
+        return str(exc)
+    return (cert.nonnegative, _bits(cert.witness), _bits(cert.witness_value),
+            cert.method, cert.detail)
+
+
+@st.composite
+def even_profiles(draw):
+    """Even degree 2 to 12, positive leading coefficient above the noise
+    floor; the other coefficients are 0 or +-m 10^e, m in [1, 1.79),
+    e in [-300, 308], so that Horner's bound overflows at some critical
+    points and the scaled rule decides there."""
+    degree = draw(st.sampled_from(range(2, 13, 2)))
+    mantissas = st.floats(1.0, 1.79)
+    coeffs, exponents = [], []
+    for _ in range(degree):
+        if draw(st.integers(0, 5)) == 0:
+            coeffs.append(0.0)
+            continue
+        exponents.append(draw(st.integers(-300, 308)))
+        coeffs.append(draw(st.sampled_from((-1.0, 1.0))) * draw(mantissas) * 10.0 ** exponents[-1])
+    # at most 11 decades below the largest: never below the 1e-12 noise floor
+    low = max(-300, max(exponents, default=-300) - 11)
+    coeffs.append(draw(mantissas) * 10.0 ** draw(st.integers(low, 308)))
+    return coeffs
+
+
+D = 1.7976931348623157e+308
+
+
+@given(even_profiles())
+@example([-8.889718079420407e+307, -1.5443132980306573e+307, 1e308])
+@example([-3.6388600709536234e+277, 2.1223335812455025e+305, 6.431817956381441e+295])
+@example([1.907372146575506e+273, -1.0922513918083833e+292, -3.9858107320800984e+307,
+          -5.844409286089505e+258, 5.9857001573818945e+296])
+@example([D, D, -1.5962229353583416e+48, D, 0.0, 6.789329004772812e+16,
+          5.537175945353114e+16, D, D, 0.0, D])
+@example([-1e-200, 0.0, 1e200])
+@example([1.785479572446698e-226, 4.694635104544615e-97, -5.6331279133927756e-269,
+          -1.035892369592044e+184, 2.3059347283968587e-271, -2.2218806991542718e+20,
+          -3.359991368447391e-90, -9.664699310514662e+259, 4.799151302537197e+249])
+@example([0.0] * 29 + [-1.0, 1e-12])
+# several negative critical values with overflowing bounds: the deepest is
+# chosen by the scaled depth, not by the overflowed unscaled value
+@example([-1.5680696677540775e+308, 1.6324210742890593e+286, -1.192455331276634e+301,
+          -1.4085236404642958e+306, 1.4600642592574716e+290, -1.3356236195373057e+304,
+          -1.744789564542641e+294, 1.4925207472195628e+301, 1.7795755425253956e+308,
+          1.1267891793416358e+307, 1.6408782854626247e+299, -1.1542083656835247e+295,
+          1.2330902852969823e+306])
+@settings(max_examples=400, deadline=None)
+def test_critical_verdict_is_bitwise_the_array_rule(coeffs):
+    q = RealPolynomial(np.array(coeffs))
+    assert q.degree % 2 == 0 and q.leading > 0.0
+    assert _outcome(decide_without_warnings, q) == _outcome(_reference_critical_verdict, q)
