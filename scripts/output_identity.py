@@ -2,11 +2,12 @@
 """Bit-identity listing: one SHA-256 per fixed computation.
 
 Runs a fixed argv list through ``hankelscope.cli.main`` in-process and hashes
-each run's exit code, stdout and stderr, covering all eight commands; it also
-hashes the bytes of ``h_squared_spectrum``, of the Householder reflectors
-(V, then T) and the reduced collocation matrix returned by
-``build_reflection_operator`` (the reflectors only for K >= 1; at K = 0 there
-are none), of the A-side matrix returned by ``build_a_matrix`` and of the
+each run's exit code, stdout and stderr, covering all eight commands and
+(``REPORT_CASES``) the spectra that are scaled back, floored or refused for
+a non-finite entry; it also hashes the bytes of ``h_squared_spectrum``, of
+the Householder reflectors (V, then T) and the reduced collocation matrix
+returned by ``build_reflection_operator`` (the reflectors only for K >= 1; at
+K = 0 there are none), of the A-side matrix returned by ``build_a_matrix`` and of the
 spectra and residuals that ``eigen_sym`` gives for a Hankel-side and an
 A-side matrix on a row-sampled and a dense grid. Imports the package from
 the ``src/`` next to this script, so running it in two checkouts and diffing
@@ -92,6 +93,20 @@ POSITIVITY = (
 )
 
 
+# spectrum-hankel scaled by 2^-e on the dense route and on the rows, and
+# exit 3 after the scale-back on both; spectrum-a exit 3 through the
+# deflation floor; delta-eigs exit 3 through its report; the widest carleman
+REPORT_CASES = (
+    ["spectrum-hankel", "--p", "1e300", "--L", "8", "--N", "64"],
+    ["spectrum-hankel", "--p", "0,1e154", "--L", "8", "--N", "512"],
+    ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "64"],
+    ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "512"],
+    ["spectrum-a", "--q", "1e300,0,1", "--L", "8", "--N", "256"],
+    ["delta-eigs", "--h", "1e300,0,1e300", "--t0", "1", "--N", "64", "--n-max", "8"],
+    ["carleman", "--L", "30", "--N", "2048"],
+)
+
+
 def _coeffs(degree: int) -> str:
     return ",".join(repr((-1) ** j * (j + 1) / (j + 3)) for j in range(degree + 1))
 
@@ -120,7 +135,7 @@ def cli_cases() -> list[list[str]]:
             for fmt in ("csv", "json"):
                 cases.append(["delta-eigs", "--h", h, "--t0", "1.5", "--N", str(n),
                               "--n-max", str(n // 8), "--format", fmt])
-    return cases
+    return cases + list(REPORT_CASES)
 
 
 def _digest(data: bytes) -> str:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh as dense_eig
 
-from .discretization import SpectrumReport, _legendre_pair, _require_finite
+from .discretization import SpectrumReport, _legendre_pair
 from .errors import DiscretizationError, DomainError, NotApplicableError
 
 RELATIVE_IMAG_TOL = 1e-6
@@ -118,18 +118,6 @@ def _differentiation(nodes: np.ndarray, pm: np.ndarray
     np.fill_diagonal(d, 0.0)
     d[0, 0], d[-1, -1] = -(n - 1) * n / 4.0, (n - 1) * n / 4.0
     return d, c, dx
-
-
-def legendre_lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending Legendre-Gauss-Lobatto nodes on [-1, 1], their quadrature
-    weights and the spectral differentiation matrix acting on node values,
-    fresh arrays built from the cached rule _lobatto_rule(n).
-
-    The quadrature is exact to degree 2N - 3, so the differentiation is
-    summation-by-parts: W D + D^T W = diag(-1, 0, ..., 0, 1).
-    """
-    nodes, weights, pm = _lobatto_rule(n)
-    return nodes.copy(), weights.copy(), _differentiation(nodes, pm)[0]
 
 
 def _require_resolution(kernel: DeltaKernel, n: int) -> None:
@@ -339,9 +327,8 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
         raise DiscretizationError(f"every collocation eigenvalue is zero at N={n}: the "
                                   f"weights h_k times D^k underflow double precision")
     lam, cols = w[trusted], vecs[:, trusted]
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by _require_finite
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by SpectrumReport
         residuals = np.linalg.norm(reduced @ cols - cols * lam, axis=0)
-    _require_finite(lam, residuals)
     return SpectrumReport(eigenvalues=lam, residuals=residuals)
 
 

@@ -67,10 +67,18 @@ class DiscreteOperator:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Ascending eigenvalues and their aligned residuals ||M x - lambda x||."""
+    """Ascending eigenvalues and their aligned residuals ||M x - lambda x||.
+
+    Construction raises ConvergenceError when either array holds a
+    non-finite entry, so no report carries one."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.eigenvalues)) and np.all(np.isfinite(self.residuals))):
+            raise ConvergenceError("non-finite eigenvalue or residual: the matrix entries "
+                                   "are too large for double precision")
 
 
 def _require_resolved(grid: LogGrid) -> None:
@@ -214,20 +222,13 @@ def build_a_matrix(q: RealPolynomial, grid: LogGrid) -> DiscreteOperator:
     return DiscreteOperator(matrix=_filled(fill, grid.N), grid=grid)
 
 
-def _require_finite(eigenvalues: np.ndarray, residuals: np.ndarray) -> None:
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(residuals))):
-        raise ConvergenceError("non-finite eigenvalue or residual: the matrix entries "
-                               "are too large for double precision")
-
-
 def _full_report(theta: np.ndarray, residuals: np.ndarray, n: int,
                  zero_residual: float) -> SpectrumReport:
     """theta with its residuals and n - theta.size exact zeros with residual
-    zero_residual, in ascending order; ConvergenceError if any is not finite."""
+    zero_residual, in ascending order (see SpectrumReport for the errors)."""
     w = np.concatenate([theta, np.zeros(n - theta.size)])
     order = np.argsort(w, kind="stable")
     residuals = np.concatenate([residuals, np.full(n - theta.size, zero_residual)])[order]
-    _require_finite(w, residuals)
     return SpectrumReport(eigenvalues=w[order], residuals=residuals)
 
 
@@ -318,16 +319,19 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
     block is filled and solved by a dense eigh. Its eigenvalues carry their
     explicit residuals plus delta >= ||M - PMP||_F; the other N - |K| are
     exact zeros with residual delta, at most RANGE_TOL / 2 times the bound
-    on ||M||_F. |c| is scaled by a power of two for the row norms,
-    so ||M||_F may exceed double range; a non-finite eigenvalue or residual
-    raises ConvergenceError (see _a_side for the input errors).
+    on ||M||_F: _dense_spectrum pads with residual 0, and delta is added
+    here to every residual of its report. |c| is scaled by a power of two
+    for the row norms, so ||M||_F may exceed double range; a non-finite
+    eigenvalue or residual raises ConvergenceError (see SpectrumReport, and
+    _a_side for the input errors).
     """
     v, even, odd = _a_side(q, grid)
     _, row_sq, e = _weight_rows(v, even, odd)   # upper bounds: delta is a bound
     keep, delta = _deflation(row_sq, RANGE_TOL * math.sqrt(float(np.sum(row_sq))))
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
-        return _dense_spectrum(_hartley_entries(v, even, odd, keep, keep), grid.N,
-                               floor=float(np.ldexp(delta, e)))
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by SpectrumReport
+        report = _dense_spectrum(_hartley_entries(v, even, odd, keep, keep), grid.N)
+        return SpectrumReport(eigenvalues=report.eigenvalues,
+                              residuals=report.residuals + np.ldexp(delta, e))
 
 
 # rows per block of the range pass: 64 rows of N = 2048 doubles (1 MiB) are
@@ -335,7 +339,7 @@ def a_spectrum(q: RealPolynomial, grid: LogGrid) -> SpectrumReport:
 PASS_BLOCK = 4 * ROW_BLOCK
 
 
-def _ritz_on_range(fill, q: np.ndarray, scale: int = 0) -> SpectrumReport | None:
+def _ritz_on_range(fill, q: np.ndarray) -> SpectrumReport | None:
     """Rayleigh-Ritz on the range of the orthonormal q (N x w), in one pass
     over PASS_BLOCK-row blocks of a symmetric M, each written by the row
     filler fill into one reused buffer: a block gives Y[rows] = M[rows, :] Q
@@ -345,9 +349,10 @@ def _ritz_on_range(fill, q: np.ndarray, scale: int = 0) -> SpectrumReport | None
     None when the complement exceeds RANGE_TOL ||M||_F. Otherwise the Ritz
     pairs from eigh(Q^T Y) carry explicit residuals ||Y s - Q s theta||,
     and the other N - w eigenvalues are exact zeros whose residual, the
-    complement, covers ||M z|| for every unit z orthogonal to Q. A filler
-    of 2^-scale M has its eigenvalues and residuals scaled back by 2^scale.
-    A non-finite ||M||_F or complement raises ConvergenceError at once."""
+    complement, covers ||M z|| for every unit z orthogonal to Q: the report
+    is of the matrix fill writes, and a caller that fills a scaled matrix
+    scales the report back itself (see hankel_spectrum). A non-finite
+    ||M||_F or complement raises ConvergenceError at once."""
     n = q.shape[0]
     y = np.empty_like(q)
     buffer = np.empty((PASS_BLOCK, n))
@@ -373,15 +378,14 @@ def _ritz_on_range(fill, q: np.ndarray, scale: int = 0) -> SpectrumReport | None
     ritz *= theta
     y -= ritz
     residuals = np.sqrt(np.einsum("ij,ij->j", y, y))
-    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale), n,
-                        float(np.ldexp(complement, scale)))
+    return _full_report(theta, residuals, n, complement)
 
 
 # rows always sampled at each end of the window, beside the uniform ones
 EDGE_ROWS = 8
 
 
-def _sampled_spectrum(fill, n: int, L: float, scale: int = 0) -> SpectrumReport | None:
+def _sampled_spectrum(fill, n: int, L: float) -> SpectrumReport | None:
     """Full spectrum of the symmetric N x N matrix M whose rows fill writes
     (see _hankel_rows), from one Rayleigh-Ritz step on the range of sampled
     rows (_ritz_on_range); None once they would exceed N / 2, for the
@@ -399,21 +403,21 @@ def _sampled_spectrum(fill, n: int, L: float, scale: int = 0) -> SpectrumReport 
     while 2 * (count + 2 * EDGE_ROWS) <= n:
         rows = np.union1d(np.rint(np.linspace(0, n - 1, count)).astype(np.intp), edges)
         q = np.linalg.qr(fill(rows, np.empty((rows.size, n))).T)[0]
-        report = _ritz_on_range(fill, q, scale)
+        report = _ritz_on_range(fill, q)
         if report is not None:
             return report
         count *= 2
     return None
 
 
-def _dense_spectrum(m: np.ndarray, n: int, scale: int = 0, floor: float = 0.0) -> SpectrumReport:
-    """Dense eigh of m with the explicit residual of every pair plus floor,
-    and n - len(m) exact zeros with residual floor (see _full_report); m may
-    hold 2^-scale times the matrix, whose eigenvalues and explicit residuals
-    are then scaled back by 2^scale."""
+def _dense_spectrum(m: np.ndarray, n: int) -> SpectrumReport:
+    """Dense eigh of m with the explicit residual of every pair, and
+    n - len(m) exact zeros with residual 0 (see _full_report). A caller
+    that solved a scaled matrix scales the report back (hankel_spectrum),
+    and one that deflated adds its bound to the residuals (a_spectrum)."""
     theta, s = _eigh(m)
     residuals = np.linalg.norm(m @ s - s * theta, axis=0)
-    return _full_report(np.ldexp(theta, scale), np.ldexp(residuals, scale) + floor, n, floor)
+    return _full_report(theta, residuals, n, 0.0)
 
 
 # side of the square tiles of the symmetry scan: a 128 x 128 tile of doubles
@@ -451,7 +455,7 @@ def eigen_sym(op: DiscreteOperator) -> SpectrumReport:
     def fill(rows, out: np.ndarray) -> np.ndarray:
         out[...] = m[rows]
         return out
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by _full_report
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by SpectrumReport
         sym_defect, peak = _symmetry_scan(m)
         if sym_defect > 1e-12 * max(peak, 1e-300):
             raise DiscretizationError(f"matrix not symmetric: defect {sym_defect:.3e}")
@@ -494,14 +498,19 @@ def hankel_spectrum(kernel: QuasiCarlemanKernel, grid: LogGrid) -> SpectrumRepor
     ConvergenceError.
 
     Where ||M||_F^2 could overflow, both routes solve 2^-e M, filled already
-    scaled, and scale the result back (e from _row_exponent; 0, and nothing
-    scaled, wherever that bound cannot overflow).
+    scaled, and the finished report is scaled back here by 2^e, exactly and
+    in the same order; the scaled-back report is checked for finiteness
+    again (e from _row_exponent; 0, and nothing scaled, wherever that bound
+    cannot overflow).
     """
     e = _row_exponent(kernel.profile, grid)
     fill = _hankel_rows(kernel, grid, e)
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by _ritz_on_range
-        report = _sampled_spectrum(fill, grid.N, grid.L, e)
-        return report if report is not None else _dense_spectrum(_filled(fill, grid.N), grid.N, e)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by SpectrumReport
+        report = _sampled_spectrum(fill, grid.N, grid.L)
+        if report is None:
+            report = _dense_spectrum(_filled(fill, grid.N), grid.N)
+        return SpectrumReport(eigenvalues=np.ldexp(report.eigenvalues, e),
+                              residuals=np.ldexp(report.residuals, e))
 
 
 def _legendre_pair(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +582,6 @@ def carleman_extremes(grid: LogGrid) -> SpectrumReport:
     theta, vectors = _eigh(m)
     ends, y = theta[[0, -1]], vectors[:, [0, -1]]
     residuals = np.linalg.norm(m @ y - y * ends, axis=0)
-    _require_finite(ends, residuals)
     return SpectrumReport(eigenvalues=ends, residuals=residuals)
 
 

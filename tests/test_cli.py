@@ -675,6 +675,30 @@ def test_equiv_check_names_the_right_side_grid(L):
     assert "ln(DBL_MAX) = 709.78; L <= 236.59 keeps every node in range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "64"],
+    ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "512"],
+    ["delta-eigs", "--h", "1e300,0,1e300", "--t0", "1", "--N", "64", "--n-max", "8"]],
+    ids=["hankel-dense", "hankel-rows", "delta"])
+def test_non_finite_report_exits_3(argv):
+    # spectrum-hankel solves 2^-e M, whose report is finite, and overflows
+    # only when it is scaled back by 2^e; delta-eigs overflows in the
+    # residuals of its trusted modes
+    code, err = _assert_clean_exit(argv)
+    assert code == 3
+    assert err == ("convergence failure: non-finite eigenvalue or residual: the matrix "
+                   "entries are too large for double precision\n")
+
+
+def test_equiv_check_on_an_unresolved_window_exits_3():
+    # the seeded test functions' window, L/8 wide, is not resolved at
+    # L = 1, N = 64: the gap is the adequacy verdict, not a fault
+    code, err = _assert_clean_exit(["equiv-check", "--p", "1", "--L", "1", "--N", "64"])
+    assert code == 3
+    assert err == ("convergence failure: identity gap 1.993e-01 above the adequacy "
+                   "threshold 1e-3\n")
+
+
 @pytest.mark.parametrize("L", ["236", "236.59"])
 def test_equiv_check_answers_below_the_window_limit(L):
     # 3L <= 709.77 < ln(DBL_MAX): every sample of the 3L grid is finite

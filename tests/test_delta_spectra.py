@@ -12,11 +12,11 @@ from numpy.polynomial import legendre
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from hankelscope.delta_spectra import (DeltaKernel, _collocation_powers, _lobatto_rule,
-                                       _null_space_reflectors, branches,
+from hankelscope.delta_spectra import (DeltaKernel, _collocation_powers, _differentiation,
+                                       _lobatto_rule, _null_space_reflectors, branches,
                                        build_reflection_operator, delta_spectrum,
                                        exact_delta_prime_eigs, h_squared_spectrum,
-                                       legendre_lobatto, weyl_prediction)
+                                       weyl_prediction)
 from hankelscope.errors import DiscretizationError, DomainError, NotApplicableError
 
 EPS = np.finfo(float).eps
@@ -57,14 +57,14 @@ def lgl_oracle(n):
 class TestNodesAndModel:
     def test_nodes_symmetric_about_midpoint(self):
         for n in (2, 3, 32, 33):
-            nodes, w, _ = legendre_lobatto(n)
+            nodes, w, _ = _lobatto_rule(n)
             assert nodes[0] == -1.0 and nodes[-1] == 1.0
             assert np.all(np.diff(nodes) > 0.0)
             assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(w, w[::-1])
 
     @pytest.mark.parametrize("n", [8, 17, 64, 129, 512])
     def test_nodes_and_weights_match_numpy_legendre(self, n):
-        nodes, w, _ = legendre_lobatto(n)
+        nodes, w, _ = _lobatto_rule(n)
         ref_x, ref_w, _ = lgl_oracle(n)
         # both tolerances are the oracle's: legroots and legval round at
         # about 1e-14 and 2e-13 at N = 512
@@ -77,7 +77,8 @@ class TestNodesAndModel:
         # W D + D^T W = diag(-1, 0, ..., 0, 1): LGL quadrature is exact to
         # degree 2N - 3, and every product of a polynomial of degree < N with
         # the derivative of another has degree <= 2N - 3
-        _, w, d = legendre_lobatto(n)
+        nodes, w, pm = _lobatto_rule(n)
+        d = _differentiation(nodes, pm)[0]
         boundary = np.zeros((n, n))
         boundary[0, 0], boundary[-1, -1] = -1.0, 1.0
         wd = w[:, None] * d
@@ -88,7 +89,8 @@ class TestNodesAndModel:
         # |D| |x^k|, the nodes next to +-1 carry an error of eps against a
         # spacing of order 1/N^2
         for n in (8, 17, 64, 129):
-            nodes, _, d = legendre_lobatto(n)
+            nodes, _, pm = _lobatto_rule(n)
+            d = _differentiation(nodes, pm)[0]
             for k in range(n):
                 v = nodes ** k
                 exact = k * nodes ** (k - 1) if k else np.zeros(n)
@@ -99,7 +101,7 @@ class TestNodesAndModel:
         # D^(k) of Welfert's recursion, k = 1..3, is exact on x^j, j < N, to
         # rounding relative to |D^(k)| |x^j| (t0 = 2: the interval [-1, 1])
         for n in (8, 17, 64, 129):
-            nodes = legendre_lobatto(n)[0]
+            nodes = _lobatto_rule(n)[0]
             powers = [np.eye(n)] + list(_collocation_powers(n, 2.0, 3))
             for j in range(n):
                 v = nodes ** j
@@ -114,7 +116,8 @@ class TestNodesAndModel:
         # 1.6e-11 of max|D^k| at n = 512), and 10x the measured error on a
         # Legendre series of degree n/4 (1.3e-9 at n = 512, k = 3, where the
         # products err by 3.5e-8)
-        nodes, _, d = legendre_lobatto(n)
+        nodes, _, pm = _lobatto_rule(n)
+        d = _differentiation(nodes, pm)[0]
         powers = [np.eye(n)] + list(_collocation_powers(n, 2.0, 3))
         products = {2: d @ d, 3: d @ d @ d}
         for k, bound in ((2, 5e-11), (3, 2e-10)):
@@ -133,13 +136,6 @@ class TestNodesAndModel:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-
-    def test_returned_arrays_are_fresh(self):
-        first = [a.copy() for a in legendre_lobatto(33)]
-        for a in legendre_lobatto(33):
-            a[...] = np.nan
-        for a, b in zip(first, legendre_lobatto(33)):
-            assert np.array_equal(a, b)
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(DomainError):
@@ -242,7 +238,8 @@ class TestReflectionAssembly:
         k_ord = kernel.order
         assert basis.shape == (n, n - k_ord) and reduced.shape == (n - k_ord, n - k_ord)
         np.testing.assert_allclose(basis.T @ basis, np.eye(n - k_ord), rtol=0, atol=1e-12)
-        _, w, d = legendre_lobatto(n)
+        nodes, w, pm = _lobatto_rule(n)
+        d = _differentiation(nodes, pm)[0]
         for k in range(k_ord):
             row = np.linalg.matrix_power(d, k)[0, :] / np.sqrt(w)
             assert np.abs(row @ basis).max() <= 1e-12 * np.linalg.norm(row)

@@ -16,12 +16,12 @@ from scipy.special import roots_legendre
 from hankelscope import discretization
 from hankelscope.coeff_map import QuasiCarlemanKernel, p_to_q
 from hankelscope.discretization import (EDGE_ROWS, RANGE_TOL, ROW_BLOCK, DiscreteOperator,
-                                        _a_side, _deflation, _hankel_product, _hankel_rows,
-                                        _hartley_entries, _offset_factors, _symmetry_scan,
-                                        _toeplitz, _weight_rows, a_spectrum, build_a_matrix,
-                                        build_hankel_matrix, carleman_extremes, eigen_sym,
-                                        form_identity_check, gauss_legendre, hankel_spectrum,
-                                        sketch_width, spectral_rules)
+                                        SpectrumReport, _a_side, _deflation, _hankel_product,
+                                        _hankel_rows, _hartley_entries, _offset_factors,
+                                        _symmetry_scan, _toeplitz, _weight_rows, a_spectrum,
+                                        build_a_matrix, build_hankel_matrix, carleman_extremes,
+                                        eigen_sym, form_identity_check, gauss_legendre,
+                                        hankel_spectrum, sketch_width, spectral_rules)
 from hankelscope.discretization import FactoryTestFunction as make_test_function
 from hankelscope.errors import ConvergenceError, DiscretizationError, DomainError
 from hankelscope.polynomials import RealPolynomial
@@ -237,6 +237,18 @@ class TestRealForm:
         monkeypatch.setattr(discretization, "v_eval", lambda xi: np.exp(-0.1 * xi))
         with pytest.raises(DomainError):
             build_a_matrix(poly(0.0, 1.0), grid)
+
+
+class TestSpectrumReport:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eigenvalues", "residuals"])
+    def test_non_finite_entry_raises(self, field, bad):
+        arrays = {"eigenvalues": np.array([-1.0, 0.0, 2.0]),
+                  "residuals": np.array([1e-16, 0.0, 1e-15])}
+        arrays[field][1] = bad
+        with pytest.raises(ConvergenceError, match="^non-finite eigenvalue or residual: the "
+                           "matrix entries are too large for double precision$"):
+            SpectrumReport(**arrays)
 
 
 class TestEigenSym:
@@ -812,6 +824,16 @@ class TestFormIdentity:
         f2 = make_test_function(6, grid)
         chk = form_identity_check(poly(0.5, 0.2, -0.1, 0.3), f1, f2, grid)
         assert chk.relative_gap < 1e-6
+
+    def test_coarse_window_is_a_violation(self):
+        # L = 1: the seeded test functions' window, L/8 wide, is not resolved
+        # at N = 64, and the gap (0.1993, as equiv-check reports it) is far
+        # above the adequacy threshold
+        grid = LogGrid(L=1.0, N=64)
+        f1 = make_test_function(11, grid)
+        f2 = make_test_function(12, grid)
+        chk = form_identity_check(poly(1.0), f1, f2, grid)
+        assert chk.violation
 
     def test_gap_ladder_shows_spectral_convergence(self):
         ladder = identity_gap_ladder(poly(1.0, -0.5, 0.25), 11, 12, 12.0, (32, 64, 128))
