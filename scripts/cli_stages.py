@@ -3,7 +3,10 @@
 of argument parsing (``parse_args``), of the command handler, and of
 serialization (``_serialize``, the step ``run`` writes out), taken
 in-process over the fixed argv list of ``scripts/output_identity.py``
-(``cli_cases()``), REPEATS timed calls per case:
+(``cli_cases()``, which holds a mixed first-order kernel at N = 512 among
+others), REPEATS timed calls per case. ``delta-eigs`` gets one row per
+kernel order K, since order 0 is a closed form, order 1 a secular solve and
+K >= 2 a collocation solve:
 
     python3 scripts/cli_stages.py
 
@@ -53,15 +56,22 @@ def time_case(argv: list[str]) -> dict[str, int]:
     return {"parse_args": t1 - t0, "handler": t2 - t1, "_serialize": t3 - t2}
 
 
+def row(argv: list[str]) -> str:
+    """The table row of a case: its command, and for delta-eigs its order."""
+    if argv[0] == "delta-eigs":
+        return f"delta-eigs K={argv[argv.index('--h') + 1].count(',')}"
+    return argv[0]
+
+
 def main() -> None:
     cases = cli_cases()
     for argv in cases:
         time_case(argv)
-    counts = collections.Counter(argv[0] for argv in cases)
+    counts = collections.Counter(row(argv) for argv in cases)
     samples: dict[str, dict[str, list[int]]] = {}
     for _ in range(REPEATS):
         for argv in cases:
-            per_command = samples.setdefault(argv[0], {stage: [] for stage in STAGES})
+            per_command = samples.setdefault(row(argv), {stage: [] for stage in STAGES})
             for stage, ns in time_case(argv).items():
                 per_command[stage].append(ns)
     print(f"median us per stage, {REPEATS} timed calls per case, one BLAS thread")

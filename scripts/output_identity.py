@@ -45,6 +45,10 @@ from hankelscope.polynomials import RealPolynomial  # noqa: E402
 from hankelscope.transforms import LogGrid  # noqa: E402
 
 DELTA_WEIGHTS = {0: "1.5", 1: "0.5,-1", 2: "0.3,0,1", 3: "0.1,0.2,-0.5,1"}
+# order 1 at t0 = 1.5, one kernel per first mode of the secular route
+# (c = h1 / (h0 t0)): c < 0, 0 < c < 1 with either sign of h1, c = 1, c > 1
+# and pure delta'
+FIRST_ORDER_WEIGHTS = ("-0.5,1", "2,1", "-2,-1", "1,1.5", "0.25,1", "0,1")
 DELTA_N = (64, 256, 512)
 LOG_N = (64, 256)
 A_SYMBOLS = ("0.5,0.3,1", "0.1,1,0,0.4")
@@ -130,7 +134,7 @@ def cli_cases() -> list[list[str]]:
         # pure delta' with h1 < 0: swapped exact_first_pair, branches
         cases.append(["delta-eigs", "--h", "0,-2", "--t0", "1.5", "--N", str(n),
                       "--n-max", str(n // 8), "--format", "json"])
-    for k, h in DELTA_WEIGHTS.items():
+    for h in list(DELTA_WEIGHTS.values()) + list(FIRST_ORDER_WEIGHTS):
         for n in DELTA_N:
             for fmt in ("csv", "json"):
                 cases.append(["delta-eigs", "--h", h, "--t0", "1.5", "--N", str(n),

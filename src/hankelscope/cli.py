@@ -10,15 +10,21 @@ between 1 and 2 threads spectrum-hankel, carleman and delta-eigs differ in
 the last bits. Exit codes: 0 success, 2 validation error (including a log
 grid with dx = 2L/N > 1, too coarse for the Nystrom kernel, an L or t0
 that is not finite and positive, a t0 so small that the collocation
-derivative powers overflow, a coefficient list with an empty entry,
+derivative powers overflow (K >= 2), a coefficient list with an empty entry,
 --seeds that are not two integers >= 0, a kernel entry, symbol value,
 delta collocation entry or equiv-check form beyond double precision, delta
-weights that underflow to a zero spectrum, equiv-check forms that are both
+weights that underflow to a zero spectrum or a first-order eigenvalue that
+underflows to zero, equiv-check forms that are both
 exactly 0, an unwritable --output, and an allocation that fails for lack
 of memory), 3 numerical-convergence failure (including a non-finite
-eigenvalue, residual or Frobenius norm, and a spectrum-hankel or carleman
-eigenvalue of a constant profile P = p0 outside the Toeplitz band p0 [0,
-pi (1 + eps_alias)] by more than its residual).
+eigenvalue, residual or Frobenius norm, a delta-eigs JSON first pair beyond
+double precision, and a spectrum-hankel or carleman eigenvalue of a
+constant profile P = p0 outside the Toeplitz band p0 [0, pi (1 + eps_alias)]
+by more than its residual).
+
+delta-eigs answers order 0 in closed form and order 1 from its secular
+equation (no matrix; --N is only validated there), and collocates orders
+K >= 2 on N nodes (see delta_spectra).
 
 carleman computes only the two ends of its spectrum, by one dense solve of
 the reciprocal kernel's Nystrom matrix on min(N, 6.2 L + 32) Gauss-Legendre
@@ -296,6 +302,12 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
         payload["exact_first_pair"] = pair if h1 > 0.0 else pair[::-1]
     if kernel.order >= 1:
         payload["weyl_first_pair"] = list(weyl_prediction(kernel, 1))
+        # 2 pi / t0 overflows for t0 below about 3.5e-308, where the secular
+        # spectrum can still be finite
+        pairs = payload.get("exact_first_pair", []) + payload["weyl_first_pair"]
+        if not all(math.isfinite(v) for v in pairs):
+            raise ConvergenceError("non-finite first pair: the closed form or the Weyl "
+                                   "law exceeds double precision")
     return payload
 
 
@@ -369,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--seeds", default="11,12", help="two integer seeds")
     add_grid(sp)
-    sp = sub.add_parser("delta-eigs", help="collocation spectrum of a point-supported kernel")
+    sp = sub.add_parser("delta-eigs", help="spectrum of a point-supported kernel")
     sp.add_argument("--h", required=True, help="comma-separated delta-derivative weights")
     sp.add_argument("--t0", type=float, default=1.0)
     sp.add_argument("--N", type=int, default=64)

@@ -17,6 +17,13 @@ eigenproblem square. The order-0 kernel h0 delta is h0 R, whose spectrum is
 +-|h0| in closed form. The factorizations and the eigensolves run on
 numpy.linalg, so delta-eigs starts without loading SciPy.
 
+delta_spectrum solves order 1 without collocation: h0 delta + h1 delta' has
+simple eigenvalues, the roots of one secular equation with one root per
+bracket (see _first_order_spectrum), found in O(n_max) by a vectorised
+Newton iteration, each with the residual ||H f - lambda f|| / ||f|| of its
+eigenfunction in closed form. build_reflection_operator still assembles
+order 1, as an independent check of that route.
+
 The assembly is O(K N^2), so only the eigensolve is cubic: the derivative
 matrices D^(k), k >= 2, come from Welfert's recursion (see
 _collocation_powers), O(N^2) per order with no matrix product, and the O(N)
@@ -43,6 +50,10 @@ from .discretization import SpectrumReport, _legendre_pair
 from .errors import DiscretizationError, DomainError, NotApplicableError
 
 RELATIVE_IMAG_TOL = 1e-6
+EPS = np.finfo(float).eps
+# rounding of one secular-equation term: a sine, cosine, tanh or atan2 within
+# a few ulps, and the products and sums that form it
+ROUNDING = 8.0 * EPS
 
 
 @dataclass(frozen=True)
@@ -295,18 +306,151 @@ def weyl_prediction(kernel: DeltaKernel, n: int) -> tuple[float, float]:
     return lam, -lam
 
 
+def _odd_excess(u: np.ndarray, hyperbolic: bool) -> np.ndarray:
+    """u - sin u, or sinh u - u, for u > 0 without cancellation: below
+    u = 1/2 the Taylor series u^3/6 (1 -+ u^2/20 (1 -+ u^2/42 (...))) to
+    u^11, whose first omitted term is below 1e-12 of the sum."""
+    v = u * u if hyperbolic else -u * u
+    series = u ** 3 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0 * (1.0 + v / 72.0
+                                                                * (1.0 + v / 110.0))))
+    direct = np.sinh(u) - u if hyperbolic else u - np.sin(u)
+    return np.where(u < 0.5, series, direct)
+
+
+def _secular_roots(p: float, q: float, k: np.ndarray) -> np.ndarray:
+    """x in (k pi, (k + 1) pi) with tan x = (q/p) x, q > 0: x = k pi + theta,
+    theta = atan2(q x, p), by Newton's method on theta from pi/2.
+
+    G(theta) = theta - atan2(q x, p) is increasing at its root, convex for
+    p > 0, concave for p < 0 and linear for p = 0, and G(pi/2) has the sign
+    of p, so the iterates move monotonically to the root. An entry stops
+    once its step is below eps x, or once its steps stop shrinking (rounding
+    then moves G more than a step does). The first mode for c = q/p just
+    above 1 converges linearly from a root near 0, so the cap is 100 steps;
+    every other entry takes at most about 10.
+    """
+    base = k * math.pi
+    theta = np.full(k.size, 0.5 * math.pi)
+    last = np.full(k.size, np.inf)
+    active = np.ones(k.size, dtype=bool)
+    for _ in range(100):
+        x = base + theta
+        step = (theta - np.arctan2(q * x, p)) / (1.0 - p * q / (p * p + (q * x) ** 2))
+        active &= np.abs(step) < last
+        theta = np.where(active, theta - step, theta)
+        last = np.abs(step)
+        active &= last > EPS * x
+        if not active.any():
+            break
+    return base + theta
+
+
+def _sinh_root(c: float) -> float:
+    """y > 0 with tanh y = c y, 0 < c < 1, by Newton's method from 1/c:
+    c y - tanh y is convex for y > 0 and nonnegative at 1/c, so the iterates
+    fall monotonically to the root. Beyond y = 19, tanh y rounds to 1, and
+    1/c is the root in double precision."""
+    y = 1.0 / c if c > 0.0 else math.inf
+    last = math.inf
+    while y <= 19.0:
+        step = (c * y - math.tanh(y)) / (c - 1.0 / math.cosh(y) ** 2)
+        if not abs(step) < last:
+            break
+        y, last = y - step, abs(step)
+        if last <= EPS * y:
+            break
+    return y
+
+
+def _first_order_spectrum(kernel: DeltaKernel, n_max: int) -> SpectrumReport:
+    """The 2 n_max eigenvalues nearest zero of h0 delta + h1 delta' from the
+    secular equation, ascending with aligned residuals.
+
+    With f = sin(w t), x = w t0, (H f)(t) = F(x) cos(w t) + lambda(x) sin(w t),
+    F = h0 sin x - (h1/t0) x cos x and lambda = -(h0 cos x + h1 w sin x), so
+    the eigenvalues are lambda at the roots of F, that is of tan x = c x with
+    c = h1 / (h0 t0). There is one root in each (k pi, (k + 1) pi), k >= 1,
+    and the first mode depends on c: a root in (pi/2, pi) for c < 0, in
+    (0, pi/2) for c > 1 (pi/2 for h0 = 0), f = t with lambda = -h0 for
+    c = 1, and f = sinh(y t / t0) with tanh y = c y and lambda = -h0 / cosh y
+    for 0 < c < 1. Along k the signs alternate and |lambda| grows, so the
+    first 2 n_max modes are the n_max nearest zero on each side, and each
+    mode's index is its bracket.
+
+    The weights are scaled by a power of two, h0 t0 = s p 2^E and
+    h1 = s q 2^E with q > 0 and max(|p|, q) in [1/4, 1), so that no
+    intermediate leaves double range; an eigenvalue or residual that
+    overflows is reported by SpectrumReport, and an eigenvalue that
+    underflows to zero raises DiscretizationError. At a root the two terms
+    of lambda share their sign, so lambda = -(s 2^E / t0) (p cos x +
+    q x sin x) has no cancellation, and a root error dx moves it by at most
+    |h1/t0 sin x| dx.
+
+    The residual of a mode is ||H f - lambda f|| / ||f|| for the computed
+    root: |F| ||cos(w .)|| / ||sin(w .)|| for sin(w t), |h0 tanh y - h1 y/t0|
+    ||cosh(y . / t0)|| / ||sinh(y . / t0)|| for the sinh mode, and
+    |h0 t0 - h1| sqrt(3) / t0 <= eps |h0| for f = t; each one plus 8 eps
+    times the magnitudes of the terms it sums and of lambda, which bounds
+    its rounding, and 2^-1074 for that of a subnormal eigenvalue. H is
+    self-adjoint, so an eigenvalue lies within the residual of each one.
+    """
+    (h0, h1), t0 = kernel.h_coeffs, kernel.t0
+    s = math.copysign(1.0, h1)
+    m0, e0 = math.frexp(h0)
+    mt, et = math.frexp(t0)
+    m1, e1 = math.frexp(abs(h1))
+    big = max(e0 + et, e1) if h0 else e1
+    p, q = math.ldexp(s * m0 * mt, e0 + et - big), math.ldexp(m1, e1 - big)
+    k = np.arange(0 if p < q else 1, 2 * n_max)
+    with np.errstate(over="ignore"):   # reported by SpectrumReport
+        x = _secular_roots(p, q, k)
+        sin, cos = np.sin(x), np.cos(x)
+        lam_terms = np.abs(p * cos) + np.abs(q * x * sin)
+        f_err = np.abs(p * sin - q * x * cos) + ROUNDING * (np.abs(p * sin) + np.abs(q * x * cos))
+        ratio = np.sqrt((2.0 * x + np.sin(2.0 * x)) / _odd_excess(2.0 * x, False))
+        lam = -s * np.ldexp((p * cos + q * x * sin) / mt, big - et)
+        res = np.ldexp((f_err * ratio + ROUNDING * lam_terms) / mt, big - et)
+        if p >= q:
+            if p == q:   # c = 1
+                first, first_res = -h0, EPS * abs(h0)
+            else:
+                y = _sinh_root(q / p)
+                if y <= 19.0:
+                    first = -h0 / math.cosh(y)
+                elif y < 2300.0:   # 1/cosh y = 2 e^-y, kept in range through 2^-j
+                    j = int(y / math.log(2.0))
+                    first = -math.ldexp(2.0 * m0 * math.exp(j * math.log(2.0) - y), e0 - j)
+                else:
+                    first = 0.0
+                g_err = abs(p * math.tanh(y) - q * y) + ROUNDING * (p * math.tanh(y) + q * y)
+                u = 2.0 * min(y, 350.0)
+                ratio_h = math.sqrt((math.sinh(u) + u) / _odd_excess(u, True))
+                first_res = np.ldexp(g_err * ratio_h / mt, big - et) + ROUNDING * abs(first)
+            lam = np.concatenate([[first], lam])
+            res = np.concatenate([[first_res], res])
+    if not np.all(lam):
+        raise DiscretizationError(f"an eigenvalue of h = ({h0:.6g}, {h1:.6g}) at t0 = "
+                                  f"{t0:.6g} underflows double precision")
+    order = np.argsort(lam)
+    return SpectrumReport(eigenvalues=lam[order], residuals=res[order] + 2.0 ** -1074)
+
+
 def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
-    """Collocation spectrum of the reflection operator, restricted to the
-    trusted modes (the first n_max of each sign, n_max <= N/4), ascending with
-    aligned residuals; see branches for the two signed branches.
+    """Spectrum of the reflection operator, restricted to the trusted modes
+    (the first n_max of each sign, n_max <= N/4), ascending with aligned
+    residuals; see branches for the two signed branches.
 
     Order 0 needs no solve: R^2 = I, so e_i +- e_(N-1-i) (and the middle unit
     vector for odd N) are exact eigenvectors of h0 R, and the report is n_max
-    copies of -|h0| and of +|h0| with zero residuals. Otherwise the reduced
-    matrix is symmetric (see build_reflection_operator), so its eigenvalues
-    are real; trusted eigenvalues and their residuals must be finite, or the
-    solve is reported as a convergence failure. A collocation matrix beyond
-    double range, or one whose eigenvalues all vanish because the weights
+    copies of -|h0| and of +|h0| with zero residuals. Order 1 needs no matrix
+    either: its eigenvalues are the roots of one secular equation, each in a
+    bracket of its own (see _first_order_spectrum), so N is only validated
+    there (N >= 4K + 8 and n_max <= N/4, as for every order). Higher orders
+    are solved by collocation: the reduced matrix is symmetric (see
+    build_reflection_operator), so its eigenvalues are real; trusted
+    eigenvalues and their residuals must be finite, or the solve is
+    reported as a convergence failure. A collocation matrix beyond double
+    range, or one whose eigenvalues all vanish because the weights
     underflow, raises DiscretizationError.
     """
     if n_max < 1:
@@ -317,6 +461,9 @@ def delta_spectrum(kernel: DeltaKernel, n: int, n_max: int) -> SpectrumReport:
         _require_resolution(kernel, n)
         lam = abs(kernel.h_coeffs[0]) * np.repeat([-1.0, 1.0], n_max)
         return SpectrumReport(eigenvalues=lam, residuals=np.zeros(2 * n_max))
+    if kernel.order == 1:
+        _require_resolution(kernel, n)
+        return _first_order_spectrum(kernel, n_max)
     _, reduced = build_reflection_operator(kernel, n)
     w, vecs = dense_eig(reduced)
 
@@ -344,7 +491,10 @@ def h_squared_spectrum(kernel: DeltaKernel, n: int) -> np.ndarray:
     adjoint-side right conditions sum_l (-1)^l h_l f^(k+l)(t0) = 0.
 
     The square root of this spectrum cross-validates the reflection route
-    (eigenvalue magnitudes must agree; signs come from the reflection solve).
+    (eigenvalue magnitudes must agree; signs come from the reflection solve)
+    at K <= 2. It is no check at K = 3 and N = 64: the order-6 operator on
+    64 nodes misses the squares of a resolved K = 3 spectrum by up to 6e-2
+    relative.
     """
     k_ord = kernel.order
     if k_ord < 1:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hankelscope import cli, discretization
 from hankelscope.cli import main
+from hankelscope.delta_spectra import exact_delta_prime_eigs
 from hankelscope.discretization import SpectrumReport
 
 
@@ -421,8 +422,11 @@ class TestValidation:
         (("spectrum-a", "--q", "1", "--L", "nan", "--N", "64"), 2),
         (("carleman", "--L", "nan", "--N", "64"), 2),
         (("delta-eigs", "--h", "1", "--t0", "inf", "--N", "64", "--n-max", "2"), 2),
-        (("delta-eigs", "--h", "0,1", "--t0", "1e-300", "--N", "64", "--n-max", "2"), 3)])
+        (("delta-eigs", "--h", "0,0,1", "--t0", "1e-100", "--N", "64", "--n-max", "2"), 3),
+        (("delta-eigs", "--h", "0,1", "--t0", "3e-308", "--N", "64", "--n-max", "2"), 3)])
     def test_non_finite_input_is_rejected(self, capsys, argv, code):
+        # a tiny t0 drives the collocation residuals (K = 2) or the secular
+        # eigenvalues 2 pi (n - 1/4) / t0 (K = 1) beyond double range
         rc, out, err = run_cli(capsys, *argv)
         assert rc == code and out == ""
         expected = "convergence failure: non-finite" if code == 3 else "finite and positive"
@@ -538,18 +542,62 @@ class TestValidation:
         assert str(exc) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
-        (("--h", "1e308,1e308", "--t0", "1", "--N", "12"), "non-finite collocation entry"),
-        (("--h", "5e-324,5e-324", "--t0", "1e300", "--N", "14"), "underflow")],
+        (("--h", "1e308,1e308,1e308", "--t0", "1", "--N", "16"), "non-finite collocation entry"),
+        (("--h", "5e-324,5e-324,5e-324", "--t0", "1e10", "--N", "16"),
+         "every collocation eigenvalue is zero")],
         ids=["overflow", "underflow"])
     def test_delta_weights_beyond_double_range(self, capsys, argv, message):
-        # h_1 D overflows, or h_k D^k underflows so that no eigenvalue is
-        # nonzero (which used to end in a ValueError traceback)
+        # h_k D^k overflows, or underflows so that no eigenvalue is nonzero
+        # (which used to end in a ValueError traceback)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "delta-eigs", *argv, "--n-max", "1",
                                      "--format", "json")
         assert code == 2 and out == ""
         assert message in err and "Warning" not in err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--h", "1e308,1e308", "--t0", "1", "--N", "12"), 3,
+         "convergence failure: non-finite eigenvalue"),
+        (("--h", "5e-324,5e-324", "--t0", "1e300", "--N", "14"), 2,
+         "error: an eigenvalue of h = (4.94066e-324, 4.94066e-324) at t0 = 1e+300 "
+         "underflows double precision")],
+        ids=["overflow", "underflow"])
+    def test_first_order_weights_beyond_double_range(self, capsys, argv, code, message):
+        # c = h1 / (h0 t0) = 1: the first mode is -h0 = -1e308, the next one
+        # about 4.6e308; c = 1e-300: the sinh mode's -h0 / cosh(1e300) is
+        # below every subnormal, so its sign is lost
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "delta-eigs", *argv, "--n-max", "1",
+                                   "--format", "json")
+        assert rc == code and out == ""
+        assert err.startswith(message) and "Warning" not in err
+
+    def test_first_pair_beyond_double_range_exits_3(self, capsys):
+        # the spectrum of (5e-324, 5e-324) at t0 = 3e-308 is about 1e-15,
+        # but the JSON document's Weyl pair 2 pi |h1| / t0 overflows in
+        # 2 pi / t0; the CSV list carries the spectrum only
+        argv = ("delta-eigs", "--h", "5e-324,5e-324", "--t0", "3e-308", "--N", "12",
+                "--n-max", "2")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 3 and out == ""
+        assert err.startswith("convergence failure: non-finite first pair")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and len(out.splitlines()) == 5
+
+    def test_first_order_tiny_t0_answers_in_closed_form(self, capsys):
+        # delta' at t0 = 1e-300: 2 pi (n - 1/4) / t0 and -2 pi (n - 3/4) / t0
+        # are finite, and the secular route forms no derivative matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "delta-eigs", "--h", "0,1", "--t0", "1e-300",
+                                     "--N", "64", "--n-max", "2", "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        want = sorted(v for n in (1, 2) for v in exact_delta_prime_eigs(1e-300, n))
+        np.testing.assert_allclose(doc["eigenvalues"], want, rtol=1e-15, atol=0)
+        assert 0.0 < doc["residual_max"] <= 1e-13 * max(abs(v) for v in want)
 
     def test_delta_trust_region(self, capsys):
         code, _, _ = run_cli(capsys, "delta-eigs", "--h", "0,1", "--N", "64",

@@ -6,6 +6,8 @@ as an independent oracle for the second-derivative kernel."""
 import math
 import tracemalloc
 
+import mpmath
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -502,3 +504,146 @@ class TestReportContract:
         rep = delta_spectrum(DeltaKernel([0.0, 0.0, 1.0], 1.0), 96, 8)
         assert np.all(np.diff(rep.eigenvalues) > 0)
         assert rep.eigenvalues.size == rep.residuals.size == 16
+
+
+# one kernel per first-mode regime of c = h1 / (h0 t0), each with both signs
+# of h1: c < 0, 0 < c < 1 (the sinh mode), c = 1 (f = t), c > 1, and h0 = 0
+FIRST_ORDER = {
+    "c<0": (-0.7, 1.2, 0.6), "c<0,h1<0": (0.9, -1.1, 1.3),
+    "0<c<1": (2.0, 0.9, 1.1), "0<c<1,h1<0": (-1.5, -0.4, 0.8),
+    "c=1": (1.25, 1.25, 1.0), "c=1,h1<0": (-0.5, -1.0, 2.0),
+    "c>1": (0.4, 1.7, 1.4), "c>1,h1<0": (-0.3, -1.9, 0.7),
+    "pure": (0.0, 1.3, 0.9), "pure,h1<0": (0.0, -0.8, 1.6),
+}
+
+
+def mp_first_order(h0, h1, t0, count):
+    """The count eigenvalues nearest zero of h0 delta + h1 delta', ascending,
+    from the roots of h0 t0 sin x = h1 x cos x found by mpmath at 50 digits
+    in the brackets of the secular route: lambda = -(h0 cos x + h1 x / t0
+    sin x), or -h0 / cosh y with tanh y = c y, or -h0 for c = 1."""
+    with mpmath.workdps(50):
+        h0, h1, t0 = mpmath.mpf(h0), mpmath.mpf(h1), mpmath.mpf(t0)
+        lam = lambda x: -(h0 * mpmath.cos(x) + h1 * x / t0 * mpmath.sin(x))
+        secular = lambda x: h0 * t0 * mpmath.sinc(x) - h1 * mpmath.cos(x)   # F t0 / x
+        p, q = h0 * t0 * mpmath.sign(h1), abs(h1)
+        out = []
+        if p == q:
+            out.append(-h0)
+        elif p > q:
+            c = q / p
+            y = mpmath.findroot(lambda y: mpmath.tanh(y) / y - c,
+                                (mpmath.sqrt(3 * (1 - c)) / 2, 1 / c), solver="anderson")
+            out.append(-h0 / mpmath.cosh(y))
+        elif p == 0:
+            out.append(lam(mpmath.pi / 2))
+        else:
+            lo = mpmath.pi / 2 if p < 0 else mpmath.sqrt(3 * (q / p - 1)) / (2 * q / p)
+            hi = mpmath.pi if p < 0 else mpmath.pi / 2
+            out.append(lam(mpmath.findroot(secular, (lo, hi), solver="anderson")))
+        for k in range(1, count):
+            lo = k * mpmath.pi + (mpmath.pi / 2 if p < 0 else 0)
+            if p == 0:
+                out.append(lam(lo + mpmath.pi / 2))
+            else:
+                out.append(lam(mpmath.findroot(secular, (lo, lo + mpmath.pi / 2),
+                                               solver="anderson")))
+        return np.array(sorted(float(v) for v in out))
+
+
+class TestSecularRoute:
+    @pytest.fixture(autouse=True)
+    def no_matrix(self, monkeypatch):
+        # order 1 forms no collocation matrix and runs no eigensolver
+        import hankelscope.delta_spectra as ds
+
+        def forbidden(*args):
+            raise AssertionError("the secular route called a matrix solver")
+        for name in ("build_reflection_operator", "dense_eig"):
+            monkeypatch.setattr(ds, name, forbidden)
+
+    @pytest.mark.parametrize("h0, h1, t0", FIRST_ORDER.values(), ids=FIRST_ORDER.keys())
+    def test_matches_mpmath_roots_within_the_residuals(self, h0, h1, t0):
+        # H is self-adjoint, so an eigenvalue lies within each residual; the
+        # residuals are a few eps relative, far below the gaps
+        rep = delta_spectrum(DeltaKernel([h0, h1], t0), 96, 24)
+        want = mp_first_order(h0, h1, t0, 48)
+        err = np.abs(rep.eigenvalues - want)
+        assert np.all(err <= rep.residuals), (err / rep.residuals).max()
+        assert np.all(rep.residuals <= 1e-13 * np.abs(want))
+        assert np.all(err <= 4.0 * EPS * np.abs(want))
+
+    @pytest.mark.parametrize("h0, h1, t0", FIRST_ORDER.values(), ids=FIRST_ORDER.keys())
+    def test_first_mode_regime(self, h0, h1, t0):
+        # the mode nearest zero is the one of c's regime, with sign -sign(h0)
+        # except for c < 0 (and -sign(h1) for h0 = 0), and the signs alternate
+        # along the modes sorted by magnitude
+        rep = delta_spectrum(DeltaKernel([h0, h1], t0), 64, 16)
+        lam = rep.eigenvalues[np.argsort(np.abs(rep.eigenvalues))]
+        first = lam[0]
+        c = h1 / (h0 * t0) if h0 else math.inf
+        if c == 1.0:
+            assert first == -h0
+        elif 0.0 < c < 1.0:
+            y = brentq(lambda y: math.tanh(y) - c * y, 1e-3, 1.0 / c)
+            assert abs(first + h0 / math.cosh(y)) <= 1e-13 * abs(h0)
+        else:
+            x = math.pi / 2 if h0 == 0.0 else brentq(
+                lambda x: h0 * t0 * math.sin(x) - h1 * x * math.cos(x),
+                *((math.pi / 2, math.pi) if c < 0 else (1e-9, math.pi / 2)))
+            want = -(h0 * math.cos(x) + h1 * x / t0 * math.sin(x))
+            assert abs(first - want) <= 1e-13 * abs(want)
+            assert (math.pi / 2 < x < math.pi) if c < 0 else (0.0 < x <= math.pi / 2)
+        assert np.all(np.sign(lam[1:]) == -np.sign(lam[:-1]))
+        assert np.all(np.diff(np.abs(lam)) > 0.0)
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_trust_edge_returns_the_exact_modes(self, n):
+        # n_max = N/4 used to end in one spurious mode (then every later mode
+        # one index late); each mode's index now follows from its bracket
+        rep = delta_spectrum(DeltaKernel([0.0, 1.0], 1.0), n, n // 4)
+        lp, lm = branches(rep.eigenvalues)
+        exact = np.array([exact_delta_prime_eigs(1.0, i + 1) for i in range(n // 4)])
+        assert lp.size == lm.size == n // 4
+        np.testing.assert_allclose(lp, exact[:, 0], rtol=4.0 * EPS, atol=0.0)
+        np.testing.assert_allclose(lm, exact[:, 1], rtol=4.0 * EPS, atol=0.0)
+        rep = delta_spectrum(DeltaKernel([0.5, 1.0], 1.0), 128, 32)
+        err = np.abs(rep.eigenvalues - mp_first_order(0.5, 1.0, 1.0, 64))
+        assert np.all(err <= rep.residuals)
+
+    def test_extreme_weights_keep_their_scale(self):
+        # h0 t0 and h1 are scaled by a power of two, so weights near the ends
+        # of the double range give the scaled spectrum of (0.5, 1) at t0 = 1,
+        # and (h0, h1 s, t0 s) has the spectrum of (h0, h1, t0) for every s
+        unit = delta_spectrum(DeltaKernel([0.5, 1.0], 1.0), 64, 8).eigenvalues
+        for scale in (2.0 ** -1000, 2.0 ** 1000):
+            rep = delta_spectrum(DeltaKernel([0.5 * scale, scale], 1.0), 64, 8)
+            assert np.array_equal(rep.eigenvalues, scale * unit)
+            rep = delta_spectrum(DeltaKernel([0.5, scale], scale), 64, 8)
+            assert np.array_equal(rep.eigenvalues, unit)
+
+    def test_sinh_mode_beyond_the_range_of_cosh(self):
+        # c = 1e-3: y = 1000 and cosh y overflows, but -h0 / cosh y = -1e300 *
+        # 2 e^-1000 is a normal number
+        rep = delta_spectrum(DeltaKernel([1e300, 1e297], 1.0), 64, 4)
+        with mpmath.workdps(30):
+            want = float(-mpmath.mpf(1e300) / mpmath.cosh(mpmath.mpf(1e297) ** -1 * 1e300))
+        first = rep.eigenvalues[np.argmin(np.abs(rep.eigenvalues))]
+        assert abs(first - want) <= 1e-12 * abs(want)
+
+    def test_underflowing_sinh_mode_is_an_error(self):
+        # c = 1e-3: the sinh mode's -h0 / cosh(1000) is below every subnormal
+        with pytest.raises(DiscretizationError, match="underflows double precision"):
+            delta_spectrum(DeltaKernel([1.0, 1e-3], 1.0), 64, 4)
+
+
+@pytest.mark.parametrize("h0, h1, t0", FIRST_ORDER.values(), ids=FIRST_ORDER.keys())
+def test_secular_route_matches_collocation_at_768_nodes(h0, h1, t0):
+    # collocation, solved independently at N = 768, agrees on the first 150
+    # modes of each sign to 1e-12 of the largest (its error is absolute, about
+    # 1e-14 of max|lambda|)
+    kernel = DeltaKernel([h0, h1], t0)
+    lam = delta_spectrum(kernel, 600, 150).eigenvalues
+    w = np.linalg.eigvalsh(build_reflection_operator(kernel, 768)[1])
+    want = np.concatenate([w[w < 0.0][-150:], w[w > 0.0][:150]])
+    assert np.abs(lam - want).max() <= 1e-12 * np.abs(want).max()

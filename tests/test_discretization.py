@@ -984,6 +984,15 @@ class TestSpectralRules:
         assert np.all(ratios > 10.0)  # geometric decay toward 0-
 
 
+    def test_negative_count_cut_is_relative_to_the_largest_magnitude(self):
+        # the cut is -1e-10 max|lambda|: with max|lambda| = 2, -2.2e-10 and
+        # -1e-6 count, -1.8e-10 (rounding level) does not; a cut at 1e-3 of
+        # max|lambda| would count only -0.5, one at 1e-12 also -1.8e-10
+        p = poly(0.0, 1.0)
+        eigenvalues = np.array([-0.5, -1e-6, -2.2e-10, -1.8e-10, 0.0, 0.3, 2.0])
+        assert spectral_rules(p, p_to_q(p), eigenvalues)["negative_count"] == 3
+        assert spectral_rules(p, p_to_q(p), 1e-200 * eigenvalues)["negative_count"] == 3
+
 class TestCarlemanEigenform:
     def test_rayleigh_quotient_tracks_multiplier(self):
         # a wavepacket concentrated near dual frequency xi0 has quadratic form

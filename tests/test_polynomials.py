@@ -289,6 +289,38 @@ def test_running_bound_covers_underflow():
     assert error > 2.0 ** -53 * abs(value) and error <= bound
 
 
+
+def _exact_horner(coeffs, x):
+    """Horner in exact rational arithmetic: the partial values y_n, ..., y_0
+    of the float coefficients (ascending) at the float x."""
+    x = Fraction(x)
+    partials = [Fraction(coeffs[-1])]
+    for c in coeffs[-2::-1]:
+        partials.append(partials[-1] * x + Fraction(c))
+    return partials
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_running_bound_is_higham_bound_of_the_exact_partials(degree):
+    # Alg. 5.1 run on the exact partial values: mu = |y_n| / 2, then
+    # mu = |x| mu + |y_i|, bound u (2 mu - |y_0|). The computed bound must
+    # cover the exact error, and lie within a factor 2 of this one, so a bound
+    # 10 times too large (or too small) fails. The points are near roots,
+    # where Horner cancels and the error is largest relative to the value.
+    rng = np.random.default_rng(degree)
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    roots = np.roots(coeffs[::-1])
+    points = list(roots.real[np.abs(roots.imag) < 1e-9]) + list(rng.uniform(-2.0, 2.0, 4))
+    for x in points:
+        value, bound = _horner_with_bound(coeffs, np.float64(x))
+        partials = _exact_horner(coeffs, float(x))
+        assert abs(Fraction(float(value)) - partials[-1]) <= Fraction(float(bound))
+        mu = abs(partials[0]) / 2
+        for y in partials[1:]:
+            mu = abs(Fraction(float(x))) * mu + abs(y)
+        reference = Fraction(2) ** -53 * (2 * mu - abs(partials[-1]))
+        assert reference / 2 <= Fraction(float(bound)) <= 2 * reference, (x, bound)
+
 # ------------------------------------- the scalar rule against the array one
 
 def _reference_cauchy_bound(coeffs):
