@@ -94,12 +94,20 @@ POSITIVITY = (
     "2.3588661562992568e+297,1.0216571983981306e+297",
     "-5.616020036179547e+295,-6.120866511558431e+295,-1.7860768499220137e+295,"
     "-1.0314324198367415e+295,1.6412045856356207e+284",
+    # the witness scan where every certified doubling sample overflows: the
+    # bisection toward 0 from the first of them (degrees 1, 2 and 5)
+    "-1e308,1e308", "-1e308,-1,-1e308",
+    "-8.53913920491298e+305,-7.844221819649216e+306,4.2930038750420105e+306,"
+    "7.303599598505621e+306,5.04903083397509e+306,4.650069286133329e+305",
 )
 
 
 # spectrum-hankel scaled by 2^-e on the dense route and on the rows, and
 # exit 3 after the scale-back on both; spectrum-a exit 3 through the
-# deflation floor; delta-eigs exit 3 through its report; the widest carleman
+# deflation floor; delta-eigs exit 3 through its report, by collocation and
+# on the secular route; delta-eigs first pairs scaled where 2 pi / t0
+# overflows, and exit 3 where the Weyl pair exceeds double precision; the
+# widest carleman
 REPORT_CASES = (
     ["spectrum-hankel", "--p", "1e300", "--L", "8", "--N", "64"],
     ["spectrum-hankel", "--p", "0,1e154", "--L", "8", "--N", "512"],
@@ -107,6 +115,13 @@ REPORT_CASES = (
     ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "512"],
     ["spectrum-a", "--q", "1e300,0,1", "--L", "8", "--N", "256"],
     ["delta-eigs", "--h", "1e300,0,1e300", "--t0", "1", "--N", "64", "--n-max", "8"],
+    ["delta-eigs", "--h", "1e308,1e308"],
+    ["delta-eigs", "--h", "5e-324,5e-324", "--t0", "3e-308", "--N", "12", "--n-max", "2",
+     "--format", "json"],
+    ["delta-eigs", "--h", "0,-5e-324", "--t0", "3e-308", "--N", "12", "--n-max", "2",
+     "--format", "json"],
+    ["delta-eigs", "--h", "0,1e308", "--t0", "3.3", "--N", "12", "--n-max", "1",
+     "--format", "json"],
     ["carleman", "--L", "30", "--N", "2048"],
 )
 

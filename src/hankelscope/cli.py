@@ -17,8 +17,9 @@ weights that underflow to a zero spectrum or a first-order eigenvalue that
 underflows to zero, equiv-check forms that are both
 exactly 0, an unwritable --output, and an allocation that fails for lack
 of memory), 3 numerical-convergence failure (including a non-finite
-eigenvalue, residual or Frobenius norm, a delta-eigs JSON first pair beyond
-double precision, and a spectrum-hankel or carleman eigenvalue of a
+eigenvalue, residual or Frobenius norm, a delta-eigs JSON first pair whose
+value exceeds double precision (it is formed from t0 = m 2^e where
+2 pi / t0 overflows), and a spectrum-hankel or carleman eigenvalue of a
 constant profile P = p0 outside the Toeplitz band p0 [0, pi (1 + eps_alias)]
 by more than its residual).
 
@@ -295,16 +296,21 @@ def _cmd_delta_eigs(args: argparse.Namespace) -> dict | list:
         "paper_refs": ["reflection-operator-spectrum",
                        "weyl-eigenvalue-asymptotics"],
     }
-    if kernel.order == 1 and kernel.h_coeffs[0] == 0.0:
-        # h1 delta' scales the unit pair; h1 < 0 swaps the signs of the branches
-        h1 = kernel.h_coeffs[1]
-        pair = [h1 * lam for lam in exact_delta_prime_eigs(kernel.t0, 1)]
-        payload["exact_first_pair"] = pair if h1 > 0.0 else pair[::-1]
     if kernel.order >= 1:
-        payload["weyl_first_pair"] = list(weyl_prediction(kernel, 1))
-        # 2 pi / t0 overflows for t0 below about 3.5e-308, where the secular
-        # spectrum can still be finite
-        pairs = payload.get("exact_first_pair", []) + payload["weyl_first_pair"]
+        weyl = list(weyl_prediction(kernel, 1))   # scaled where 2 pi / t0 overflows
+        if kernel.order == 1 and kernel.h_coeffs[0] == 0.0:
+            # h1 delta' scales the unit pair; h1 < 0 swaps the signs of the branches
+            h1 = kernel.h_coeffs[1]
+            pair = [h1 * lam for lam in exact_delta_prime_eigs(kernel.t0, 1)]
+            if not all(map(math.isfinite, pair)):
+                # 2 pi / t0 overflows below t0 ~ 2.6e-308: h1 (3/4, -1/4) 2 pi / t0
+                # is sgn(h1) (3/4, -1/4) times the Weyl pair's |h1| 2 pi / t0
+                s = math.copysign(1.0, h1)
+                pair = [s * 0.75 * weyl[0], -s * 0.25 * weyl[0]]
+            payload["exact_first_pair"] = pair if h1 > 0.0 else pair[::-1]
+        payload["weyl_first_pair"] = weyl
+        # beyond double precision, where the spectrum can still be finite
+        pairs = payload.get("exact_first_pair", []) + weyl
         if not all(math.isfinite(v) for v in pairs):
             raise ConvergenceError("non-finite first pair: the closed form or the Weyl "
                                    "law exceeds double precision")

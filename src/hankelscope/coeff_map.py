@@ -83,13 +83,13 @@ def _finite(c: np.ndarray) -> RealPolynomial:
 def p_to_q(p: RealPolynomial) -> RealPolynomial:
     """Forward map: q_k = sum_{l>=k} binom(l, k) w^(l-k)(0) p_l.
 
-    Degree and leading coefficient are preserved exactly (unit diagonal).
+    Degree and leading coefficient are preserved exactly: row K of the unit
+    upper-triangular matrix is (0, ..., 0, 1).
     """
     if p.is_zero:
         raise DomainError("p_to_q requires a nonzero polynomial")
     with np.errstate(over="ignore", invalid="ignore"):
         q = build_map_matrix(p.degree) @ p.coeffs
-    q[-1] = p.coeffs[-1]  # unit diagonal: exact leading-coefficient transfer
     return _finite(q)
 
 

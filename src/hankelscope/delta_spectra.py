@@ -39,6 +39,7 @@ the eigenvectors.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -296,13 +297,25 @@ def exact_delta_prime_eigs(t0: float, n: int) -> tuple[float, float]:
 
 
 def weyl_prediction(kernel: DeltaKernel, n: int) -> tuple[float, float]:
-    """Leading eigenvalue growth +-|h_K| (2 pi n / t0)^K for K >= 1."""
+    """Leading eigenvalue growth +-|h_K| (2 pi n / t0)^K for K >= 1, +-inf
+    beyond double precision."""
     if kernel.order == 0:
         raise NotApplicableError(
             "order-0 kernels have the two-point spectrum {+h0, -h0}")
     if n < 1:
         raise DomainError("mode index n must be >= 1")
-    lam = abs(kernel.h_coeffs[-1]) * (2.0 * math.pi * n / kernel.t0) ** kernel.order
+    h, order = abs(float(kernel.h_coeffs[-1])), kernel.order
+    with contextlib.suppress(OverflowError):   # a float power raises where it overflows
+        lam = h * (2.0 * math.pi * n / kernel.t0) ** order
+        if math.isfinite(lam):
+            return lam, -lam
+    # 2 pi n / t0 overflows below t0 ~ 3.5e-308 n: with t0 = m 2^e and
+    # |h_K| = a 2^f, only the final scaling can overflow
+    (m, e), (a, f) = math.frexp(kernel.t0), math.frexp(h)
+    try:
+        lam = math.ldexp(a * (2.0 * math.pi * n / m) ** order, f - order * e)
+    except OverflowError:
+        lam = math.inf
     return lam, -lam
 
 

@@ -77,8 +77,8 @@ class SpectrumReport:
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.eigenvalues)) and np.all(np.isfinite(self.residuals))):
-            raise ConvergenceError("non-finite eigenvalue or residual: the matrix entries "
-                                   "are too large for double precision")
+            raise ConvergenceError("non-finite eigenvalue or residual: a value exceeds "
+                                   "double precision")
 
 
 def _require_resolved(grid: LogGrid) -> None:

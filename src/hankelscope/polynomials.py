@@ -10,11 +10,12 @@ bound, and only a value negative beyond its bound is a witness. A touch
 within rounding, such as an exact double root, counts as nonnegative.
 
 Both paths apply that one rule through _certified_sign: where the bound
-overflows, near DBL_MAX, it decides on the coefficients scaled by an exact
-power of two instead, computed only there. The values are Python floats in
-eval_poly's operation order, so they equal eval_poly's bit for bit; a
-verdict evaluates a dozen points at most, where numpy's per-call cost would
-dominate.
+overflows, near DBL_MAX, it decides on coefficients scaled by an exact power
+of two instead, and a witness whose value overflows moves by one bisection
+(_finite_witness) to a point whose value is finite. The values are Python
+floats in eval_poly's operation order, so they equal eval_poly's bit for
+bit; a verdict evaluates a dozen points at most, where numpy's per-call
+cost would dominate.
 """
 
 from __future__ import annotations
@@ -94,47 +95,26 @@ def _cauchy_bound(coeffs) -> float:
     return 1.0 + float(max(map(abs, coeffs[:-1])) / abs(coeffs[-1])) if len(coeffs) > 1 else 1.0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _scan_negative(poly: RealPolynomial, direction: float) -> tuple[float, float]:
-    """Scan toward the dominating infinity by doubling until poly is negative
-    beyond Horner's rounding bound; samples that overflow are skipped."""
-    limit = 4.0 * _cauchy_bound(poly.coeffs) + 4.0
+    """The first doubling sample toward the dominating infinity that is a
+    witness (_certified_sign) with a finite value; where every witness value
+    overflows, _finite_witness bisects from the first toward 0 (value c0)."""
+    coeffs = poly.coeffs.tolist()
+    limit = 4.0 * _cauchy_bound(coeffs) + 4.0
     xs = [direction]
     while abs(xs[-1]) < limit and len(xs) < 200:
         xs.append(direction * min(2.0 * abs(xs[-1]), limit))
-    witness = _first_witness(poly, xs)
-    if witness is not None:
-        return witness
-    overflow = next((x for x in xs if not np.isfinite(eval_poly(poly, x))), None)
-    # extreme coefficient scales put the crossing out of doubling range:
-    # locate it from the outermost real companion root instead
-    roots = np.roots(poly.coeffs[::-1])
-    real = np.sort(roots[np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))].real)
-    candidates = []
-    if real.size:
-        edge = real[0] if direction < 0 else real[-1]
-        candidates.extend(direction * abs(edge) * np.array([2.0, 4.0, 16.0]))
-        candidates.extend([edge - abs(edge), edge + abs(edge)])
-        if overflow is not None and direction * (overflow - edge) > 0.0:
-            # halve the way from the first overflowing sample to the root
-            candidates.extend(edge + (overflow - edge) * 0.5 ** np.arange(1, 60))
-    witness = _first_witness(poly, [float(x) for x in candidates])
-    if witness is None:
-        raise DomainError("negative-witness scan failed: coefficient scales exceed "
-                          "the representable range")
-    return witness
-
-
-def _first_witness(poly: RealPolynomial, xs: list[float]) -> tuple[float, float] | None:
-    """The first x in xs where poly is negative beyond its rounding bound
-    (_certified_sign) and its unscaled value is finite and negative, with
-    that value."""
-    coeffs = poly.coeffs.tolist()
+    first = None
     for x in xs:
         negative, value, _ = _certified_sign(coeffs, x)
         if negative and -math.inf < value < 0.0:
             return x, value
-    return None
+        if negative and first is None:
+            first = x, value
+    if first is None:
+        raise DomainError("negative-witness scan failed: coefficient scales exceed "
+                          "the representable range")
+    return _finite_witness(*_scaled(coeffs), *first, 0.0)
 
 
 def _scaled(coeffs: list[float]) -> tuple[list[float], int]:
@@ -188,17 +168,15 @@ def _horner_with_bound(coeffs, x):
     return y, _UNIT_ROUNDOFF * (2.0 * mu - abs(y)) + tiny
 
 
-def _finite_witness(scaled: list[float], exponent: int, x: float) -> tuple[float, float]:
-    """x and its unscaled value (scaled value * 2**exponent) when that is
-    finite and negative; otherwise bisect toward 2 B (B the Cauchy bound, so
-    the value there is positive) until it is, keeping only points whose
-    scaled value is negative beyond its rounding bound."""
-    lo, hi = x, math.copysign(2.0 * _cauchy_bound(scaled), x)
-    val = _unscaled(_horner_with_bound(scaled, lo)[0], exponent)
+def _finite_witness(scaled, exponent, lo, val, hi) -> tuple[float, float]:
+    """lo and val, a witness and its value, when val is finite; otherwise
+    bisect from lo toward hi, a point with a finite or positive value, until
+    the unscaled value (scaled value * 2**exponent) is finite, keeping only
+    points whose scaled value is negative beyond its rounding bound."""
     while not (val < 0.0 and math.isfinite(val)):
         mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
-            raise DomainError("negative critical value not representable in double precision")
+            raise DomainError("negative value not representable in double precision")
         y, bound = _horner_with_bound(scaled, mid)
         if y + bound < 0.0:
             lo, val = mid, _unscaled(y, exponent)
@@ -232,8 +210,10 @@ def _critical_verdict(poly: RealPolynomial) -> NonnegativityCertificate:
             deepest = x, value, rescaled is not None
     if deepest is not None:
         x, val, over = deepest
-        if over:
-            x, val = _finite_witness(*_scaled(coeffs), x)
+        if over:   # toward 2 B, B the Cauchy bound, where the value is positive
+            scaled, e = _scaled(coeffs)
+            x, val = _finite_witness(scaled, e, x, val,
+                                     math.copysign(2.0 * _cauchy_bound(scaled), x))
         return NonnegativityCertificate(False, witness=x, witness_value=val,
                                         method="critical-points",
                                         detail="critical value negative beyond its rounding bound")

@@ -14,6 +14,7 @@ from hankelscope import cli, discretization
 from hankelscope.cli import main
 from hankelscope.delta_spectra import exact_delta_prime_eigs
 from hankelscope.discretization import SpectrumReport
+from hankelscope.polynomials import RealPolynomial, eval_poly
 
 
 def run_cli(capsys, *argv):
@@ -322,8 +323,9 @@ class TestDeterminismAndFormat:
 }"""
 
 
-# stdout of `positivity --p=-1e308,1e308`: the verdict and every digit are
-# those printed before the scan's overflow warnings were silenced
+# stdout of `positivity --p=-1e308,1e308`: every doubling sample's value
+# overflows, and the bisection toward 0 stops at -1/8, the first certified
+# point whose value is finite
 SCAN_OVERFLOW_DOC = """{
   "schema": "hankelscope/1",
   "command": "positivity",
@@ -341,8 +343,8 @@ SCAN_OVERFLOW_DOC = """{
     "verdict": false,
     "certificate": {
       "method": "degree-sign",
-      "witness": 0,
-      "witness_value": -1.5772156649015329e+308,
+      "witness": -0.125,
+      "witness_value": -1.7022156649015329e+308,
       "detail": "odd degree"
     }
   },
@@ -508,15 +510,37 @@ class TestValidation:
         assert "coefficient map overflows double precision" in err and "Warning" not in err
 
     def test_scan_overflow_finds_a_finite_witness(self, capsys):
-        # Q = 3.1e307 + 1.2e308 x - 1e308 x^2: every doubling sample and
-        # root-based candidate overflows, Q(1.5) ~ -2.2e307 does not
+        # Q = 3.1e307 + 1.2e308 x - 1e308 x^2: every certified doubling
+        # sample overflows, and the bisection from x = 2 toward 0 stops at
+        # Q(1.5) ~ -2.1e307
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "positivity", "--p=-1e308,-1,-1e308")
         assert code == 0 and err == ""
         cert = json.loads(out)["positivity"]
         assert cert["verdict"] is False
+        assert cert["certificate"]["witness"] == 1.5
         assert -math.inf < cert["certificate"]["witness_value"] < 0.0
+
+    def test_scan_bisects_where_every_certified_sample_overflows(self, capsys):
+        # degree 5 near 4.7e307: the samples -16, -32, ... are certified
+        # negative and overflow; the bisection toward 0 stops at -9.3125
+        p = ("-8.53913920491298e+305,-7.844221819649216e+306,4.2930038750420105e+306,"
+             "7.303599598505621e+306,5.04903083397509e+306,4.650069286133329e+305")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "positivity", f"--p={p}")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        cert = doc["positivity"]["certificate"]
+        assert doc["positivity"]["verdict"] is False and cert["witness"] == -9.3125
+        assert -math.inf < cert["witness_value"] < 0.0
+        q = RealPolynomial(np.array(doc["q_coeffs"]))
+        assert eval_poly(q, cert["witness"]) == cert["witness_value"]
+        with mpmath.workdps(60):
+            exact = sum(mpmath.mpf(c) * mpmath.mpf(cert["witness"]) ** k
+                        for k, c in enumerate(doc["q_coeffs"]))
+        assert exact < 0
 
     def test_scan_overflow_prints_no_warning(self, capsys):
         with warnings.catch_warnings():
@@ -574,17 +598,42 @@ class TestValidation:
         assert rc == code and out == ""
         assert err.startswith(message) and "Warning" not in err
 
+    @pytest.mark.parametrize("h", ["5e-324,5e-324", "0,5e-324", "0,-5e-324", "0,1e-300"])
+    def test_first_pair_where_two_pi_over_t0_overflows(self, capsys, h):
+        # the spectrum at t0 = 3e-308 is finite, and so are the first pairs,
+        # though 2 pi / t0 overflows: JSON and CSV both answer
+        argv = ("delta-eigs", "--h", h, "--t0", "3e-308", "--N", "12", "--n-max", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        h1, t0 = (mpmath.mpf(v) for v in (doc["input"]["h_coeffs"][1], doc["input"]["t0"]))
+        with mpmath.workdps(40):
+            weyl = abs(h1) * 2 * mpmath.pi / t0
+            want = {"weyl_first_pair": [weyl, -weyl]}
+            if doc["input"]["h_coeffs"][0] == 0.0:
+                # h1 (3/4, -1/4) 2 pi / t0, the branches swapped for h1 < 0
+                pair = [h1 * 1.5 * mpmath.pi / t0, -h1 * 0.5 * mpmath.pi / t0]
+                want["exact_first_pair"] = pair if h1 > 0 else pair[::-1]
+            for key, values in want.items():
+                for got, exact in zip(doc[key], values):
+                    assert abs(got - exact) <= 4 * 2.0 ** -53 * abs(exact), key
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and len(out.splitlines()) == 5
+
     def test_first_pair_beyond_double_range_exits_3(self, capsys):
-        # the spectrum of (5e-324, 5e-324) at t0 = 3e-308 is about 1e-15,
-        # but the JSON document's Weyl pair 2 pi |h1| / t0 overflows in
-        # 2 pi / t0; the CSV list carries the spectrum only
-        argv = ("delta-eigs", "--h", "5e-324,5e-324", "--t0", "3e-308", "--N", "12",
-                "--n-max", "2")
-        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        # n_max = 1: the spectrum's |h1| (3/4) 2 pi / t0 = 1.4e308 is finite,
+        # the Weyl pair |h1| 2 pi / t0 = 1.9e308 is not; the CSV list carries
+        # the spectrum only
+        argv = ("delta-eigs", "--h", "0,1e308", "--t0", "3.3", "--N", "12", "--n-max", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 3 and out == ""
         assert err.startswith("convergence failure: non-finite first pair")
         code, out, err = run_cli(capsys, *argv)
-        assert code == 0 and err == "" and len(out.splitlines()) == 5
+        assert code == 0 and err == "" and len(out.splitlines()) == 3
 
     def test_first_order_tiny_t0_answers_in_closed_form(self, capsys):
         # delta' at t0 = 1e-300: 2 pi (n - 1/4) / t0 and -2 pi (n - 3/4) / t0
@@ -726,16 +775,18 @@ def test_equiv_check_names_the_right_side_grid(L):
 @pytest.mark.parametrize("argv", [
     ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "64"],
     ["spectrum-hankel", "--p", "1e308", "--L", "8", "--N", "512"],
-    ["delta-eigs", "--h", "1e300,0,1e300", "--t0", "1", "--N", "64", "--n-max", "8"]],
-    ids=["hankel-dense", "hankel-rows", "delta"])
+    ["delta-eigs", "--h", "1e300,0,1e300", "--t0", "1", "--N", "64", "--n-max", "8"],
+    ["delta-eigs", "--h", "1e308,1e308"]],
+    ids=["hankel-dense", "hankel-rows", "delta", "delta-secular"])
 def test_non_finite_report_exits_3(argv):
     # spectrum-hankel solves 2^-e M, whose report is finite, and overflows
     # only when it is scaled back by 2^e; delta-eigs overflows in the
-    # residuals of its trusted modes
+    # residuals of its trusted modes, by collocation at K = 2 and in the
+    # secular route's closed forms at K = 1, which forms no matrix
     code, err = _assert_clean_exit(argv)
     assert code == 3
-    assert err == ("convergence failure: non-finite eigenvalue or residual: the matrix "
-                   "entries are too large for double precision\n")
+    assert err == ("convergence failure: non-finite eigenvalue or residual: a value "
+                   "exceeds double precision\n")
 
 
 def test_equiv_check_on_an_unresolved_window_exits_3():

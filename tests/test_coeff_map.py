@@ -113,6 +113,18 @@ class TestForwardMap:
         assert q.degree == p.degree
         assert q.leading == p.leading
 
+    @pytest.mark.parametrize("degree", range(13))
+    def test_leading_coefficient_is_carried_by_the_product(self, degree):
+        # row K of the unit upper-triangular map is (0, ..., 0, 1), so the
+        # product alone gives q_K = p_K bit for bit, sign included, also for
+        # subnormal and zero-neighbour p_K among signed zeros
+        rng = np.random.default_rng(degree)
+        lower = [0.0, -0.0, 5e-324, -5e-324, -2.5e-320, -0.75, 3.0, -1e200]
+        for lead in (-1.7, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, -1e300):
+            p = poly(*rng.choice(lower, degree), lead)
+            q = p_to_q(p)
+            assert q.degree == degree
+            assert np.float64(q.coeffs[-1]).tobytes() == np.float64(lead).tobytes()
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             p_to_q(poly(0.0))

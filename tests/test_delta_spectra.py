@@ -391,6 +391,25 @@ class TestWeylPrediction:
         with pytest.raises(NotApplicableError):
             weyl_prediction(DeltaKernel([1.0], 1.0), 1)
 
+    @pytest.mark.parametrize("h, t0, n", [
+        ((5e-324, 5e-324), 3e-308, 1),        # 2 pi / t0 overflows
+        ((0.0, -1e-300), 1e-310, 3),          # subnormal t0
+        ((0.0, 0.0, 1e-20), 1e-160, 2),       # the float power raises
+        ((0.1, 0.0, 0.0, -3e-300), 1e-105, 1)])
+    def test_scaled_where_two_pi_n_over_t0_overflows(self, h, t0, n):
+        # the pair is finite, and t0 = m 2^e, |h_K| = a 2^f keep every
+        # intermediate in range: a few roundings off the exact pair
+        kernel = DeltaKernel(list(h), t0)
+        lp, lm = weyl_prediction(kernel, n)
+        with mpmath.workdps(40):
+            exact = abs(mpmath.mpf(h[-1])) * (2 * mpmath.pi * n / mpmath.mpf(t0)) ** kernel.order
+            assert abs(lp - exact) <= 4 * 2.0 ** -53 * exact
+        assert lm == -lp
+
+    def test_beyond_double_precision_is_infinite(self):
+        assert weyl_prediction(DeltaKernel([0.0, 1.0], 1e-310), 1) == (math.inf, -math.inf)
+        assert weyl_prediction(DeltaKernel([0.0, 0.0, 1.0], 1e-160), 1) == (math.inf, -math.inf)
+
     def test_deviation_from_exact_is_quarter_over_n(self):
         # plus branch: |exact - weyl| / weyl = 1/(4n) exactly;
         # minus branch: 3/(4n) exactly

@@ -246,8 +246,8 @@ class TestSpectrumReport:
         arrays = {"eigenvalues": np.array([-1.0, 0.0, 2.0]),
                   "residuals": np.array([1e-16, 0.0, 1e-15])}
         arrays[field][1] = bad
-        with pytest.raises(ConvergenceError, match="^non-finite eigenvalue or residual: the "
-                           "matrix entries are too large for double precision$"):
+        with pytest.raises(ConvergenceError, match="^non-finite eigenvalue or residual: a "
+                           "value exceeds double precision$"):
             SpectrumReport(**arrays)
 
 
@@ -606,7 +606,12 @@ class TestDeflatedEigenSym:
     def _check_core(self, q, grid):
         rep = a_spectrum(q, grid)
         m = build_a_matrix(q, grid).matrix
-        w = np.linalg.eigvalsh(m)
+        # the dense reference solves m with its entries below 1e-150 max|m|
+        # set to 0, a perturbation of 2-norm at most N 1e-150 max|m|, which
+        # moves no eigenvalue by more (Weyl); the 6.3e5 subnormal entries at
+        # N = 4096 made eigvalsh about 3 times slower
+        floor = 1e-150 * np.abs(m).max()
+        w = np.linalg.eigvalsh(np.where(np.abs(m) < floor, 0.0, m))
         scale = np.abs(w).max()
         assert np.abs(rep.eigenvalues - w).max() <= 1e-13 * scale
         assert rep.residuals.max() <= 1e-13 * scale

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hankelscope.coeff_map import p_to_q
 from hankelscope.errors import DomainError
 from hankelscope.polynomials import (NonnegativityCertificate, RealPolynomial,
                                      _horner_with_bound, eval_poly, is_nonnegative_on_reals)
@@ -138,8 +139,8 @@ def test_nonnegative_verdict_backed_by_samples(coeffs):
 
 class TestWitnessScanOverflow:
     def test_finite_witness_below_the_first_overflow(self):
-        # Q = 3.1e307 + 1.2e308 x - 1e308 x^2: Horner overflows at x = 2, 4, ...
-        # and at every root-based candidate, but Q(1.5) ~ -2.2e307 is finite
+        # Q = 3.1e307 + 1.2e308 x - 1e308 x^2: Horner overflows at x = 2, 4, ...,
+        # and the bisection from 2 toward 0 stops at Q(1.5) ~ -2.1e307
         q = poly(3.1175614304050783e+307, 1.1544313298030658e+308, -1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -149,11 +150,16 @@ class TestWitnessScanOverflow:
         assert cert.witness > 1.3765 and eval_poly(q, cert.witness) == cert.witness_value
 
     def test_overflowing_samples_raise_no_warning(self):
+        # every doubling sample -1, -2, ... is certified negative and its value
+        # overflows; the bisection toward 0 halves -1 three times, to the first
+        # certified point with a finite value
         q = poly(-1.5772156649015329e+308, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cert = is_nonnegative_on_reals(q)
-        assert cert.witness == 0.0 and cert.witness_value == -1.5772156649015329e+308
+        assert cert.witness == -0.125 and cert.witness_value == -1.702215664901533e+308
+        assert eval_poly(q, cert.witness) == cert.witness_value
+        assert exact_value(q, cert.witness) < 0
 
     def test_negative_sample_within_its_bound_is_no_witness(self):
         # Horner gives -2.2e-308 at x = -1, where the exact value is +3.8e-307;
@@ -165,6 +171,82 @@ class TestWitnessScanOverflow:
         cert = decide_without_warnings(q)
         assert not cert.nonnegative and cert.method == "degree-sign"
         assert cert.witness_value < 0.0 and rational(cert.witness) < 0
+
+
+# P of degree 5 whose Q has every certified doubling sample overflow
+# (x = -16, -32, ...); the bisection toward 0 finds x = -9.3125
+OVERFLOWING_SCAN_P = (-8.53913920491298e+305, -7.844221819649216e+306, 4.2930038750420105e+306,
+                      7.303599598505621e+306, 5.04903083397509e+306, 4.650069286133329e+305)
+
+
+def degree_sign_profiles(seed, draws):
+    """Q = w(D) P for OVERFLOWING_SCAN_P and seeded P of degree 1 to 8 with
+    coefficients uniform in [-1, 1] times 10^U(295, 308), kept where Q is
+    finite and the scan decides (odd degree or a negative leading
+    coefficient)."""
+    rng = np.random.default_rng(seed)
+    ps = [np.array(OVERFLOWING_SCAN_P)]
+    for _ in range(draws):
+        degree = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(295.0, 308.0)
+        ps.append(rng.uniform(-1.0, 1.0, degree + 1) * scale)
+    profiles = []
+    for p in ps:
+        try:
+            q = p_to_q(RealPolynomial(p))
+        except DomainError:   # the coefficient map overflows
+            continue
+        if q.degree % 2 == 1 or q.leading < 0.0:
+            profiles.append(q)
+    return profiles
+
+
+class TestOneWitnessRule:
+    """The scan's witness is its first doubling sample that is certified
+    negative with a finite value; where every certified sample overflows,
+    the critical-point branch's bisection moves the first one toward 0."""
+
+    def test_every_scan_witness_is_finite_and_certified(self):
+        overflowing_partials = 0
+        for q in degree_sign_profiles(seed=3, draws=3000):
+            cert = decide_without_warnings(q)
+            assert not cert.nonnegative and cert.method == "degree-sign"
+            assert -math.inf < cert.witness_value < 0.0
+            with mpmath.workdps(60):
+                exact = sum(mpmath.mpf(float(c)) * mpmath.mpf(cert.witness) ** k
+                            for k, c in enumerate(q.coeffs))
+            assert exact < 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = eval_poly(q, cert.witness)
+            if math.isfinite(value):
+                assert value == cert.witness_value
+            else:
+                # Horner on the given coefficients overflows in a partial
+                # value; the witness value is that on the coefficients
+                # scaled by 2^-e, times 2^e, within its running bound
+                overflowing_partials += 1
+                e = math.frexp(float(np.max(np.abs(q.coeffs))))[1]
+                y, bound = _horner_with_bound(np.ldexp(q.coeffs, -e), cert.witness)
+                assert cert.witness_value == math.ldexp(y, e)
+                with mpmath.workdps(60):
+                    assert abs(mpmath.mpf(cert.witness_value) - exact) <= math.ldexp(bound, e)
+        assert overflowing_partials > 0
+
+    @pytest.mark.parametrize("degree", [1, 3, 5, 7, 9, 11])
+    def test_moderate_witness_is_the_first_certified_doubling_sample(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(200):
+            c = rng.uniform(-1.0, 1.0, degree + 1)
+            direction = -1.0 if c[-1] > 0.0 else 1.0
+            limit = 4.0 * (1.0 + float(np.max(np.abs(c[:-1])) / abs(c[-1]))) + 4.0
+            x = direction
+            value, bound = _horner_with_bound(c, x)
+            while not value + bound < 0.0:
+                assert abs(x) < limit
+                x = direction * min(2.0 * abs(x), limit)
+                value, bound = _horner_with_bound(c, x)
+            cert = decide_without_warnings(RealPolynomial(c))
+            assert cert.witness == x and cert.witness_value == value
 
 
 def exact_value(q, x):
@@ -333,7 +415,7 @@ def _reference_finite_witness(scaled, exponent, x):
     while not (val < 0.0 and np.isfinite(val)):
         mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
-            raise DomainError("negative critical value not representable in double precision")
+            raise DomainError("negative value not representable in double precision")
         y, bound = _horner_with_bound(scaled, mid)
         if y + bound < 0.0:
             lo, val = mid, np.ldexp(y, exponent)
